@@ -8,9 +8,10 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
+from fedsim import model
 from fedsim.data import Dataset
 from fedsim.errors import ConfigurationError
-from fedsim.model import MlpSpec, TrainSpec, local_train, loss_and_grad
+from fedsim.model import MlpSpec, TrainSpec, local_train
 
 log = logging.getLogger(__name__)
 
@@ -61,18 +62,9 @@ def gradient_ascent(
     train: TrainSpec,
     epochs: int,
 ) -> np.ndarray:
-    """Mini-batch gradient ascent from the global model (negated SGD steps)."""
-    n = len(data)
-    if n == 0:
-        raise ValueError("client dataset is empty")
-    params = global_params.copy()
-    rng = np.random.default_rng(train.seed)
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, train.batch_size):
-            idx = order[start : start + train.batch_size]
-            _, grad = loss_and_grad(params, spec, (data.features[idx], data.labels[idx]))
-            params += train.learning_rate * grad
+    """Mini-batch gradient ascent from the global model: the SGD loop of
+    `local_train` with a negative step and no proximal term."""
+    params = model._sgd(global_params, spec, data, train, epochs, -train.learning_rate)
     if not np.all(np.isfinite(params)):
         raise ValueError("ascent diverged: non-finite parameters")
     return params

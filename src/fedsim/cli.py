@@ -13,7 +13,6 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -32,14 +31,13 @@ from fedsim.model import MlpSpec, TrainSpec
 from fedsim.orchestrator import (
     CsvTask,
     ExperimentConfig,
+    ExperimentResult,
     HoldoutSpec,
     SyntheticTask,
     malicious_round_probability,
     run_experiment,
 )
 from fedsim.privacy import DpState
-
-WORKERS_ENV = "FEDSIM_WORKERS"
 
 # Conventional removal fractions applied when `compare` switches a config to
 # a strategy kind the base config did not parameterize.
@@ -383,24 +381,10 @@ def write_metrics_csv(path: Path, records: list[MetricRecord]) -> None:
             writer.writerow([_format_cell(getattr(r, f)) for f in MetricRecord.FIELDS])
 
 
-def _resolve_workers(flag: int | None) -> int:
-    if flag is not None:
-        return max(1, flag)
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
-def cmd_run(config_path: str, out_dir: str, workers: int | None = None) -> RunManifest:
-    config = load_config(config_path)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    started = time.perf_counter()
-    result = run_experiment(config, workers=_resolve_workers(workers))
-    duration = time.perf_counter() - started
-
+def _write_run(
+    out: Path, config: ExperimentConfig, result: ExperimentResult, duration: float
+) -> RunManifest:
+    """Write one run's artifacts and manifest into `out`, which must exist."""
     metrics_path = out / "metrics.csv"
     rounds_path = out / "rounds.jsonl"
     model_path = out / "final_model.npz"
@@ -431,6 +415,16 @@ def cmd_run(config_path: str, out_dir: str, workers: int | None = None) -> RunMa
     return manifest
 
 
+def cmd_run(config_path: str, out_dir: str) -> RunManifest:
+    config = load_config(config_path)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+
+    started = time.perf_counter()
+    result = run_experiment(config)
+    return _write_run(out, config, result, time.perf_counter() - started)
+
+
 def _strategy_override(config: ExperimentConfig, kind: str) -> ExperimentConfig:
     from dataclasses import replace
 
@@ -442,9 +436,7 @@ def _strategy_override(config: ExperimentConfig, kind: str) -> ExperimentConfig:
     return replace(config, strategy=Strategy(kind=kind, **extra))
 
 
-def cmd_compare(
-    config_path: str, strategies: list[str], out_dir: str, workers: int | None = None
-) -> dict[str, RunManifest]:
+def cmd_compare(config_path: str, strategies: list[str], out_dir: str) -> dict[str, RunManifest]:
     if not strategies:
         raise ConfigurationError("compare: strategy list is empty")
     base = load_config(config_path)
@@ -453,33 +445,14 @@ def cmd_compare(
 
     manifests: dict[str, RunManifest] = {}
     rows: list[tuple[str, int, str, float]] = []
-    n_workers = _resolve_workers(workers)
     for kind in strategies:
         config = _strategy_override(base, kind)
         sub = out / kind
         sub.mkdir(parents=True, exist_ok=True)
 
         started = time.perf_counter()
-        result = run_experiment(config, workers=n_workers)
-        duration = time.perf_counter() - started
-
-        write_metrics_csv(sub / "metrics.csv", result.records)
-        with (sub / "rounds.jsonl").open("w", encoding="utf-8") as fh:
-            for log in result.round_logs:
-                fh.write(json.dumps(log.as_dict(), sort_keys=True) + "\n")
-        manifests[kind] = RunManifest(
-            config_hash=config_hash(config),
-            artifacts={
-                "metrics_csv": str(sub / "metrics.csv"),
-                "rounds_jsonl": str(sub / "rounds.jsonl"),
-            },
-            tool_version=fedsim.__version__,
-            duration_seconds=duration,
-        )
-        (sub / "manifest.json").write_text(
-            json.dumps(manifests[kind].as_dict(), sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
-        )
+        result = run_experiment(config)
+        manifests[kind] = _write_run(sub, config, result, time.perf_counter() - started)
         for record in result.records:
             rows.append((kind, record.round, "overall_accuracy", record.overall_accuracy))
             rows.append((kind, record.round, "label_accuracy_mad", record.label_accuracy_mad))
@@ -523,13 +496,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one experiment from a JSON config")
     p_run.add_argument("config")
     p_run.add_argument("--out", required=True, help="output directory")
-    p_run.add_argument("--workers", type=int, default=None)
 
     p_cmp = sub.add_parser("compare", help="run several strategies under identical seeds")
     p_cmp.add_argument("config")
     p_cmp.add_argument("--strategies", required=True, help="comma-separated strategy kinds")
     p_cmp.add_argument("--out", required=True)
-    p_cmp.add_argument("--workers", type=int, default=None)
 
     p_prob = sub.add_parser("prob", help="malicious-selection probability table")
     p_prob.add_argument("--n", type=int, required=True, help="clients selected per round")
@@ -546,11 +517,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            manifest = cmd_run(args.config, args.out, workers=args.workers)
+            manifest = cmd_run(args.config, args.out)
             print(f"run complete: {manifest.artifacts['metrics_csv']}")
         elif args.command == "compare":
             strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-            manifests = cmd_compare(args.config, strategies, args.out, workers=args.workers)
+            manifests = cmd_compare(args.config, strategies, args.out)
             print(f"compared {len(manifests)} strategies -> {args.out}/combined.csv")
         else:
             rounds = [int(r.strip()) for r in args.rounds.split(",") if r.strip()]

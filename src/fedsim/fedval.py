@@ -13,7 +13,6 @@ exponent; negative totals clamp to zero so ruined models are excluded.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -93,7 +92,8 @@ class ScoreTable:
 
     @property
     def all_zero(self) -> bool:
-        return bool(self.clamped.sum() <= 0.0)
+        # Written so that a NaN sum (a non-finite client) also counts as zero.
+        return not bool(self.clamped.sum() > 0.0)
 
 
 def mad(values) -> float:
@@ -105,7 +105,9 @@ def mad(values) -> float:
 
 
 def _recall(labels: np.ndarray, preds: np.ndarray, num_classes: int) -> float | None:
-    """Recall of the positive class for binary tasks, macro recall otherwise.
+    """Recall of the positive class for binary tasks, macro recall over the
+    classes present otherwise. Used for the recall dimension here and for
+    the per-group recall of `metrics.evaluate`.
 
     Returns None when no class has a positive sample (0/0)."""
     if num_classes == 2:
@@ -128,7 +130,6 @@ def compute_report(
     spec: MlpSpec,
     val: ValidationSet,
     recall_dim: bool = False,
-    workers: int = 1,
 ) -> ValidationReport:
     """Evaluate every client model on the validation set.
 
@@ -143,14 +144,7 @@ def compute_report(
         if len(val.label_indices.get(label, ())) == 0:
             raise ConfigurationError(f"validation set has no samples of label {label}")
 
-    def evaluate(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return model.eval_losses(params, spec, val.data)
-
-    if workers > 1 and len(client_models) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(evaluate, client_models))
-    else:
-        results = [evaluate(p) for p in client_models]
+    results = [model.eval_losses(p, spec, val.data) for p in client_models]
 
     n = len(client_models)
     per_label = np.empty((n, k))

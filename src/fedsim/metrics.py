@@ -9,7 +9,7 @@ import numpy as np
 
 from fedsim import model
 from fedsim.data import Dataset
-from fedsim.fedval import mad
+from fedsim.fedval import _recall, mad
 from fedsim.model import MlpSpec
 
 
@@ -34,25 +34,6 @@ class MetricRecord:
         "per_group_recall",
         "backdoor_accuracy",
     )
-
-
-def _group_recall(labels: np.ndarray, preds: np.ndarray, groups: np.ndarray, k: int):
-    """Recall per group: positive-class recall for binary tasks, macro
-    recall over the classes present in the group otherwise."""
-    out: dict[int, float] = {}
-    for g in np.unique(groups):
-        sel = groups == g
-        y, p = labels[sel], preds[sel]
-        if k == 2:
-            pos = y == 1
-            if not pos.any():
-                continue
-            out[int(g)] = float((p[pos] == 1).mean())
-        else:
-            per_class = [float((p[y == c] == c).mean()) for c in range(k) if (y == c).any()]
-            if per_class:
-                out[int(g)] = float(np.mean(per_class))
-    return out or None
 
 
 def evaluate(
@@ -88,7 +69,14 @@ def evaluate(
 
     recall = None
     if test.group_ids is not None:
-        recall = _group_recall(labels, preds, test.group_ids, k)
+        # Groups whose recall is undefined (no positive sample) are left out.
+        recall = {}
+        for g in np.unique(test.group_ids):
+            sel = test.group_ids == g
+            value = _recall(labels[sel], preds[sel], k)
+            if value is not None:
+                recall[int(g)] = value
+        recall = recall or None
 
     return MetricRecord(
         round=round_index,

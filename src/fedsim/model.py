@@ -143,6 +143,52 @@ def forward(params: np.ndarray, spec: MlpSpec, x: np.ndarray) -> np.ndarray:
     return _forward_batch(params, spec, x[None, :])[0]
 
 
+def _backprop(
+    layers: list[tuple[np.ndarray, np.ndarray]],
+    grads: list[tuple[np.ndarray, np.ndarray]],
+    x: np.ndarray,
+    y: np.ndarray,
+    activation: str,
+) -> np.ndarray:
+    """Forward and backward pass of the mean cross-entropy over one batch.
+
+    Writes each layer's gradient into the matching (weight, bias) views of
+    `grads` and returns the batch's class probabilities. Labels must already
+    be known to lie in [0, K).
+    """
+    n = x.shape[0]
+    pre = []  # z per layer
+    acts = [x]  # input and post-activation outputs
+    a = x
+    for i, (w, b) in enumerate(layers):
+        z = a @ w + b
+        pre.append(z)
+        a = z if i == len(layers) - 1 else _activate(z, activation)
+        acts.append(a)
+
+    probs = _softmax(acts[-1])
+
+    # Backward pass; dZ for the softmax+CE head is (p - onehot) / n.
+    delta = probs.copy()
+    delta[np.arange(n), y] -= 1.0
+    delta /= n
+
+    for i in range(len(layers) - 1, -1, -1):
+        w, _ = layers[i]
+        gw, gb = grads[i]
+        np.matmul(acts[i].T, delta, out=gw)
+        np.sum(delta, axis=0, out=gb)
+        if i > 0:
+            delta = (delta @ w.T) * _activate_grad(pre[i - 1], acts[i], activation)
+    return probs
+
+
+def _check_labels(y: np.ndarray, spec: MlpSpec) -> None:
+    k = spec.num_classes
+    if y.min() < 0 or y.max() >= k:
+        raise ValueError(f"labels must lie in [0, {k})")
+
+
 def loss_and_grad(
     params: np.ndarray,
     spec: MlpSpec,
@@ -161,38 +207,11 @@ def loss_and_grad(
     n = x.shape[0]
     if n == 0:
         raise ValueError("empty batch")
-    k = spec.num_classes
-    if y.min() < 0 or y.max() >= k:
-        raise ValueError(f"labels must lie in [0, {k})")
+    _check_labels(y, spec)
 
-    layers = unpack(params, spec)
-    pre = []  # z per layer
-    acts = [x]  # input and post-activation outputs
-    a = x
-    for i, (w, b) in enumerate(layers):
-        z = a @ w + b
-        pre.append(z)
-        a = z if i == len(layers) - 1 else _activate(z, spec.activation)
-        acts.append(a)
-
-    probs = _softmax(acts[-1])
+    grad = np.empty(spec.param_count)
+    probs = _backprop(unpack(params, spec), unpack(grad, spec), x, y, spec.activation)
     loss = float(-np.mean(np.log(np.maximum(probs[np.arange(n), y], PROB_FLOOR))))
-
-    # Backward pass; dZ for the softmax+CE head is (p - onehot) / n.
-    delta = probs.copy()
-    delta[np.arange(n), y] -= 1.0
-    delta /= n
-
-    grads = [None] * len(layers)
-    for i in range(len(layers) - 1, -1, -1):
-        w, _ = layers[i]
-        gw = acts[i].T @ delta
-        gb = delta.sum(axis=0)
-        grads[i] = (gw, gb)
-        if i > 0:
-            delta = (delta @ w.T) * _activate_grad(pre[i - 1], acts[i], spec.activation)
-
-    grad = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
 
     if prox_mu > 0.0:
         if global_params is None:
@@ -201,6 +220,47 @@ def loss_and_grad(
         loss += 0.5 * prox_mu * float(diff @ diff)
         grad += prox_mu * diff
     return loss, grad
+
+
+def _sgd(
+    global_params: np.ndarray,
+    spec: MlpSpec,
+    data,
+    train: TrainSpec,
+    epochs: int,
+    step: float,
+    prox_mu: float = 0.0,
+) -> np.ndarray:
+    """Mini-batch steps `params -= step * grad` from the global model.
+
+    The one SGD loop behind `local_train` and `adversary.gradient_ascent`
+    (which passes a negative step). Each epoch draws one permutation from
+    `train.seed`; the loss itself is never computed. The caller checks the
+    result for non-finite values.
+    """
+    n = len(data.labels)
+    if n == 0:
+        raise ValueError("client dataset is empty")
+    params = global_params.copy()
+    if epochs == 0:
+        return params
+    features = np.asarray(data.features, dtype=np.float64)
+    labels = np.asarray(data.labels, dtype=np.int64)
+    _check_labels(labels, spec)
+    # params is updated in place, so its layer views stay valid across steps.
+    layers = unpack(params, spec)
+    grad = np.empty_like(params)
+    grads = unpack(grad, spec)
+    rng = np.random.default_rng(train.seed)
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, train.batch_size):
+            idx = order[start : start + train.batch_size]
+            _backprop(layers, grads, features[idx], labels[idx], spec.activation)
+            if prox_mu > 0.0:
+                grad += prox_mu * (params - global_params)
+            params -= step * grad
+    return params
 
 
 def local_train(
@@ -213,26 +273,11 @@ def local_train(
 
     `data` is any object with `features` (n, d) and `labels` (n,) arrays.
     """
-    n = len(data.labels)
-    if n == 0:
-        raise ValueError("client dataset is empty")
-    params = global_params.copy()
-    if train.epochs == 0:
-        return params
-    rng = np.random.default_rng(train.seed)
-    for _ in range(train.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, train.batch_size):
-            idx = order[start : start + train.batch_size]
-            _, grad = loss_and_grad(
-                params,
-                spec,
-                (data.features[idx], data.labels[idx]),
-                global_params=global_params,
-                prox_mu=train.prox_mu,
-            )
-            params -= train.learning_rate * grad
-    if not np.all(np.isfinite(params)):
+    params = _sgd(
+        global_params, spec, data, train, train.epochs, train.learning_rate, train.prox_mu
+    )
+    # With zero epochs no step ran, and the global model passes through as is.
+    if train.epochs and not np.all(np.isfinite(params)):
         raise ValueError("training diverged: non-finite parameters (learning rate too high?)")
     return params
 

@@ -1,15 +1,14 @@
 """The communication-round loop.
 
-Seeded client selection, (optionally parallel) local training with attack
-substitution, the DP pre-transform pipeline, strategy dispatch, and metric
-capture. Every source of randomness is derived from explicit seeds so a
-config replays byte-identically regardless of worker count.
+Seeded client selection, local training with attack substitution, the DP
+pre-transform pipeline, strategy dispatch, and metric capture. Every source
+of randomness is derived from explicit seeds so a config replays
+byte-identically.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace as dc_replace
 
 import numpy as np
@@ -291,9 +290,7 @@ def _apply_pre_transforms(
     return updates
 
 
-def run_round(
-    state: ExperimentState, config: ExperimentConfig, workers: int = 1
-) -> RoundLog:
+def run_round(state: ExperimentState, config: ExperimentConfig) -> RoundLog:
     """Execute one communication round, advancing the state in place."""
     selected = select_clients(
         config.partition.client_count,
@@ -301,11 +298,7 @@ def run_round(
         state.round_index,
         config.selection_seed,
     )
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            updates = list(pool.map(lambda c: _client_job(state, config, c), selected))
-    else:
-        updates = [_client_job(state, config, c) for c in selected]
+    updates = [_client_job(state, config, c) for c in selected]
 
     if config.strategy.pre_transforms and state.dp is not None:
         updates = _apply_pre_transforms(updates, state, config)
@@ -338,8 +331,7 @@ def run_round(
         client_models = [state.global_params + u.delta for u in updates]
         dims = ("label", "overall", "recall") if config.recall_dim else fedval.DEFAULT_DIMS
         report = fedval.compute_report(
-            client_models, config.model, state.val, recall_dim=config.recall_dim,
-            workers=workers,
+            client_models, config.model, state.val, recall_dim=config.recall_dim
         )
         choice = fedval.adapt_s2(
             state.global_params,
@@ -364,7 +356,7 @@ def run_round(
     return log
 
 
-def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the full round loop, recording metrics at the configured cadence."""
     state = setup_experiment(config)
     backdoor = config.backdoor_eval
@@ -374,7 +366,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     records: list[MetricRecord] = []
     logs: list[RoundLog] = []
     for r in range(config.rounds):
-        log = run_round(state, config, workers=workers)
+        log = run_round(state, config)
         logs.append(log)
         if (r + 1) % config.metrics_every == 0 or r == config.rounds - 1:
             records.append(

@@ -30,8 +30,6 @@ from fedsim.orchestrator import (
 )
 from fedsim.privacy import DpState, adapt_bound, add_noise, clip
 
-WORKERS = 4
-
 
 def report(criterion: int, ok: bool, detail: str) -> None:
     status = "PASS" if ok else "FAIL"
@@ -71,7 +69,7 @@ def pga_runs():
             attack=pga_attack(fraction) if fraction else AttackSpec(),
             **{**PGA_BASE, "validation": HoldoutSpec(per_label=per_label, seed=2)},
         )
-        return final5(run_experiment(config, workers=WORKERS))["overall_accuracy"]
+        return final5(run_experiment(config))["overall_accuracy"]
 
     return {
         "fedval_clean": run("fedval", 0.0),
@@ -109,7 +107,7 @@ def backdoor_runs():
         config = ExperimentConfig(
             strategy=strategy, attack=FLIP if attacked else AttackSpec(), **BACKDOOR_BASE
         )
-        return final5(run_experiment(config, workers=WORKERS))["backdoor_accuracy"]
+        return final5(run_experiment(config))["backdoor_accuracy"]
 
     out = {}
     for name, strategy in [
@@ -172,7 +170,7 @@ def missing_label_runs(tmp_path_factory):
                             prox_mu=prox, seed=0),
             **base,
         )
-        summary = final5(run_experiment(config, workers=WORKERS))
+        summary = final5(run_experiment(config))
         per_label = summary["per_label_accuracy"]
         return (per_label[4] + per_label[5]) / 2
 
@@ -439,11 +437,11 @@ class TestCriterion9Determinism:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config), encoding="utf-8")
         outputs = []
-        for name, workers in [("a", 1), ("b", 1), ("c", 4)]:
-            cli.cmd_run(str(path), str(tmp_path / name), workers=workers)
+        for name in ("a", "b", "c"):
+            cli.cmd_run(str(path), str(tmp_path / name))
             outputs.append((tmp_path / name / "metrics.csv").read_bytes())
         ok = outputs[0] == outputs[1] == outputs[2]
-        report(9, ok, "metrics.csv byte-identical across reruns and worker counts {1,4}")
+        report(9, ok, "metrics.csv byte-identical across three reruns")
 
 
 # ---------------------------------------------------------------- criterion 10

@@ -35,7 +35,7 @@ class TestRun:
     def test_artifacts_and_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, minimal_config())
         out = tmp_path / "out"
-        code = cli.main(["run", path, "--out", str(out), "--workers", "1"])
+        code = cli.main(["run", path, "--out", str(out)])
         assert code == 0
         for artifact in ("metrics.csv", "rounds.jsonl", "manifest.json", "final_model.npz"):
             assert (out / artifact).exists()
@@ -60,8 +60,8 @@ class TestRun:
 
     def test_reruns_byte_identical(self, tmp_path):
         path = write_config(tmp_path, minimal_config())
-        cli.main(["run", path, "--out", str(tmp_path / "a"), "--workers", "1"])
-        cli.main(["run", path, "--out", str(tmp_path / "b"), "--workers", "2"])
+        cli.main(["run", path, "--out", str(tmp_path / "a")])
+        cli.main(["run", path, "--out", str(tmp_path / "b")])
         a = (tmp_path / "a" / "metrics.csv").read_bytes()
         b = (tmp_path / "b" / "metrics.csv").read_bytes()
         assert a == b
@@ -89,6 +89,15 @@ class TestCompare:
         selected_a = [json.loads(l)["selected"] for l in rounds_a]
         selected_b = [json.loads(l)["selected"] for l in rounds_b]
         assert selected_a == selected_b
+        for kind in ("fedavg", "fedval"):
+            sub = out / kind
+            for artifact in ("metrics.csv", "rounds.jsonl", "manifest.json",
+                             "final_model.npz", "config.canonical.json"):
+                assert (sub / artifact).exists(), f"{kind}/{artifact}"
+            canonical = json.loads((sub / "config.canonical.json").read_text())
+            assert canonical["strategy"]["kind"] == kind
+            manifest = json.loads((sub / "manifest.json").read_text())
+            assert manifest["artifacts"]["final_model"] == str(sub / "final_model.npz")
 
     def test_combined_csv_long_format(self, tmp_path):
         path = write_config(tmp_path, minimal_config())

@@ -92,13 +92,6 @@ class TestComputeReport:
         assert report.group_keys == (0,)
         assert "dropped" in caplog.text
 
-    def test_workers_do_not_change_result(self):
-        models = [self.params + 0.01 * i for i in range(5)]
-        serial = fedval.compute_report(models, self.spec, self.val, workers=1)
-        threaded = fedval.compute_report(models, self.spec, self.val, workers=4)
-        assert np.array_equal(serial.per_label_loss, threaded.per_label_loss)
-        assert np.array_equal(serial.overall_loss, threaded.overall_loss)
-
 
 class TestScore:
     def test_identical_clients_get_baseline(self):

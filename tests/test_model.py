@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fedsim import model
+from fedsim import adversary, model
 from fedsim.data import gen_synthetic
 from fedsim.errors import ConfigurationError
 from fedsim.model import MlpSpec, TrainSpec
@@ -176,6 +176,62 @@ class TestLocalTrain:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="diverged"):
                 model.local_train(self.start, self.spec, self.data, train)
+
+
+def reference_sgd(global_params, spec, data, train, epochs, ascent=False):
+    """Plain loop over the public loss_and_grad, one call per mini-batch."""
+    params = global_params.copy()
+    rng = np.random.default_rng(train.seed)
+    n = len(data.labels)
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, train.batch_size):
+            idx = order[start : start + train.batch_size]
+            batch = (data.features[idx], data.labels[idx])
+            if ascent:
+                _, grad = model.loss_and_grad(params, spec, batch)
+                params += train.learning_rate * grad
+            else:
+                _, grad = model.loss_and_grad(
+                    params, spec, batch, global_params=global_params, prox_mu=train.prox_mu
+                )
+                params -= train.learning_rate * grad
+    return params
+
+
+class TestSgdLoopMatchesReference:
+    """local_train and gradient_ascent share one SGD loop that never computes
+    the loss; it must match the reference loop bit for bit."""
+
+    # 203 samples in batches of 16: every epoch ends on a batch of 11.
+    def setup_method(self):
+        self.data = gen_synthetic(3, 5, 203, 4.0, seed=21)
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("prox_mu", [0.0, 0.5])
+    def test_local_train(self, activation, prox_mu):
+        spec = MlpSpec((5, 7, 6, 3), activation=activation, seed=4)
+        start = model.init_params(spec)
+        train = TrainSpec(epochs=3, batch_size=16, learning_rate=0.05, prox_mu=prox_mu, seed=8)
+        out = model.local_train(start, spec, self.data, train)
+        assert np.array_equal(out, reference_sgd(start, spec, self.data, train, train.epochs))
+        assert not np.array_equal(out, start)
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_gradient_ascent(self, activation):
+        spec = MlpSpec((5, 7, 3), activation=activation, seed=4)
+        start = model.init_params(spec)
+        train = TrainSpec(epochs=3, batch_size=16, learning_rate=0.05, prox_mu=0.5, seed=8)
+        out = adversary.gradient_ascent(start, spec, self.data, train, epochs=2)
+        expected = reference_sgd(start, spec, self.data, train, 2, ascent=True)
+        assert np.array_equal(out, expected)
+        assert not np.array_equal(out, start)
+
+    def test_label_out_of_range_rejected(self):
+        spec = MlpSpec((5, 3), seed=0)
+        bad = gen_synthetic(4, 5, 40, 4.0, seed=0)
+        with pytest.raises(ValueError, match="labels"):
+            model.local_train(model.init_params(spec), spec, bad, TrainSpec(epochs=1))
 
 
 class TestEvalLosses:
