@@ -4,14 +4,14 @@ ascent model poisoning, plus static malicious-client placement."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from fedsim import model
 from fedsim.data import Dataset
 from fedsim.errors import ConfigurationError
-from fedsim.model import MlpSpec, TrainSpec, local_train
+from fedsim.model import MlpSpec, SgdRow, TrainSpec
 
 log = logging.getLogger(__name__)
 
@@ -55,6 +55,16 @@ def poison_dataset(data: Dataset, source_label: int, target_label: int) -> Datas
     return Dataset(data.features, labels, data.num_classes, data.group_ids)
 
 
+def _ascent_row(data, train: TrainSpec, epochs: int) -> SgdRow:
+    return SgdRow(data, train.seed, epochs, -train.learning_rate)
+
+
+def _check_ascended(params: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(params)):
+        raise ValueError("ascent diverged: non-finite parameters")
+    return params
+
+
 def gradient_ascent(
     global_params: np.ndarray,
     spec: MlpSpec,
@@ -62,12 +72,43 @@ def gradient_ascent(
     train: TrainSpec,
     epochs: int,
 ) -> np.ndarray:
-    """Mini-batch gradient ascent from the global model: the SGD loop of
+    """Mini-batch gradient ascent from the global model: the SGD of
     `local_train` with a negative step and no proximal term."""
-    params = model._sgd(global_params, spec, data, train, epochs, -train.learning_rate)
-    if not np.all(np.isfinite(params)):
-        raise ValueError("ascent diverged: non-finite parameters")
-    return params
+    (params,) = model.train_rows(
+        global_params, spec, [_ascent_row(data, train, epochs)], train.batch_size
+    )
+    return _check_ascended(params)
+
+
+def pga_rows(data, train: TrainSpec, ascent_epochs: int) -> tuple[SgdRow, SgdRow]:
+    """The two `train_rows` rows of a PGA attacker, in the order
+    `pga_combine` takes their results: the ascent and the benign reference
+    (plain training without the proximal term), both on `train.seed`."""
+    return (
+        _ascent_row(data, train, ascent_epochs),
+        SgdRow(data, train.seed, train.epochs, train.learning_rate),
+    )
+
+
+def pga_combine(
+    global_params: np.ndarray,
+    ascended: np.ndarray,
+    benign: np.ndarray,
+    scale_factor: float,
+) -> np.ndarray:
+    """Malicious model from the trained `pga_rows`: the ascent delta rescaled
+    so that its norm is scale_factor times the benign reference's delta norm.
+    """
+    malicious_delta = _check_ascended(ascended) - global_params
+    mal_norm = float(np.linalg.norm(malicious_delta))
+    if mal_norm == 0.0:
+        log.warning("pga_update: degenerate zero ascent delta, returning global model")
+        return global_params.copy()
+    benign_norm = float(np.linalg.norm(model.check_trained(benign) - global_params))
+    if benign_norm == 0.0:
+        log.warning("pga_update: benign reference delta is zero, returning global model")
+        return global_params.copy()
+    return global_params + (scale_factor * benign_norm / mal_norm) * malicious_delta
 
 
 def pga_update(
@@ -86,18 +127,10 @@ def pga_update(
     """
     if scale_factor == 0.0:
         return global_params.copy()
-    ascended = gradient_ascent(global_params, spec, data, train, ascent_epochs)
-    malicious_delta = ascended - global_params
-    mal_norm = float(np.linalg.norm(malicious_delta))
-    if mal_norm == 0.0:
-        log.warning("pga_update: degenerate zero ascent delta, returning global model")
-        return global_params.copy()
-    benign = local_train(global_params, spec, data, dc_replace(train, prox_mu=0.0))
-    benign_norm = float(np.linalg.norm(benign - global_params))
-    if benign_norm == 0.0:
-        log.warning("pga_update: benign reference delta is zero, returning global model")
-        return global_params.copy()
-    return global_params + (scale_factor * benign_norm / mal_norm) * malicious_delta
+    ascended, benign = model.train_rows(
+        global_params, spec, list(pga_rows(data, train, ascent_epochs)), train.batch_size
+    )
+    return pga_combine(global_params, ascended, benign, scale_factor)
 
 
 def place_malicious(client_count: int, fraction: float, seed: int) -> frozenset[int]:

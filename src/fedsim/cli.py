@@ -13,6 +13,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -381,6 +382,18 @@ def write_metrics_csv(path: Path, records: list[MetricRecord]) -> None:
             writer.writerow([_format_cell(getattr(r, f)) for f in MetricRecord.FIELDS])
 
 
+def _finite_or_null(value):
+    """`value` with every non-finite float (a NaN score or loss) replaced by
+    None, so that the round log stays strict JSON."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def _write_run(
     out: Path, config: ExperimentConfig, result: ExperimentResult, duration: float
 ) -> RunManifest:
@@ -391,7 +404,8 @@ def _write_run(
     write_metrics_csv(metrics_path, result.records)
     with rounds_path.open("w", encoding="utf-8") as fh:
         for log in result.round_logs:
-            fh.write(json.dumps(log.as_dict(), sort_keys=True) + "\n")
+            line = json.dumps(_finite_or_null(log.as_dict()), sort_keys=True, allow_nan=False)
+            fh.write(line + "\n")
     np.savez(
         model_path,
         params=result.final_params,

@@ -1,8 +1,16 @@
-"""Small dense classifier with manual backpropagation.
+"""Small dense classifier with manual backpropagation, and the SGD engine
+that trains a whole cohort of clients at once.
 
 Parameters live in a single flat float64 vector (the currency that every
 aggregation strategy operates on). Layout: for each layer, the weight
 matrix in C order followed by its bias vector.
+
+`train_rows` runs every local update of a round, benign training and
+gradient ascent alike, as rows of one (R, P) parameter stack. Each
+mini-batch step is one stacked forward/backward pass over the rows whose
+batches have the same length. That grouping is what keeps every row bit for
+bit equal to training it alone: a stacked matmul over equal shapes repeats
+the 2-D result exactly, but a zero-padded batch does not.
 """
 
 from __future__ import annotations
@@ -91,13 +99,20 @@ def unpack(params: np.ndarray, spec: MlpSpec) -> list[tuple[np.ndarray, np.ndarr
         raise ConfigurationError(
             f"parameter vector has length {params.shape}, spec needs {spec.param_count}"
         )
+    return _layer_views(params, spec)
+
+
+def _layer_views(params: np.ndarray, spec: MlpSpec) -> list[tuple[np.ndarray, np.ndarray]]:
+    """`unpack` for a parameter vector or an (R, P) stack of them, whose
+    layers are (R, nin, nout) weights and (R, nout) biases."""
+    lead = params.shape[:-1]
     layers = []
     offset = 0
     sizes = spec.layer_sizes
     for nin, nout in zip(sizes[:-1], sizes[1:]):
-        w = params[offset : offset + nin * nout].reshape(nin, nout)
+        w = params[..., offset : offset + nin * nout].reshape(*lead, nin, nout)
         offset += nin * nout
-        b = params[offset : offset + nout]
+        b = params[..., offset : offset + nout]
         offset += nout
         layers.append((w, b))
     return layers
@@ -150,18 +165,21 @@ def _backprop(
     y: np.ndarray,
     activation: str,
 ) -> np.ndarray:
-    """Forward and backward pass of the mean cross-entropy over one batch.
+    """Stacked forward and backward pass of the mean cross-entropy.
 
-    Writes each layer's gradient into the matching (weight, bias) views of
-    `grads` and returns the batch's class probabilities. Labels must already
-    be known to lie in [0, K).
+    Row g of the stack is one model, (weights (G, nin, nout), biases (G, nout))
+    per layer, on its own batch x[g] (n, d) with labels y[g] (n,); every row's
+    batch has the same length n. Writes each row's layer gradients into the
+    matching views of `grads` and returns the class probabilities (G, n, K).
+    Labels must already be known to lie in [0, K).
     """
-    n = x.shape[0]
+    g, n = y.shape
     pre = []  # z per layer
     acts = [x]  # input and post-activation outputs
     a = x
     for i, (w, b) in enumerate(layers):
-        z = a @ w + b
+        z = np.matmul(a, w)
+        z += b[:, None, :]
         pre.append(z)
         a = z if i == len(layers) - 1 else _activate(z, activation)
         acts.append(a)
@@ -170,16 +188,17 @@ def _backprop(
 
     # Backward pass; dZ for the softmax+CE head is (p - onehot) / n.
     delta = probs.copy()
-    delta[np.arange(n), y] -= 1.0
+    delta[np.arange(g)[:, None], np.arange(n), y] -= 1.0
     delta /= n
 
     for i in range(len(layers) - 1, -1, -1):
         w, _ = layers[i]
         gw, gb = grads[i]
-        np.matmul(acts[i].T, delta, out=gw)
-        np.sum(delta, axis=0, out=gb)
+        np.matmul(acts[i].transpose(0, 2, 1), delta, out=gw)
+        delta.sum(axis=1, out=gb)
         if i > 0:
-            delta = (delta @ w.T) * _activate_grad(pre[i - 1], acts[i], activation)
+            delta = np.matmul(delta, w.transpose(0, 2, 1))
+            delta *= _activate_grad(pre[i - 1], acts[i], activation)
     return probs
 
 
@@ -210,7 +229,10 @@ def loss_and_grad(
     _check_labels(y, spec)
 
     grad = np.empty(spec.param_count)
-    probs = _backprop(unpack(params, spec), unpack(grad, spec), x, y, spec.activation)
+    # The one-row case of the stacked kernel.
+    layers = [(w[None], b[None]) for w, b in unpack(params, spec)]
+    grads = [(gw[None], gb[None]) for gw, gb in unpack(grad, spec)]
+    probs = _backprop(layers, grads, x[None], y[None], spec.activation)[0]
     loss = float(-np.mean(np.log(np.maximum(probs[np.arange(n), y], PROB_FLOOR))))
 
     if prox_mu > 0.0:
@@ -222,45 +244,161 @@ def loss_and_grad(
     return loss, grad
 
 
-def _sgd(
-    global_params: np.ndarray,
-    spec: MlpSpec,
-    data,
-    train: TrainSpec,
-    epochs: int,
-    step: float,
-    prox_mu: float = 0.0,
-) -> np.ndarray:
-    """Mini-batch steps `params -= step * grad` from the global model.
+@dataclass(frozen=True)
+class SgdRow:
+    """One local update for `train_rows`: `epochs` passes over `data` from the
+    global model, each in the order of one permutation drawn from `seed`,
+    with steps `params -= step * grad`. A negative step ascends the loss;
+    prox_mu > 0 adds the proximal pull toward the global model.
 
-    The one SGD loop behind `local_train` and `adversary.gradient_ascent`
-    (which passes a negative step). Each epoch draws one permutation from
-    `train.seed`; the loss itself is never computed. The caller checks the
-    result for non-finite values.
+    `data` is any object with `features` (n, d) and `labels` (n,) arrays.
     """
-    n = len(data.labels)
-    if n == 0:
-        raise ValueError("client dataset is empty")
-    params = global_params.copy()
-    if epochs == 0:
-        return params
-    features = np.asarray(data.features, dtype=np.float64)
-    labels = np.asarray(data.labels, dtype=np.int64)
-    _check_labels(labels, spec)
-    # params is updated in place, so its layer views stay valid across steps.
-    layers = unpack(params, spec)
-    grad = np.empty_like(params)
-    grads = unpack(grad, spec)
-    rng = np.random.default_rng(train.seed)
+
+    data: object
+    seed: int
+    epochs: int
+    step: float
+    prox_mu: float = 0.0
+
+
+# Rows that step together are capped so that the widest per-step temporary,
+# rows x batch length x widest layer, holds about this many float64s. More
+# rows per step save Python calls; past this size a wide model loses that
+# saving to memory traffic and peak memory grows.
+_STEP_ELEMENTS = 16384
+
+
+def train_rows(
+    global_params: np.ndarray, spec: MlpSpec, rows: list[SgdRow], batch_size: int
+) -> list[np.ndarray]:
+    """Run every row's mini-batch SGD from the global model; return the
+    trained parameters in row order.
+
+    Each row gives bit for bit the parameters that training it alone would
+    give, whatever else is in `rows`. The loss is never computed, and the
+    caller checks results for non-finite values. A row with zero epochs
+    returns the global model.
+    """
+    features, labels = [], []
+    for row in rows:
+        y = np.asarray(row.data.labels, dtype=np.int64)
+        if len(y) == 0:
+            raise ValueError("client dataset is empty")
+        if row.epochs:
+            _check_labels(y, spec)
+        features.append(np.asarray(row.data.features, dtype=np.float64))
+        labels.append(y)
+
+    # Sorted by shard size, the rows whose batch at a given offset has the
+    # same length sit next to each other, so every group is a slice.
+    order = sorted(range(len(rows)), key=lambda r: -len(labels[r]))
+    params = np.tile(global_params, (len(rows), 1))
+    rngs = [np.random.default_rng(rows[r].seed) for r in order]
+    done = 0
+    # Rows with fewer epochs drop out after theirs; the rest train on.
+    for end in sorted({row.epochs for row in rows} - {0}):
+        live = [i for i, r in enumerate(order) if rows[r].epochs >= end]
+        work = params if len(live) == len(rows) else params[live]
+        _run_epochs(
+            work,
+            global_params,
+            spec,
+            [rows[order[i]] for i in live],
+            [features[order[i]] for i in live],
+            [labels[order[i]] for i in live],
+            [rngs[i] for i in live],
+            batch_size,
+            end - done,
+        )
+        if work is not params:
+            params[live] = work
+        done = end
+
+    return [params[i] for i in np.argsort(order)]
+
+
+def _run_epochs(
+    params: np.ndarray,
+    anchor: np.ndarray,
+    spec: MlpSpec,
+    rows: list[SgdRow],
+    features: list[np.ndarray],
+    labels: list[np.ndarray],
+    rngs: list[np.random.Generator],
+    batch_size: int,
+    epochs: int,
+) -> None:
+    """`epochs` epochs of every row of `params` (R, P) in place; the rows are
+    sorted by shard size, largest first."""
+    sizes = [len(y) for y in labels]
+    width = max(spec.layer_sizes)
+    steps = np.array([row.step for row in rows])[:, None]
+    mus = np.array([row.prox_mu for row in rows])[:, None]
+
+    # Every epoch steps through the same groups: (first row, end row, batch
+    # offset, batch length).
+    groups = []
+    for start in range(0, sizes[0], batch_size):
+        lo = 0
+        while lo < len(sizes) and sizes[lo] > start:
+            n = min(sizes[lo] - start, batch_size)
+            end = lo
+            while end < len(sizes) and min(sizes[end] - start, batch_size) == n:
+                end += 1
+            cap = max(1, _STEP_ELEMENTS // (n * width))
+            groups += [(first, min(first + cap, end), start, n) for first in range(lo, end, cap)]
+            lo = end
+
+    grad = np.empty((max(last - first for first, last, _, _ in groups), params.shape[1]))
+    # Each epoch's permuted shards; row i's batch at offset s is x[i, s : s + n].
+    x = np.empty((len(rows), sizes[0], spec.input_dim))
+    y = np.empty((len(rows), sizes[0]), dtype=np.int64)
+    layers, grads = _layer_views(params, spec), _layer_views(grad, spec)
+    plan = []
+    for first, last, start, n in groups:
+        k = last - first
+        # Rows with a proximal term; a slice when it is all of them.
+        prox = np.flatnonzero(mus[first:last, 0] > 0.0)
+        if len(prox) == k:
+            prox = slice(None)
+        elif len(prox) == 0:
+            prox = None
+        plan.append((
+            [(w[first:last], b[first:last]) for w, b in layers],
+            [(gw[:k], gb[:k]) for gw, gb in grads],
+            x[first:last, start : start + n],
+            y[first:last, start : start + n],
+            params[first:last],
+            grad[:k],
+            steps[first:last],
+            prox,
+            None if prox is None else mus[first:last][prox],
+        ))
+
     for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, train.batch_size):
-            idx = order[start : start + train.batch_size]
-            _backprop(layers, grads, features[idx], labels[idx], spec.activation)
-            if prox_mu > 0.0:
-                grad += prox_mu * (params - global_params)
-            params -= step * grad
+        for i, rng in enumerate(rngs):
+            perm = rng.permutation(sizes[i])
+            features[i].take(perm, axis=0, out=x[i, : sizes[i]])
+            labels[i].take(perm, out=y[i, : sizes[i]])
+        for row_layers, row_grads, xb, yb, p, g, step, prox, mu in plan:
+            _backprop(row_layers, row_grads, xb, yb, spec.activation)
+            if prox is not None:
+                g[prox] += mu * (p[prox] - anchor)
+            p -= step * g
+
+
+def check_trained(params: np.ndarray, epochs: int = 1) -> np.ndarray:
+    """Return `params`, or raise if `epochs` of local training left them
+    non-finite. With zero epochs no step ran, and the global model passes
+    through as is."""
+    if epochs and not np.all(np.isfinite(params)):
+        raise ValueError("training diverged: non-finite parameters (learning rate too high?)")
     return params
+
+
+def local_row(data, train: TrainSpec) -> SgdRow:
+    """The `train_rows` row of plain local training under `train`."""
+    return SgdRow(data, train.seed, train.epochs, train.learning_rate, train.prox_mu)
 
 
 def local_train(
@@ -273,13 +411,8 @@ def local_train(
 
     `data` is any object with `features` (n, d) and `labels` (n,) arrays.
     """
-    params = _sgd(
-        global_params, spec, data, train, train.epochs, train.learning_rate, train.prox_mu
-    )
-    # With zero epochs no step ran, and the global model passes through as is.
-    if train.epochs and not np.all(np.isfinite(params)):
-        raise ValueError("training diverged: non-finite parameters (learning rate too high?)")
-    return params
+    (params,) = train_rows(global_params, spec, [local_row(data, train)], train.batch_size)
+    return check_trained(params, train.epochs)
 
 
 def eval_losses(params: np.ndarray, spec: MlpSpec, data) -> tuple[np.ndarray, np.ndarray]:

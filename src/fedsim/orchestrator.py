@@ -237,24 +237,41 @@ def setup_experiment(config: ExperimentConfig) -> ExperimentState:
     )
 
 
-def _client_job(state: ExperimentState, config: ExperimentConfig, client: int) -> ClientUpdate:
-    shard = state.shards[client]
-    train = dc_replace(
-        config.train,
-        seed=derive_seed(config.train.seed, _TRAIN_STREAM, state.round_index, client),
-    )
-    if client in state.malicious and config.attack.kind == "pga":
-        params = adversary.pga_update(
-            state.global_params,
-            config.model,
-            shard,
-            train,
-            config.attack.scale_factor,
-            config.attack.ascent_epochs,
+def _client_updates(
+    state: ExperimentState, config: ExperimentConfig, selected: list[int]
+) -> list[ClientUpdate]:
+    """Every selected client's update, trained as rows of one `train_rows`
+    call: one row per benign client, an ascent and a benign-reference row per
+    PGA attacker (none when scale_factor is 0)."""
+    g = state.global_params
+    attack = config.attack
+    attackers = state.malicious if attack.kind == "pga" else frozenset()
+    rows = []
+    for client in selected:
+        shard = state.shards[client]
+        train = dc_replace(
+            config.train,
+            seed=derive_seed(config.train.seed, _TRAIN_STREAM, state.round_index, client),
         )
-    else:
-        params = model.local_train(state.global_params, config.model, shard, train)
-    return ClientUpdate(client, params - state.global_params, len(shard))
+        if client not in attackers:
+            rows.append(model.local_row(shard, train))
+        elif attack.scale_factor != 0.0:
+            rows.extend(adversary.pga_rows(shard, train, attack.ascent_epochs))
+    trained = iter(model.train_rows(g, config.model, rows, config.train.batch_size))
+
+    updates = []
+    for client in selected:
+        if client not in attackers:
+            params = model.check_trained(next(trained), config.train.epochs)
+            # The row becomes the delta in place, so the round holds one copy
+            # of the cohort's parameters, not two.
+            delta = np.subtract(params, g, out=params)
+        elif attack.scale_factor != 0.0:
+            delta = adversary.pga_combine(g, next(trained), next(trained), attack.scale_factor) - g
+        else:  # a zero-scale attacker sends the global model back
+            delta = g - g
+        updates.append(ClientUpdate(client, delta, len(state.shards[client])))
+    return updates
 
 
 def _apply_pre_transforms(
@@ -298,7 +315,7 @@ def run_round(state: ExperimentState, config: ExperimentConfig) -> RoundLog:
         state.round_index,
         config.selection_seed,
     )
-    updates = [_client_job(state, config, c) for c in selected]
+    updates = _client_updates(state, config, selected)
 
     if config.strategy.pre_transforms and state.dp is not None:
         updates = _apply_pre_transforms(updates, state, config)

@@ -1,10 +1,15 @@
 import json
+import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from fedsim import cli
+from fedsim import cli, orchestrator
+from fedsim.aggregators import ClientUpdate, Strategy
 from fedsim.errors import ConfigurationError
 from fedsim.metrics import MetricRecord
+from fedsim.orchestrator import ExperimentResult
 
 
 def minimal_config(**overrides) -> dict:
@@ -76,6 +81,40 @@ class TestRun:
     def test_missing_config_file(self, tmp_path, capsys):
         code = cli.main(["run", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
         assert code == 1
+
+    def test_round_log_is_strict_json_when_values_are_nan(self, tmp_path, monkeypatch):
+        # One NaN client delta makes every fedval score NaN and the fedavg
+        # global model (hence its val_loss) NaN; both are written as null.
+        config = cli.load_config(write_config(tmp_path, minimal_config()))
+        honest_updates = orchestrator._client_updates
+
+        def updates(state, config, selected):
+            first, *rest = honest_updates(state, config, selected)
+            nan = np.full_like(first.delta, np.nan)
+            return [ClientUpdate(first.client_id, nan, first.num_samples), *rest]
+
+        monkeypatch.setattr(orchestrator, "_client_updates", updates)
+        logs = []
+        for kind in ("fedval", "fedavg"):
+            run_config = replace(config, strategy=Strategy(kind=kind))
+            state = orchestrator.setup_experiment(run_config)
+            with np.errstate(invalid="ignore"):
+                logs.append(orchestrator.run_round(state, run_config))
+        assert all(math.isnan(s) for s in logs[0].scores.values())
+        assert math.isnan(logs[1].val_loss)
+
+        result = ExperimentResult([], logs, state.global_params, state.s2)
+        out = tmp_path / "out"
+        out.mkdir()
+        cli._write_run(out, config, result, 0.0)
+
+        def reject(token):
+            raise ValueError(f"not strict JSON: {token}")
+
+        lines = (out / "rounds.jsonl").read_text().splitlines()
+        fedval_log, fedavg_log = (json.loads(line, parse_constant=reject) for line in lines)
+        assert set(fedval_log["scores"].values()) == {None}
+        assert fedavg_log["val_loss"] is None
 
 
 class TestCompare:

@@ -234,6 +234,85 @@ class TestSgdLoopMatchesReference:
             model.local_train(model.init_params(spec), spec, bad, TrainSpec(epochs=1))
 
 
+class TestCohortEngine:
+    """train_rows trains a mixed cohort at once; every row must equal the
+    reference loop run on that row alone, bit for bit, in any row order."""
+
+    BATCH = 16
+    LR = 0.05
+
+    def cohort(self):
+        # Shards smaller than, equal to, a multiple of and not a multiple of
+        # the batch size; three rows share length 45 so they form one group
+        # at every batch offset, and the 45-sample shard also carries a
+        # PGA-style ascent row on the same seed.
+        sizes = {"small": 7, "batch": 16, "double": 32, "odd_a": 45, "odd_b": 45, "long": 203}
+        data = {
+            name: gen_synthetic(3, 5, n, 4.0, seed=30 + i)
+            for i, (name, n) in enumerate(sizes.items())
+        }
+        # (shard, seed, epochs, ascent, prox_mu)
+        specs = [
+            ("small", 1, 2, False, 0.0),
+            ("batch", 2, 3, False, 0.5),
+            ("odd_a", 3, 2, True, 0.0),
+            ("odd_a", 3, 3, False, 0.0),
+            ("odd_b", 4, 3, False, 0.5),
+            ("long", 5, 2, True, 0.0),
+            ("double", 6, 3, False, 0.5),
+        ]
+        return [
+            (
+                model.SgdRow(data[name], seed, epochs, -self.LR if ascent else self.LR, mu),
+                TrainSpec(epochs, self.BATCH, self.LR, mu, seed),
+                data[name],
+                ascent,
+            )
+            for name, seed, epochs, ascent, mu in specs
+        ]
+
+    def model_spec(self, wide, activation):
+        if wide:
+            # Two full batches of this width fill the step budget, so the
+            # three-row group of 45-sample shards is split.
+            width = model._STEP_ELEMENTS // (2 * self.BATCH)
+            return MlpSpec((5, width, 3), activation=activation, seed=4)
+        return MlpSpec((5, 7, 6, 3), activation=activation, seed=4)
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_rows_match_reference_in_any_order(self, activation, wide):
+        spec = self.model_spec(wide, activation)
+        start = model.init_params(spec)
+        cohort = self.cohort()
+        expected = [
+            reference_sgd(start, spec, data, train, train.epochs, ascent=ascent)
+            for _, train, data, ascent in cohort
+        ]
+        rows = [row for row, *_ in cohort]
+
+        out = model.train_rows(start, spec, rows, self.BATCH)
+        for got, want in zip(out, expected):
+            assert np.array_equal(got, want)
+            assert not np.array_equal(got, start)
+
+        perm = np.random.default_rng(0).permutation(len(rows))
+        shuffled = model.train_rows(start, spec, [rows[i] for i in perm], self.BATCH)
+        for got, i in zip(shuffled, perm):
+            assert np.array_equal(got, expected[i])
+
+    def test_zero_epoch_row_returns_global_and_empty_cohort(self):
+        spec = MlpSpec((5, 4, 3), seed=1)
+        start = model.init_params(spec)
+        data = gen_synthetic(3, 5, 20, 4.0, seed=0)
+        idle, busy = model.train_rows(
+            start, spec, [model.SgdRow(data, 1, 0, 0.1), model.SgdRow(data, 1, 1, 0.1)], 8
+        )
+        assert np.array_equal(idle, start)
+        assert not np.array_equal(busy, start)
+        assert model.train_rows(start, spec, [], 8) == []
+
+
 class TestEvalLosses:
     def test_zero_params_loss_is_log_k(self):
         spec = MlpSpec((4, 4))

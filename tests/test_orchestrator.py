@@ -1,14 +1,16 @@
 
+from dataclasses import replace as dc_replace
 from fractions import Fraction
 from math import comb
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from fedsim import orchestrator
+from fedsim import model, orchestrator
 from fedsim.adversary import AttackSpec
 from fedsim.aggregators import ClientUpdate, Strategy
-from fedsim.data import PartitionSpec
+from fedsim.data import Dataset, PartitionSpec
 from fedsim.errors import ConfigurationError
 
 from fedsim.model import MlpSpec, TrainSpec
@@ -24,6 +26,7 @@ from fedsim.orchestrator import (
     setup_experiment,
 )
 from fedsim.privacy import DpState
+from test_model import reference_sgd
 
 def small_config(**overrides) -> ExperimentConfig:
     base = dict(
@@ -83,15 +86,17 @@ class TestRunRound:
         config = small_config(strategy=Strategy(kind="fedval"), clients_per_round=6)
         state = setup_experiment(config)
         poisoned = select_clients(8, 6, 0, config.selection_seed)[2]
-        honest_job = orchestrator._client_job
+        honest_updates = orchestrator._client_updates
 
-        def job(state, config, client):
-            update = honest_job(state, config, client)
-            if client == poisoned:
-                return ClientUpdate(client, np.full_like(update.delta, np.nan), update.num_samples)
-            return update
+        def updates(state, config, selected):
+            return [
+                ClientUpdate(u.client_id, np.full_like(u.delta, np.nan), u.num_samples)
+                if u.client_id == poisoned
+                else u
+                for u in honest_updates(state, config, selected)
+            ]
 
-        monkeypatch.setattr(orchestrator, "_client_job", job)
+        monkeypatch.setattr(orchestrator, "_client_updates", updates)
         before = state.global_params.copy()
         with np.errstate(invalid="ignore"):
             log = run_round(state, config)
@@ -115,6 +120,140 @@ class TestRunRound:
         a = results["fedavg"].round_logs[-1].val_loss
         b = results["fedval"].round_logs[-1].val_loss
         assert abs(a - b) / max(a, b) < 0.10
+
+
+def pga_lda_config(**overrides) -> ExperimentConfig:
+    base = dict(
+        partition=PartitionSpec("lda", client_count=8, seed=0, alpha=0.5),
+        train=TrainSpec(epochs=2, batch_size=16, learning_rate=0.1, prox_mu=0.2, seed=0),
+        attack=AttackSpec(kind="pga", scale_factor=2.0, ascent_epochs=1,
+                          malicious_fraction=0.25, placement_seed=1),
+        clients_per_round=6,
+    )
+    base.update(overrides)
+    return small_config(**base)
+
+
+def spy_updates(monkeypatch):
+    """Record every list of updates that run_round aggregates."""
+    seen = []
+    honest_updates = orchestrator._client_updates
+
+    def updates(state, config, selected):
+        seen.append(honest_updates(state, config, selected))
+        return seen[-1]
+
+    monkeypatch.setattr(orchestrator, "_client_updates", updates)
+    return seen
+
+
+class TestCohortTraining:
+    """run_round trains the cohort in one engine call; each client's delta and
+    each error must be what training the clients one by one gives."""
+
+    def test_deltas_match_per_client_reference(self, monkeypatch):
+        config = pga_lda_config()
+        state = setup_experiment(config)
+        seen = spy_updates(monkeypatch)
+        g = state.global_params.copy()
+        selected = select_clients(8, 6, 0, config.selection_seed)
+        attackers = [c for c in selected if c in state.malicious]
+        assert attackers and len(attackers) < len(selected)
+        assert len({len(state.shards[c]) for c in selected}) > 1
+
+        run_round(state, config)
+        (updates,) = seen
+        assert [u.client_id for u in updates] == selected
+        for u in updates:
+            shard = state.shards[u.client_id]
+            seed = orchestrator.derive_seed(
+                config.train.seed, orchestrator._TRAIN_STREAM, 0, u.client_id
+            )
+            train = dc_replace(config.train, seed=seed)
+            if u.client_id in state.malicious:
+                ascended = reference_sgd(
+                    g, config.model, shard, train, config.attack.ascent_epochs, ascent=True
+                )
+                benign = reference_sgd(
+                    g, config.model, shard, dc_replace(train, prox_mu=0.0), train.epochs
+                )
+                malicious_delta = ascended - g
+                scale = (
+                    config.attack.scale_factor
+                    * float(np.linalg.norm(benign - g))
+                    / float(np.linalg.norm(malicious_delta))
+                )
+                expected = (g + scale * malicious_delta) - g
+            else:
+                expected = reference_sgd(g, config.model, shard, train, train.epochs) - g
+            assert np.array_equal(u.delta, expected)
+            assert u.num_samples == len(shard)
+
+    def test_zero_scale_attacker_trains_no_rows(self, monkeypatch):
+        config = pga_lda_config(
+            attack=AttackSpec(kind="pga", scale_factor=0.0, ascent_epochs=1,
+                              malicious_fraction=0.25, placement_seed=1),
+        )
+        state = setup_experiment(config)
+        seen = spy_updates(monkeypatch)
+        row_counts = []
+        honest_train_rows = model.train_rows
+
+        def train_rows(global_params, spec, rows, batch_size):
+            row_counts.append(len(rows))
+            return honest_train_rows(global_params, spec, rows, batch_size)
+
+        monkeypatch.setattr(model, "train_rows", train_rows)
+        run_round(state, config)
+        (updates,) = seen
+        attackers = [u for u in updates if u.client_id in state.malicious]
+        assert attackers
+        assert row_counts == [len(updates) - len(attackers)]
+        for u in attackers:
+            assert not np.any(u.delta)
+
+    def test_empty_shard_rejected(self):
+        config = pga_lda_config()
+        state = setup_experiment(config)
+        client = select_clients(8, 6, 0, config.selection_seed)[3]
+        state.shards[client] = SimpleNamespace(
+            features=np.empty((0, 5)), labels=np.empty(0, dtype=np.int64)
+        )
+        with pytest.raises(ValueError, match="client dataset is empty"):
+            run_round(state, config)
+
+    def test_label_out_of_range_rejected(self):
+        config = pga_lda_config()
+        state = setup_experiment(config)
+        client = select_clients(8, 6, 0, config.selection_seed)[4]
+        shard = state.shards[client]
+        labels = shard.labels.copy()
+        labels[0] = 3
+        state.shards[client] = SimpleNamespace(features=shard.features, labels=labels)
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
+            run_round(state, config)
+
+    @pytest.mark.parametrize("attacker_first", [False, True])
+    def test_first_diverging_client_in_selection_order_is_reported(self, attacker_first):
+        # No PGA attacker is placed; one of the two blown-up clients is made
+        # one, so the two divergence messages tell the clients apart.
+        config = pga_lda_config(
+            attack=AttackSpec(kind="pga", scale_factor=2.0, ascent_epochs=1)
+        )
+        state = setup_experiment(config)
+        selected = select_clients(8, 6, 0, config.selection_seed)
+        first, second = selected[1], selected[4]
+        state.malicious = frozenset({first if attacker_first else second})
+        for client in (first, second):
+            shard = state.shards[client]
+            state.shards[client] = Dataset(
+                shard.features * 1e200, shard.labels, shard.num_classes
+            )
+        message = "ascent diverged" if attacker_first else "training diverged"
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match=message):
+                run_round(state, config)
+
 
 class TestRunExperiment:
     def test_zero_rounds_returns_initial_model(self):
