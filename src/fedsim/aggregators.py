@@ -91,7 +91,11 @@ def multi_krum(updates: list[ClientUpdate], remove_fraction: float) -> list[int]
     if neighbors < 1:
         log.warning("multi_krum: n-f-2 < 1, falling back to single nearest neighbor")
         neighbors = 1
-    sq = np.sum((deltas[:, None, :] - deltas[None, :, :]) ** 2, axis=2)
+    # One row at a time: the (n, n, P) difference tensor would be the largest
+    # temporary of a round, and each row sums its squares in the same order.
+    sq = np.empty((n, n))
+    for i in range(n):
+        sq[i] = np.sum((deltas[i] - deltas) ** 2, axis=1)
     np.fill_diagonal(sq, np.inf)
     scores = np.sort(sq, axis=1)[:, :neighbors].sum(axis=1)
     selected = np.argsort(scores, kind="stable")[:keep]

@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: `run` executes one experiment from a JSON config, `compare`
-re-runs the same config under several strategies with identical seeds, and
-`prob` prints the malicious-selection tail probabilities. Configs are strict:
-unknown keys are errors, and the canonicalized config (all defaults made
-explicit) is hashed into the run manifest.
+re-runs the same config under several strategies with identical seeds on
+data that it builds once, and `prob` prints the malicious-selection tail
+probabilities. Configs are strict: unknown keys are errors, and the
+canonicalized config (all defaults made explicit) is hashed into the run
+manifest.
 """
 
 from __future__ import annotations
@@ -33,10 +34,13 @@ from fedsim.orchestrator import (
     CsvTask,
     ExperimentConfig,
     ExperimentResult,
+    ExperimentState,
     HoldoutSpec,
     SyntheticTask,
     malicious_round_probability,
     run_experiment,
+    setup_experiment,
+    validate_config,
 )
 from fedsim.privacy import DpState
 
@@ -459,13 +463,19 @@ def cmd_compare(config_path: str, strategies: list[str], out_dir: str) -> dict[s
 
     manifests: dict[str, RunManifest] = {}
     rows: list[tuple[str, int, str, float]] = []
+    shared: ExperimentState | None = None
     for kind in strategies:
         config = _strategy_override(base, kind)
+        validate_config(config)
+        if shared is None:
+            # An override changes only the strategy, which set-up never
+            # reads, so every strategy starts from the same data.
+            shared = setup_experiment(config)
         sub = out / kind
         sub.mkdir(parents=True, exist_ok=True)
 
         started = time.perf_counter()
-        result = run_experiment(config)
+        result = run_experiment(config, shared.fork())
         manifests[kind] = _write_run(sub, config, result, time.perf_counter() - started)
         for record in result.records:
             rows.append((kind, record.round, "overall_accuracy", record.overall_accuracy))

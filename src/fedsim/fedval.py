@@ -115,14 +115,12 @@ def _recall(labels: np.ndarray, preds: np.ndarray, num_classes: int) -> float | 
         if not pos.any():
             return None
         return float((preds[pos] == 1).mean())
-    per_class = []
-    for k in range(num_classes):
-        sel = labels == k
-        if sel.any():
-            per_class.append(float((preds[sel] == k).mean()))
-    if not per_class:
+    counts = np.bincount(labels, minlength=num_classes)[:num_classes]
+    hits = np.bincount(labels[preds == labels], minlength=num_classes)[:num_classes]
+    present = counts > 0
+    if not present.any():
         return None
-    return float(np.mean(per_class))
+    return float(np.mean(hits[present] / counts[present]))
 
 
 def compute_report(

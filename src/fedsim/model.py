@@ -11,6 +11,12 @@ mini-batch step is one stacked forward/backward pass over the rows whose
 batches have the same length. That grouping is what keeps every row bit for
 bit equal to training it alone: a stacked matmul over equal shapes repeats
 the 2-D result exactly, but a zero-padded batch does not.
+
+Evaluation (`eval_losses`, `forward`) runs one model at a time over all of
+its rows. Each layer allocates only its matmul result and applies the bias,
+the activation and the softmax to it in place, which gives the same bits
+as the out-of-place formula. Splitting the rows into chunks would not:
+OpenBLAS rounds a matmul over fewer rows differently.
 """
 
 from __future__ import annotations
@@ -118,10 +124,10 @@ def _layer_views(params: np.ndarray, spec: MlpSpec) -> list[tuple[np.ndarray, np
     return layers
 
 
-def _activate(z: np.ndarray, activation: str) -> np.ndarray:
+def _activate(z: np.ndarray, activation: str, out: np.ndarray | None = None) -> np.ndarray:
     if activation == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
+        return np.maximum(z, 0.0, out=out)
+    return np.tanh(z, out=out)
 
 
 def _activate_grad(z: np.ndarray, a: np.ndarray, activation: str) -> np.ndarray:
@@ -131,13 +137,21 @@ def _activate_grad(z: np.ndarray, a: np.ndarray, activation: str) -> np.ndarray:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, written over `logits`, which it returns."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
 def _forward_batch(params: np.ndarray, spec: MlpSpec, x: np.ndarray) -> np.ndarray:
-    """Class probabilities for a batch, shape (n, K)."""
+    """Class probabilities for a batch, shape (n, K).
+
+    Each layer allocates only its matmul result; the bias, the activation and
+    the softmax are then applied to it in place. These are the same
+    operations in the same order as `z = a @ w + b; a = act(z)`, so the
+    probabilities are bit for bit those of the out-of-place formula.
+    """
     if x.ndim != 2 or x.shape[1] != spec.input_dim:
         raise ConfigurationError(
             f"features have shape {x.shape}, spec input dim is {spec.input_dim}"
@@ -145,8 +159,10 @@ def _forward_batch(params: np.ndarray, spec: MlpSpec, x: np.ndarray) -> np.ndarr
     a = x
     layers = unpack(params, spec)
     for i, (w, b) in enumerate(layers):
-        z = a @ w + b
-        a = z if i == len(layers) - 1 else _activate(z, spec.activation)
+        a = a @ w
+        a += b
+        if i < len(layers) - 1:
+            _activate(a, spec.activation, out=a)
     return _softmax(a)
 
 
@@ -422,6 +438,8 @@ def eval_losses(params: np.ndarray, spec: MlpSpec, data) -> tuple[np.ndarray, np
         raise ValueError("empty dataset")
     probs = _forward_batch(params, spec, np.asarray(data.features, dtype=np.float64))
     y = np.asarray(data.labels, dtype=np.int64)
-    losses = -np.log(np.maximum(probs[np.arange(n), y], PROB_FLOOR))
-    preds = probs.argmax(axis=1)
-    return losses, preds
+    losses = probs[np.arange(n), y]
+    np.maximum(losses, PROB_FLOOR, out=losses)
+    np.log(losses, out=losses)
+    np.negative(losses, out=losses)
+    return losses, probs.argmax(axis=1)

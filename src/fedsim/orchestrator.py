@@ -165,6 +165,15 @@ class ExperimentState:
     dp: DpState | None
     round_index: int = 0
 
+    def fork(self) -> ExperimentState:
+        """A copy that shares the data, which no round writes, but owns its
+        model and DP state, so running it leaves this state as it was."""
+        return dc_replace(
+            self,
+            global_params=self.global_params.copy(),
+            dp=dc_replace(self.dp) if self.dp else None,
+        )
+
 
 @dataclass
 class ExperimentResult:
@@ -365,17 +374,27 @@ def run_round(state: ExperimentState, config: ExperimentConfig) -> RoundLog:
         log.zero_update = choice.table.all_zero
         log.scores = {u.client_id: float(s) for u, s in zip(updates, choice.table.raw)}
         log.weights = {u.client_id: float(w) for u, w in zip(updates, choice.table.weights)}
+        # adapt_s2 has already evaluated the model it chose.
+        log.val_loss = choice.val_loss
 
-    val_losses, _ = model.eval_losses(new_global, config.model, state.val.data)
-    log.val_loss = float(val_losses.mean())
+    if strategy.kind != "fedval":
+        val_losses, _ = model.eval_losses(new_global, config.model, state.val.data)
+        log.val_loss = float(val_losses.mean())
     state.global_params = new_global
     state.round_index += 1
     return log
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run the full round loop, recording metrics at the configured cadence."""
-    state = setup_experiment(config)
+def run_experiment(
+    config: ExperimentConfig, state: ExperimentState | None = None
+) -> ExperimentResult:
+    """Run the full round loop, recording metrics at the configured cadence.
+
+    `state` is the set-up state to start from, `setup_experiment(config)` by
+    default; the run advances it in place.
+    """
+    if state is None:
+        state = setup_experiment(config)
     backdoor = config.backdoor_eval
     if backdoor is None and config.attack.kind == "label_flip":
         backdoor = (config.attack.source_label, config.attack.target_label)

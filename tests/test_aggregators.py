@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fedsim import aggregators, model
 from fedsim.aggregators import ClientUpdate, Strategy
@@ -31,6 +33,36 @@ def brute_force_krum(deltas, remove_fraction):
         scores.append(sum(dists[:neighbors]))
     order = sorted(range(n), key=lambda i: (scores[i], i))
     return sorted(order[: n - f])
+
+
+def broadcast_krum(deltas, remove_fraction):
+    """multi_krum's selection computed over the whole (n, n, P) difference
+    tensor at once, which the row-by-row distances must match exactly."""
+    n = len(deltas)
+    f = math.floor(remove_fraction * n)
+    neighbors = max(n - f - 2, 1)
+    sq = np.sum((deltas[:, None, :] - deltas[None, :, :]) ** 2, axis=2)
+    np.fill_diagonal(sq, np.inf)
+    scores = np.sort(sq, axis=1)[:, :neighbors].sum(axis=1)
+    return sorted(int(i) for i in np.argsort(scores, kind="stable")[: n - f])
+
+
+@st.composite
+def delta_stacks(draw):
+    n = draw(st.integers(1, 12))
+    dim = draw(st.integers(1, 64))
+    if draw(st.booleans()):
+        # Rows that permute one vector's coordinates: many distances are equal
+        # in exact arithmetic and differ only by rounding, so a different
+        # summation order changes which clients are kept.
+        v = draw(hnp.arrays(np.float64, dim, elements=st.floats(-1e3, 1e3, allow_nan=False)))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return np.stack([rng.permutation(v) for _ in range(n)])
+    # A small pool of values makes equal distances, and so ties, common.
+    elements = st.one_of(
+        st.floats(-1e6, 1e6, allow_nan=False), st.sampled_from([0.0, 1.0, -2.5])
+    )
+    return draw(hnp.arrays(np.float64, (n, dim), elements=elements))
 
 
 class TestFedavg:
@@ -75,6 +107,11 @@ class TestMultiKrum:
             assert aggregators.multi_krum(updates, frac) == brute_force_krum(
                 [list(d) for d in deltas], frac
             )
+
+    @given(delta_stacks(), st.sampled_from([0.0, 0.1, 0.25, 0.4, 0.5, 0.75, 0.9]))
+    def test_matches_broadcast_distances(self, deltas, remove_fraction):
+        got = aggregators.multi_krum(make_updates(deltas), remove_fraction)
+        assert got == broadcast_krum(deltas, remove_fraction)
 
     def test_keeps_at_least_one(self):
         updates = make_updates([np.ones(2)])

@@ -149,6 +149,47 @@ class TestCompare:
         metrics_seen = {line.split(",")[2] for line in lines[1:]}
         assert "overall_accuracy" in metrics_seen
 
+    ALL = ("fedavg", "fedval", "multi_krum", "lfr", "trimmed_mean")
+
+    def poisoned_dp_config(self):
+        # Label-flip poisoning and a DP section: set-up state that a strategy
+        # could leak into the next one if the shared state were not copied.
+        return minimal_config(
+            strategy={"kind": "fedval", "pre_transforms": ["norm_bound", "dp_noise"]},
+            dp={"clip_bound": 0.5, "noise_multiplier": 0.1},
+            attack={"kind": "label_flip", "source_label": 0, "target_label": 1,
+                    "malicious_fraction": 0.34, "placement_seed": 1},
+        )
+
+    def test_each_strategy_matches_a_standalone_run(self, tmp_path):
+        path = write_config(tmp_path, self.poisoned_dp_config())
+        out = tmp_path / "cmp"
+        assert cli.main(["compare", path, "--strategies", ",".join(self.ALL),
+                         "--out", str(out)]) == 0
+        base = cli.load_config(path)
+        for kind in self.ALL:
+            alone = write_config(tmp_path, cli.canonical_dict(cli._strategy_override(base, kind)),
+                                 name=f"{kind}.json")
+            assert cli.main(["run", alone, "--out", str(tmp_path / kind)]) == 0
+            for artifact in ("metrics.csv", "rounds.jsonl"):
+                assert (out / kind / artifact).read_bytes() == (
+                    tmp_path / kind / artifact
+                ).read_bytes(), f"{kind}/{artifact}"
+
+    def test_strategy_order_changes_no_file(self, tmp_path):
+        path = write_config(tmp_path, self.poisoned_dp_config())
+        outs = []
+        for name, order in (("forward", self.ALL), ("reversed", self.ALL[::-1])):
+            outs.append(tmp_path / name)
+            assert cli.main(["compare", path, "--strategies", ",".join(order),
+                             "--out", str(outs[-1])]) == 0
+        for kind in self.ALL:
+            for artifact in ("metrics.csv", "rounds.jsonl", "final_model.npz"):
+                a, b = (out / kind / artifact for out in outs)
+                assert a.read_bytes() == b.read_bytes(), f"{kind}/{artifact}"
+        combined = [sorted((out / "combined.csv").read_text().splitlines()) for out in outs]
+        assert combined[0] == combined[1]
+
     def test_empty_strategy_list_is_usage_error(self, tmp_path, capsys):
         path = write_config(tmp_path, minimal_config())
         code = cli.main(["compare", path, "--strategies", " ", "--out", str(tmp_path / "x")])

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from fedsim import aggregators, fedval, model
 from fedsim.aggregators import ClientUpdate
@@ -281,3 +282,52 @@ class TestAdaptS2:
         )
         assert choice.table.all_zero
         assert np.array_equal(choice.global_params, g)
+
+
+def loop_recall(labels, preds, num_classes):
+    """The per-class loop that `_recall`'s counting must match exactly."""
+    if num_classes == 2:
+        pos = labels == 1
+        if not pos.any():
+            return None
+        return float((preds[pos] == 1).mean())
+    per_class = []
+    for k in range(num_classes):
+        sel = labels == k
+        if sel.any():
+            per_class.append(float((preds[sel] == k).mean()))
+    if not per_class:
+        return None
+    return float(np.mean(per_class))
+
+
+@st.composite
+def labelled_predictions(draw):
+    """(labels, preds, num_classes), with labels drawn from a random subset of
+    the classes so that some are absent, and possibly no samples at all."""
+    k = draw(st.integers(2, 7))
+    present = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=k, unique=True))
+    n = draw(st.integers(0, 60))
+    labels = draw(st.lists(st.sampled_from(present), min_size=n, max_size=n))
+    preds = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    return np.array(labels, dtype=np.int64), np.array(preds, dtype=np.int64), k
+
+
+class TestRecall:
+    @given(labelled_predictions())
+    def test_matches_per_class_loop(self, case):
+        labels, preds, k = case
+        got = fedval._recall(labels, preds, k)
+        want = loop_recall(labels, preds, k)
+        assert got == want
+        assert type(got) is type(want)
+
+    def test_no_positive_sample_is_none(self):
+        labels = np.zeros(5, dtype=np.int64)
+        assert fedval._recall(labels, labels, 2) is None
+        assert fedval._recall(labels[:0], labels[:0], 4) is None
+
+    def test_absent_classes_are_left_out_of_the_macro_mean(self):
+        labels = np.array([0, 0, 2, 2, 2, 2])
+        preds = np.array([0, 1, 2, 2, 2, 0])
+        assert fedval._recall(labels, preds, 4) == (0.5 + 0.75) / 2

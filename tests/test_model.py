@@ -334,3 +334,65 @@ class TestEvalLosses:
         losses, _ = model.eval_losses(params, spec, data)
         loss, _ = model.loss_and_grad(params, spec, (data.features, data.labels))
         assert losses.mean() == pytest.approx(loss, abs=1e-9)
+
+
+def reference_probs(params, spec, x):
+    """The out-of-place forward, `z = a @ w + b; a = act(z)` per layer and a
+    softmax of fresh arrays, that the in-place one must match bit for bit."""
+    a = x
+    layers = model.unpack(params, spec)
+    for i, (w, b) in enumerate(layers):
+        z = a @ w + b
+        if i == len(layers) - 1:
+            a = z
+        else:
+            a = np.maximum(z, 0.0) if spec.activation == "relu" else np.tanh(z)
+    shifted = a - a.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def reference_eval_losses(params, spec, data):
+    probs = reference_probs(params, spec, data.features)
+    picked = probs[np.arange(len(data.labels)), data.labels]
+    return -np.log(np.maximum(picked, model.PROB_FLOOR)), probs.argmax(axis=1)
+
+
+class TestInPlaceForwardMatchesReference:
+    @pytest.fixture(params=["relu", "tanh"])
+    def activation(self, request):
+        return request.param
+
+    @pytest.mark.parametrize("n", [1, 2000])
+    @pytest.mark.parametrize("sizes", [(16, 128, 10), (4, 8, 8, 3)])
+    def test_eval_losses_bit_identical(self, activation, n, sizes):
+        spec = MlpSpec(sizes, activation=activation, seed=3)
+        data = gen_synthetic(sizes[-1], sizes[0], max(n, 50), 4.0, seed=n).subset(np.arange(n))
+        rng = np.random.default_rng(n)
+        # The last scale saturates the softmax, so the probability floor and
+        # the max shift both matter.
+        for scale in (0.0, 0.3, 3.0, 40.0):
+            params = model.init_params(spec) + scale * rng.normal(size=spec.param_count)
+            losses, preds = model.eval_losses(params, spec, data)
+            want_losses, want_preds = reference_eval_losses(params, spec, data)
+            assert np.array_equal(losses, want_losses)
+            assert np.array_equal(preds, want_preds)
+
+    def test_forward_bit_identical(self, activation):
+        spec = MlpSpec((16, 128, 10), activation=activation, seed=5)
+        rng = np.random.default_rng(8)
+        for scale in (0.3, 40.0):
+            params = model.init_params(spec) + scale * rng.normal(size=spec.param_count)
+            x = rng.normal(size=16)
+            got = model.forward(params, spec, x)
+            assert np.array_equal(got, reference_probs(params, spec, x[None, :])[0])
+
+    def test_inputs_untouched(self, activation):
+        spec = MlpSpec((4, 8, 3), activation=activation, seed=1)
+        data = gen_synthetic(3, 4, 30, 4.0, seed=0)
+        params = model.init_params(spec)
+        features, labels, before = data.features.copy(), data.labels.copy(), params.copy()
+        model.eval_losses(params, spec, data)
+        assert np.array_equal(data.features, features)
+        assert np.array_equal(data.labels, labels)
+        assert np.array_equal(params, before)

@@ -103,6 +103,19 @@ class TestRunRound:
         assert np.all(np.isfinite(state.global_params))
         assert np.array_equal(state.global_params, before)
         assert log.zero_update
+        losses, _ = model.eval_losses(before, config.model, state.val.data)
+        assert log.val_loss == float(losses.mean())
+
+    @pytest.mark.parametrize("kind", ["fedval", "fedavg"])
+    def test_val_loss_is_the_new_global_models(self, kind):
+        # fedval takes it from the s2 search, which has already evaluated the
+        # model it chose; the others evaluate the new global model.
+        config = small_config(strategy=Strategy(kind=kind))
+        state = setup_experiment(config)
+        for _ in range(3):
+            log = run_round(state, config)
+            losses, _ = model.eval_losses(state.global_params, config.model, state.val.data)
+            assert log.val_loss == float(losses.mean())
 
     def test_weights_sum_to_one_or_zero_update(self):
         config = small_config(strategy=Strategy(kind="fedval"))
@@ -311,6 +324,22 @@ class TestRunExperiment:
         start_bound = state.dp.clip_bound
         run_round(state, config)
         assert state.dp.clip_bound != start_bound
+
+    def test_fork_runs_without_touching_the_original(self):
+        config = small_config(
+            strategy=Strategy(kind="fedavg", pre_transforms=("norm_bound",)),
+            dp=DpState(clip_bound=0.5),
+            rounds=3,  # the bound ends at 0.55, not where it started
+        )
+        shared = setup_experiment(config)
+        params, bound = shared.global_params.copy(), shared.dp.clip_bound
+        forked = run_experiment(config, shared.fork())
+        assert np.array_equal(shared.global_params, params)
+        assert shared.dp.clip_bound == bound
+        assert shared.round_index == 0
+        alone = run_experiment(config)
+        assert np.array_equal(forked.final_params, alone.final_params)
+        assert [r.as_dict() for r in forked.round_logs] == [r.as_dict() for r in alone.round_logs]
 
     def test_pre_transforms_without_dp_rejected(self):
         config = small_config(strategy=Strategy(kind="fedavg", pre_transforms=("norm_bound",)))
