@@ -55,8 +55,8 @@ def poison_dataset(data: Dataset, source_label: int, target_label: int) -> Datas
     return Dataset(data.features, labels, data.num_classes, data.group_ids)
 
 
-def _ascent_row(data, train: TrainSpec, epochs: int) -> SgdRow:
-    return SgdRow(data, train.seed, epochs, -train.learning_rate)
+def _ascent_row(start: np.ndarray, data, train: TrainSpec, epochs: int) -> SgdRow:
+    return SgdRow(start, data, train.seed, epochs, -train.learning_rate)
 
 
 def _check_ascended(params: np.ndarray) -> np.ndarray:
@@ -75,18 +75,21 @@ def gradient_ascent(
     """Mini-batch gradient ascent from the global model: the SGD of
     `local_train` with a negative step and no proximal term."""
     (params,) = model.train_rows(
-        global_params, spec, [_ascent_row(data, train, epochs)], train.batch_size
+        spec, [_ascent_row(global_params, data, train, epochs)], train.batch_size
     )
     return _check_ascended(params)
 
 
-def pga_rows(data, train: TrainSpec, ascent_epochs: int) -> tuple[SgdRow, SgdRow]:
-    """The two `train_rows` rows of a PGA attacker, in the order
+def pga_rows(
+    start: np.ndarray, data, train: TrainSpec, ascent_epochs: int
+) -> tuple[SgdRow, SgdRow]:
+    """The two `train_rows` rows of a PGA attacker from `start`, in the order
     `pga_combine` takes their results: the ascent and the benign reference
-    (plain training without the proximal term), both on `train.seed`."""
+    (plain training without the proximal term), both on `train.seed`, so
+    the engine gives them one shared permutation per epoch."""
     return (
-        _ascent_row(data, train, ascent_epochs),
-        SgdRow(data, train.seed, train.epochs, train.learning_rate),
+        _ascent_row(start, data, train, ascent_epochs),
+        SgdRow(start, data, train.seed, train.epochs, train.learning_rate),
     )
 
 
@@ -128,7 +131,7 @@ def pga_update(
     if scale_factor == 0.0:
         return global_params.copy()
     ascended, benign = model.train_rows(
-        global_params, spec, list(pga_rows(data, train, ascent_epochs)), train.batch_size
+        spec, list(pga_rows(global_params, data, train, ascent_epochs)), train.batch_size
     )
     return pga_combine(global_params, ascended, benign, scale_factor)
 

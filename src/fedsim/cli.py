@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Subcommands: `run` executes one experiment from a JSON config, `compare`
-re-runs the same config under several strategies with identical seeds on
-data that it builds once, and `prob` prints the malicious-selection tail
-probabilities. Configs are strict: unknown keys are errors, and the
-canonicalized config (all defaults made explicit) is hashed into the run
-manifest.
+runs the same config under several strategies in lockstep, with identical
+seeds, on data that it builds once, and `prob` prints the
+malicious-selection tail probabilities. Configs are strict: unknown keys are
+errors, and the canonicalized config (all defaults made explicit) is hashed
+into the run manifest.
 """
 
 from __future__ import annotations
@@ -34,11 +34,11 @@ from fedsim.orchestrator import (
     CsvTask,
     ExperimentConfig,
     ExperimentResult,
-    ExperimentState,
     HoldoutSpec,
     SyntheticTask,
     malicious_round_probability,
     run_experiment,
+    run_experiments,
     setup_experiment,
     validate_config,
 )
@@ -458,25 +458,26 @@ def cmd_compare(config_path: str, strategies: list[str], out_dir: str) -> dict[s
     if not strategies:
         raise ConfigurationError("compare: strategy list is empty")
     base = load_config(config_path)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    configs = []
+    for i, kind in enumerate(strategies):
+        if kind in strategies[:i]:
+            raise ConfigurationError(f"compare: strategy {kind!r} is listed twice")
+        configs.append(_strategy_override(base, kind))
+        validate_config(configs[-1])
+    # An override changes only the strategy, which set-up never reads, so
+    # every strategy starts from the same data.
+    shared = setup_experiment(configs[0])
+    started = time.perf_counter()
+    results = run_experiments(configs, shared)
+    duration = time.perf_counter() - started
 
+    out = Path(out_dir)
     manifests: dict[str, RunManifest] = {}
     rows: list[tuple[str, int, str, float]] = []
-    shared: ExperimentState | None = None
-    for kind in strategies:
-        config = _strategy_override(base, kind)
-        validate_config(config)
-        if shared is None:
-            # An override changes only the strategy, which set-up never
-            # reads, so every strategy starts from the same data.
-            shared = setup_experiment(config)
+    for kind, config, result in zip(strategies, configs, results):
         sub = out / kind
         sub.mkdir(parents=True, exist_ok=True)
-
-        started = time.perf_counter()
-        result = run_experiment(config, shared.fork())
-        manifests[kind] = _write_run(sub, config, result, time.perf_counter() - started)
+        manifests[kind] = _write_run(sub, config, result, duration)
         for record in result.records:
             rows.append((kind, record.round, "overall_accuracy", record.overall_accuracy))
             rows.append((kind, record.round, "label_accuracy_mad", record.label_accuracy_mad))

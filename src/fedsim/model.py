@@ -10,7 +10,12 @@ gradient ascent alike, as rows of one (R, P) parameter stack. Each
 mini-batch step is one stacked forward/backward pass over the rows whose
 batches have the same length. That grouping is what keeps every row bit for
 bit equal to training it alone: a stacked matmul over equal shapes repeats
-the 2-D result exactly, but a zero-padded batch does not.
+the 2-D result exactly, but a zero-padded batch does not. Each row carries
+its own start, which is also its proximal anchor, so one call can train the
+cohorts of several strategies that share a round. Rows on the same shard
+object with the same seed draw the same permutations: they share one
+generator and one permuted copy of the shard per epoch, from which each
+step gathers its batches.
 
 Evaluation (`eval_losses`, `forward`) runs one model at a time over all of
 its rows. Each layer allocates only its matmul result and applies the bias,
@@ -262,14 +267,16 @@ def loss_and_grad(
 
 @dataclass(frozen=True)
 class SgdRow:
-    """One local update for `train_rows`: `epochs` passes over `data` from the
-    global model, each in the order of one permutation drawn from `seed`,
-    with steps `params -= step * grad`. A negative step ascends the loss;
-    prox_mu > 0 adds the proximal pull toward the global model.
+    """One local update for `train_rows`: `epochs` passes over `data` from
+    `start`, each in the order of one permutation drawn from `seed`, with
+    steps `params -= step * grad`. A negative step ascends the loss;
+    prox_mu > 0 adds the proximal pull toward `start`, the round's global
+    model.
 
     `data` is any object with `features` (n, d) and `labels` (n,) arrays.
     """
 
+    start: np.ndarray
     data: object
     seed: int
     epochs: int
@@ -284,32 +291,45 @@ class SgdRow:
 _STEP_ELEMENTS = 16384
 
 
-def train_rows(
-    global_params: np.ndarray, spec: MlpSpec, rows: list[SgdRow], batch_size: int
-) -> list[np.ndarray]:
-    """Run every row's mini-batch SGD from the global model; return the
-    trained parameters in row order.
+def rows_per_step(spec: MlpSpec, batch_len: int) -> int:
+    """How many rows one stacked step over batches of `batch_len` may hold."""
+    return max(1, _STEP_ELEMENTS // (batch_len * max(spec.layer_sizes)))
+
+
+def train_rows(spec: MlpSpec, rows: list[SgdRow], batch_size: int) -> list[np.ndarray]:
+    """Run every row's mini-batch SGD from its start; return the trained
+    parameters in row order.
 
     Each row gives bit for bit the parameters that training it alone would
-    give, whatever else is in `rows`. The loss is never computed, and the
-    caller checks results for non-finite values. A row with zero epochs
-    returns the global model.
+    give, whatever else is in `rows`. Rows on the same shard object with the
+    same seed draw the same permutations, so they share one generator and
+    one permuted copy of the shard per epoch. The loss is never computed, and
+    the caller checks results for non-finite values. A row with zero epochs
+    returns its start.
     """
-    features, labels = [], []
+    if not rows:
+        return []
+    # One key per (shard object, seed): its features, labels and generator.
+    keys: dict[tuple[int, int], int] = {}
+    row_keys, features, labels, rngs = [], [], [], []
     for row in rows:
-        y = np.asarray(row.data.labels, dtype=np.int64)
-        if len(y) == 0:
-            raise ValueError("client dataset is empty")
+        key = keys.setdefault((id(row.data), row.seed), len(keys))
+        if key == len(labels):
+            y = np.asarray(row.data.labels, dtype=np.int64)
+            if len(y) == 0:
+                raise ValueError("client dataset is empty")
+            features.append(np.asarray(row.data.features, dtype=np.float64))
+            labels.append(y)
+            rngs.append(np.random.default_rng(row.seed))
         if row.epochs:
-            _check_labels(y, spec)
-        features.append(np.asarray(row.data.features, dtype=np.float64))
-        labels.append(y)
+            _check_labels(labels[key], spec)
+        row_keys.append(key)
 
     # Sorted by shard size, the rows whose batch at a given offset has the
-    # same length sit next to each other, so every group is a slice.
-    order = sorted(range(len(rows)), key=lambda r: -len(labels[r]))
-    params = np.tile(global_params, (len(rows), 1))
-    rngs = [np.random.default_rng(rows[r].seed) for r in order]
+    # same length sit next to each other, so every group is a slice; within
+    # a size, the rows of one key sit together and so read one copy.
+    order = sorted(range(len(rows)), key=lambda r: (-len(labels[row_keys[r]]), row_keys[r]))
+    params = np.stack([rows[r].start for r in order])
     done = 0
     # Rows with fewer epochs drop out after theirs; the rest train on.
     for end in sorted({row.epochs for row in rows} - {0}):
@@ -317,12 +337,12 @@ def train_rows(
         work = params if len(live) == len(rows) else params[live]
         _run_epochs(
             work,
-            global_params,
             spec,
             [rows[order[i]] for i in live],
-            [features[order[i]] for i in live],
-            [labels[order[i]] for i in live],
-            [rngs[i] for i in live],
+            [row_keys[order[i]] for i in live],
+            features,
+            labels,
+            rngs,
             batch_size,
             end - done,
         )
@@ -335,9 +355,9 @@ def train_rows(
 
 def _run_epochs(
     params: np.ndarray,
-    anchor: np.ndarray,
     spec: MlpSpec,
     rows: list[SgdRow],
+    row_keys: list[int],
     features: list[np.ndarray],
     labels: list[np.ndarray],
     rngs: list[np.random.Generator],
@@ -345,11 +365,16 @@ def _run_epochs(
     epochs: int,
 ) -> None:
     """`epochs` epochs of every row of `params` (R, P) in place; the rows are
-    sorted by shard size, largest first."""
-    sizes = [len(y) for y in labels]
-    width = max(spec.layer_sizes)
+    sorted by shard size, largest first, and by key, and `features`, `labels`
+    and `rngs` are indexed by key."""
+    sizes = [len(labels[k]) for k in row_keys]
+    # Each key's slot in this phase's buffers, and each row's slot.
+    slots = {k: s for s, k in enumerate(dict.fromkeys(row_keys))}
+    row_slots = np.array([slots[k] for k in row_keys])
     steps = np.array([row.step for row in rows])[:, None]
     mus = np.array([row.prox_mu for row in rows])[:, None]
+    # The proximal term pulls each row toward its start.
+    anchors = np.stack([row.start for row in rows]) if mus.any() else None
 
     # Every epoch steps through the same groups: (first row, end row, batch
     # offset, batch length).
@@ -361,18 +386,24 @@ def _run_epochs(
             end = lo
             while end < len(sizes) and min(sizes[end] - start, batch_size) == n:
                 end += 1
-            cap = max(1, _STEP_ELEMENTS // (n * width))
+            cap = rows_per_step(spec, n)
             groups += [(first, min(first + cap, end), start, n) for first in range(lo, end, cap)]
             lo = end
 
     grad = np.empty((max(last - first for first, last, _, _ in groups), params.shape[1]))
-    # Each epoch's permuted shards; row i's batch at offset s is x[i, s : s + n].
-    x = np.empty((len(rows), sizes[0], spec.input_dim))
-    y = np.empty((len(rows), sizes[0]), dtype=np.int64)
+    # Each epoch's permuted shards, one per key; the batch of a row in key
+    # slot s at offset o is x[s, o : o + n].
+    x = np.empty((len(slots), sizes[0], spec.input_dim))
+    y = np.empty((len(slots), sizes[0]), dtype=np.int64)
     layers, grads = _layer_views(params, spec), _layer_views(grad, spec)
     plan = []
     for first, last, start, n in groups:
         k = last - first
+        picked = row_slots[first:last]
+        # A group of distinct consecutive slots reads a view of the buffers;
+        # one whose rows share a key gathers its batches.
+        if np.all(np.diff(picked) == 1):
+            picked = slice(picked[0], picked[0] + k)
         # Rows with a proximal term; a slice when it is all of them.
         prox = np.flatnonzero(mus[first:last, 0] > 0.0)
         if len(prox) == k:
@@ -382,22 +413,23 @@ def _run_epochs(
         plan.append((
             [(w[first:last], b[first:last]) for w, b in layers],
             [(gw[:k], gb[:k]) for gw, gb in grads],
-            x[first:last, start : start + n],
-            y[first:last, start : start + n],
+            (picked, slice(start, start + n)),
             params[first:last],
             grad[:k],
             steps[first:last],
             prox,
             None if prox is None else mus[first:last][prox],
+            None if prox is None else anchors[first:last][prox],
         ))
 
+    live_keys = list(slots)
     for _ in range(epochs):
-        for i, rng in enumerate(rngs):
-            perm = rng.permutation(sizes[i])
-            features[i].take(perm, axis=0, out=x[i, : sizes[i]])
-            labels[i].take(perm, out=y[i, : sizes[i]])
-        for row_layers, row_grads, xb, yb, p, g, step, prox, mu in plan:
-            _backprop(row_layers, row_grads, xb, yb, spec.activation)
+        for s, key in enumerate(live_keys):
+            perm = rngs[key].permutation(len(labels[key]))
+            features[key].take(perm, axis=0, out=x[s, : len(perm)])
+            labels[key].take(perm, out=y[s, : len(perm)])
+        for row_layers, row_grads, batch, p, g, step, prox, mu, anchor in plan:
+            _backprop(row_layers, row_grads, x[batch], y[batch], spec.activation)
             if prox is not None:
                 g[prox] += mu * (p[prox] - anchor)
             p -= step * g
@@ -412,9 +444,9 @@ def check_trained(params: np.ndarray, epochs: int = 1) -> np.ndarray:
     return params
 
 
-def local_row(data, train: TrainSpec) -> SgdRow:
-    """The `train_rows` row of plain local training under `train`."""
-    return SgdRow(data, train.seed, train.epochs, train.learning_rate, train.prox_mu)
+def local_row(start: np.ndarray, data, train: TrainSpec) -> SgdRow:
+    """The `train_rows` row of plain local training under `train` from `start`."""
+    return SgdRow(start, data, train.seed, train.epochs, train.learning_rate, train.prox_mu)
 
 
 def local_train(
@@ -427,7 +459,7 @@ def local_train(
 
     `data` is any object with `features` (n, d) and `labels` (n,) arrays.
     """
-    (params,) = train_rows(global_params, spec, [local_row(data, train)], train.batch_size)
+    (params,) = train_rows(spec, [local_row(global_params, data, train)], train.batch_size)
     return check_trained(params, train.epochs)
 
 

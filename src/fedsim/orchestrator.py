@@ -1,4 +1,4 @@
-"""The communication-round loop.
+"""The communication-round loop, for one strategy or for several in lockstep.
 
 Seeded client selection, local training with attack substitution, the DP
 pre-transform pipeline, strategy dispatch, and metric capture. Every source
@@ -9,6 +9,7 @@ byte-identically.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace as dc_replace
 
 import numpy as np
@@ -246,15 +247,18 @@ def setup_experiment(config: ExperimentConfig) -> ExperimentState:
     )
 
 
-def _client_updates(
+def _pga_attackers(state: ExperimentState, config: ExperimentConfig) -> frozenset[int]:
+    return state.malicious if config.attack.kind == "pga" else frozenset()
+
+
+def _client_rows(
     state: ExperimentState, config: ExperimentConfig, selected: list[int]
-) -> list[ClientUpdate]:
-    """Every selected client's update, trained as rows of one `train_rows`
-    call: one row per benign client, an ascent and a benign-reference row per
+) -> list[model.SgdRow]:
+    """The `train_rows` rows of every selected client, from the state's global
+    model: one per benign client, an ascent and a benign-reference row per
     PGA attacker (none when scale_factor is 0)."""
     g = state.global_params
-    attack = config.attack
-    attackers = state.malicious if attack.kind == "pga" else frozenset()
+    attackers = _pga_attackers(state, config)
     rows = []
     for client in selected:
         shard = state.shards[client]
@@ -263,11 +267,23 @@ def _client_updates(
             seed=derive_seed(config.train.seed, _TRAIN_STREAM, state.round_index, client),
         )
         if client not in attackers:
-            rows.append(model.local_row(shard, train))
-        elif attack.scale_factor != 0.0:
-            rows.extend(adversary.pga_rows(shard, train, attack.ascent_epochs))
-    trained = iter(model.train_rows(g, config.model, rows, config.train.batch_size))
+            rows.append(model.local_row(g, shard, train))
+        elif config.attack.scale_factor != 0.0:
+            rows.extend(adversary.pga_rows(g, shard, train, config.attack.ascent_epochs))
+    return rows
 
+
+def _client_updates(
+    state: ExperimentState,
+    config: ExperimentConfig,
+    selected: list[int],
+    trained: Iterator[np.ndarray],
+) -> list[ClientUpdate]:
+    """Every selected client's update, taking its trained rows from `trained`
+    in the order `_client_rows` gave them."""
+    g = state.global_params
+    attack = config.attack
+    attackers = _pga_attackers(state, config)
     updates = []
     for client in selected:
         if client not in attackers:
@@ -316,15 +332,15 @@ def _apply_pre_transforms(
     return updates
 
 
-def run_round(state: ExperimentState, config: ExperimentConfig) -> RoundLog:
-    """Execute one communication round, advancing the state in place."""
-    selected = select_clients(
-        config.partition.client_count,
-        config.clients_per_round,
-        state.round_index,
-        config.selection_seed,
-    )
-    updates = _client_updates(state, config, selected)
+def _finish_round(
+    state: ExperimentState,
+    config: ExperimentConfig,
+    selected: list[int],
+    trained: Iterator[np.ndarray],
+) -> RoundLog:
+    """Aggregate one strategy's round from its trained rows, advancing the
+    state in place."""
+    updates = _client_updates(state, config, selected, trained)
 
     if config.strategy.pre_transforms and state.dp is not None:
         updates = _apply_pre_transforms(updates, state, config)
@@ -385,42 +401,108 @@ def run_round(state: ExperimentState, config: ExperimentConfig) -> RoundLog:
     return log
 
 
+def _lockstep_round(
+    states: list[ExperimentState], configs: list[ExperimentConfig]
+) -> list[RoundLog]:
+    """One round of every strategy, each advancing its own state in place.
+
+    The clients are selected once. When one full-batch step can hold a row of
+    every strategy, all their rows train in one `train_rows` call, so the
+    short tail batches of every strategy step together. With a wider model,
+    whose full batches already fill a step, that would save few steps and
+    hold every strategy's trained cohort at once, so each strategy trains in
+    turn. Either way the strategies are finished in list order.
+    """
+    first = configs[0]
+    selected = select_clients(
+        first.partition.client_count,
+        first.clients_per_round,
+        states[0].round_index,
+        first.selection_seed,
+    )
+    spec, batch_size = first.model, first.train.batch_size
+    pairs = list(zip(states, configs))
+    if model.rows_per_step(spec, batch_size) >= len(pairs):
+        rows = [row for s, c in pairs for row in _client_rows(s, c, selected)]
+        trained = iter(model.train_rows(spec, rows, batch_size))
+        return [_finish_round(s, c, selected, trained) for s, c in pairs]
+    logs = []
+    for s, c in pairs:
+        trained = iter(model.train_rows(spec, _client_rows(s, c, selected), batch_size))
+        logs.append(_finish_round(s, c, selected, trained))
+        # Drop this cohort before the next strategy trains its own.
+        del trained
+    return logs
+
+
+def run_round(state: ExperimentState, config: ExperimentConfig) -> RoundLog:
+    """Execute one communication round, advancing the state in place."""
+    (log,) = _lockstep_round([state], [config])
+    return log
+
+
+def run_experiments(
+    configs: list[ExperimentConfig], state: ExperimentState | None = None
+) -> list[ExperimentResult]:
+    """Run several strategies on one set-up in lockstep, round by round, and
+    return their results in the order of `configs`.
+
+    The configs may differ only in `strategy`. Each strategy runs on its own
+    fork of `state` (`setup_experiment(configs[0])` by default), which is
+    left as it was, and gives bit for bit the result of running it alone.
+    An error in any strategy stops them all.
+    """
+    if not configs:
+        raise ConfigurationError("run_experiments: no configs")
+    first = configs[0]
+    for config in configs:
+        if dc_replace(config, strategy=first.strategy) != first:
+            raise ConfigurationError("run_experiments: configs differ in more than strategy")
+        validate_config(config)
+    if state is None:
+        state = setup_experiment(first)
+    states = [state.fork() for _ in configs]
+    backdoor = first.backdoor_eval
+    if backdoor is None and first.attack.kind == "label_flip":
+        backdoor = (first.attack.source_label, first.attack.target_label)
+
+    records: list[list[MetricRecord]] = [[] for _ in configs]
+    logs: list[list[RoundLog]] = [[] for _ in configs]
+    for r in range(first.rounds):
+        for s, own_records, own_logs, log in zip(
+            states, records, logs, _lockstep_round(states, configs)
+        ):
+            own_logs.append(log)
+            if (r + 1) % first.metrics_every == 0 or r == first.rounds - 1:
+                own_records.append(
+                    metrics.evaluate(
+                        s.global_params,
+                        first.model,
+                        s.test,
+                        backdoor=backdoor,
+                        round_index=r,
+                        validation_loss=log.val_loss,
+                    )
+                )
+    return [
+        ExperimentResult(
+            records=own_records,
+            round_logs=own_logs,
+            final_params=s.global_params,
+            final_s2=s.s2,
+        )
+        for s, own_records, own_logs in zip(states, records, logs)
+    ]
+
+
 def run_experiment(
     config: ExperimentConfig, state: ExperimentState | None = None
 ) -> ExperimentResult:
-    """Run the full round loop, recording metrics at the configured cadence.
-
-    `state` is the set-up state to start from, `setup_experiment(config)` by
-    default; the run advances it in place.
-    """
-    if state is None:
-        state = setup_experiment(config)
-    backdoor = config.backdoor_eval
-    if backdoor is None and config.attack.kind == "label_flip":
-        backdoor = (config.attack.source_label, config.attack.target_label)
-
-    records: list[MetricRecord] = []
-    logs: list[RoundLog] = []
-    for r in range(config.rounds):
-        log = run_round(state, config)
-        logs.append(log)
-        if (r + 1) % config.metrics_every == 0 or r == config.rounds - 1:
-            records.append(
-                metrics.evaluate(
-                    state.global_params,
-                    config.model,
-                    state.test,
-                    backdoor=backdoor,
-                    round_index=r,
-                    validation_loss=log.val_loss,
-                )
-            )
-    return ExperimentResult(
-        records=records,
-        round_logs=logs,
-        final_params=state.global_params,
-        final_s2=state.s2,
-    )
+    """Run the full round loop of one strategy, recording metrics at the
+    configured cadence: the one-strategy case of `run_experiments`, which
+    leaves `state` as it was."""
+    (result,) = run_experiments([config], state)
+    return result
 
 
 def malicious_round_probability(

@@ -88,8 +88,8 @@ class TestRun:
         config = cli.load_config(write_config(tmp_path, minimal_config()))
         honest_updates = orchestrator._client_updates
 
-        def updates(state, config, selected):
-            first, *rest = honest_updates(state, config, selected)
+        def updates(state, config, selected, trained):
+            first, *rest = honest_updates(state, config, selected, trained)
             nan = np.full_like(first.delta, np.nan)
             return [ClientUpdate(first.client_id, nan, first.num_samples), *rest]
 
@@ -161,8 +161,31 @@ class TestCompare:
                     "malicious_fraction": 0.34, "placement_seed": 1},
         )
 
-    def test_each_strategy_matches_a_standalone_run(self, tmp_path):
-        path = write_config(tmp_path, self.poisoned_dp_config())
+    def pga_lda_prox_config(self):
+        # PGA attackers (an ascent and a benign-reference row each, on one
+        # shard and seed), uneven LDA shards and a proximal term: a narrow
+        # model, so every strategy's rows train in one engine call a round.
+        return minimal_config(
+            partition={"scheme": "lda", "client_count": 6, "seed": 0, "alpha": 0.5},
+            train={"epochs": 2, "batch_size": 16, "learning_rate": 0.1, "prox_mu": 0.3,
+                   "seed": 0},
+            attack={"kind": "pga", "scale_factor": 2.0, "ascent_epochs": 1,
+                    "malicious_fraction": 0.34, "placement_seed": 1},
+        )
+
+    def wide_config(self):
+        # A 16-128-10 model at batch 32: a full-batch step holds fewer rows
+        # than there are strategies, so each strategy trains in turn.
+        return minimal_config(
+            task={"type": "synthetic", "classes": 10, "features": 16, "samples": 1000,
+                  "separation": 6.0, "seed": 0},
+            model={"layer_sizes": [16, 128, 10], "seed": 0},
+            train={"epochs": 1, "batch_size": 32, "learning_rate": 0.1, "seed": 0},
+            rounds=2,
+        )
+
+    def assert_matches_standalone_runs(self, tmp_path, config, artifacts):
+        path = write_config(tmp_path, config)
         out = tmp_path / "cmp"
         assert cli.main(["compare", path, "--strategies", ",".join(self.ALL),
                          "--out", str(out)]) == 0
@@ -171,10 +194,23 @@ class TestCompare:
             alone = write_config(tmp_path, cli.canonical_dict(cli._strategy_override(base, kind)),
                                  name=f"{kind}.json")
             assert cli.main(["run", alone, "--out", str(tmp_path / kind)]) == 0
-            for artifact in ("metrics.csv", "rounds.jsonl"):
+            for artifact in artifacts:
                 assert (out / kind / artifact).read_bytes() == (
                     tmp_path / kind / artifact
                 ).read_bytes(), f"{kind}/{artifact}"
+
+    def test_each_strategy_matches_a_standalone_run(self, tmp_path):
+        self.assert_matches_standalone_runs(
+            tmp_path, self.poisoned_dp_config(), ("metrics.csv", "rounds.jsonl")
+        )
+
+    ARTIFACTS = ("metrics.csv", "rounds.jsonl", "final_model.npz", "config.canonical.json")
+
+    def test_joint_training_matches_standalone_runs(self, tmp_path):
+        self.assert_matches_standalone_runs(tmp_path, self.pga_lda_prox_config(), self.ARTIFACTS)
+
+    def test_per_strategy_training_matches_standalone_runs(self, tmp_path):
+        self.assert_matches_standalone_runs(tmp_path, self.wide_config(), self.ARTIFACTS)
 
     def test_strategy_order_changes_no_file(self, tmp_path):
         path = write_config(tmp_path, self.poisoned_dp_config())
@@ -199,6 +235,18 @@ class TestCompare:
         path = write_config(tmp_path, minimal_config())
         code = cli.main(["compare", path, "--strategies", "median", "--out", str(tmp_path / "x")])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "strategies, named",
+        [("fedavg,median", "'median'"), ("fedavg,fedval,fedavg", "'fedavg' is listed twice")],
+    )
+    def test_strategy_list_checked_before_any_run(self, tmp_path, capsys, strategies, named):
+        path = write_config(tmp_path, minimal_config())
+        out = tmp_path / "x"
+        code = cli.main(["compare", path, "--strategies", strategies, "--out", str(out)])
+        assert code == 1
+        assert named in capsys.readouterr().err
+        assert not any((out / kind).exists() for kind in self.ALL)
 
 
 class TestProb:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace as dc_replace
 
 import numpy as np
 import pytest
@@ -236,12 +237,19 @@ class TestSgdLoopMatchesReference:
 
 class TestCohortEngine:
     """train_rows trains a mixed cohort at once; every row must equal the
-    reference loop run on that row alone, bit for bit, in any row order."""
+    reference loop run on that row alone from its own start, bit for bit,
+    in any row order."""
 
     BATCH = 16
     LR = 0.05
 
-    def cohort(self):
+    def starts(self, spec, count):
+        # One start per row, as the strategies of a lockstep compare give;
+        # each is also that row's proximal anchor.
+        return [model.init_params(MlpSpec(spec.layer_sizes, spec.activation, seed=s))
+                for s in range(count)]
+
+    def cohort(self, spec):
         # Shards smaller than, equal to, a multiple of and not a multiple of
         # the batch size; three rows share length 45 so they form one group
         # at every batch offset, and the 45-sample shard also carries a
@@ -263,12 +271,14 @@ class TestCohortEngine:
         ]
         return [
             (
-                model.SgdRow(data[name], seed, epochs, -self.LR if ascent else self.LR, mu),
+                model.SgdRow(start, data[name], seed, epochs, -self.LR if ascent else self.LR, mu),
                 TrainSpec(epochs, self.BATCH, self.LR, mu, seed),
                 data[name],
                 ascent,
             )
-            for name, seed, epochs, ascent, mu in specs
+            for start, (name, seed, epochs, ascent, mu) in zip(
+                self.starts(spec, len(specs)), specs
+            )
         ]
 
     def model_spec(self, wide, activation):
@@ -279,38 +289,71 @@ class TestCohortEngine:
             return MlpSpec((5, width, 3), activation=activation, seed=4)
         return MlpSpec((5, 7, 6, 3), activation=activation, seed=4)
 
+    def assert_rows_match(self, spec, cohort):
+        rows = [row for row, *_ in cohort]
+        expected = [
+            reference_sgd(row.start, spec, data, train, train.epochs, ascent=ascent)
+            for row, train, data, ascent in cohort
+        ]
+        out = model.train_rows(spec, rows, self.BATCH)
+        for got, want, row in zip(out, expected, rows):
+            assert np.array_equal(got, want)
+            assert not np.array_equal(got, row.start)
+
+        perm = np.random.default_rng(0).permutation(len(rows))
+        shuffled = model.train_rows(spec, [rows[i] for i in perm], self.BATCH)
+        for got, i in zip(shuffled, perm):
+            assert np.array_equal(got, expected[i])
+
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     @pytest.mark.parametrize("wide", [False, True])
     def test_rows_match_reference_in_any_order(self, activation, wide):
         spec = self.model_spec(wide, activation)
-        start = model.init_params(spec)
-        cohort = self.cohort()
-        expected = [
-            reference_sgd(start, spec, data, train, train.epochs, ascent=ascent)
-            for _, train, data, ascent in cohort
+        self.assert_rows_match(spec, self.cohort(spec))
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_copies_of_one_shard_and_seed_share_a_permutation(self, wide):
+        # Five strategies' rows for one client: one shard object, one seed,
+        # five starts; among them a row of the same shard on another seed,
+        # which must draw its own permutations, and one of another shard.
+        spec = self.model_spec(wide, "relu")
+        shard = gen_synthetic(3, 5, 45, 4.0, seed=40)
+        other = gen_synthetic(3, 5, 45, 4.0, seed=41)
+        train = TrainSpec(3, self.BATCH, self.LR, 0.5, seed=7)
+        reseeded = dc_replace(train, seed=8)
+        starts = self.starts(spec, 7)
+        cohort = [(model.local_row(start, shard, train), train, shard, False)
+                  for start in starts[:5]]
+        cohort.insert(2, (model.local_row(starts[5], shard, reseeded), reseeded, shard, False))
+        cohort.insert(4, (model.local_row(starts[6], other, train), train, other, False))
+        self.assert_rows_match(spec, cohort)
+
+    def test_pga_ascent_and_benign_rows_share_a_permutation(self):
+        # An attacker's ascent (5 epochs) and benign reference (10 epochs) on
+        # one shard and seed: the shared generator must keep drawing for the
+        # benign row after the ascent row drops out.
+        spec = self.model_spec(False, "tanh")
+        shard = gen_synthetic(3, 5, 45, 4.0, seed=42)
+        train = TrainSpec(10, self.BATCH, self.LR, 0.5, seed=9)
+        start, other_start = self.starts(spec, 2)
+        ascent, benign = adversary.pga_rows(start, shard, train, ascent_epochs=5)
+        cohort = [
+            (ascent, dc_replace(train, epochs=5), shard, True),
+            (benign, dc_replace(train, prox_mu=0.0), shard, False),
+            (model.local_row(other_start, shard, train), train, shard, False),
         ]
-        rows = [row for row, *_ in cohort]
-
-        out = model.train_rows(start, spec, rows, self.BATCH)
-        for got, want in zip(out, expected):
-            assert np.array_equal(got, want)
-            assert not np.array_equal(got, start)
-
-        perm = np.random.default_rng(0).permutation(len(rows))
-        shuffled = model.train_rows(start, spec, [rows[i] for i in perm], self.BATCH)
-        for got, i in zip(shuffled, perm):
-            assert np.array_equal(got, expected[i])
+        self.assert_rows_match(spec, cohort)
 
     def test_zero_epoch_row_returns_global_and_empty_cohort(self):
         spec = MlpSpec((5, 4, 3), seed=1)
         start = model.init_params(spec)
         data = gen_synthetic(3, 5, 20, 4.0, seed=0)
         idle, busy = model.train_rows(
-            start, spec, [model.SgdRow(data, 1, 0, 0.1), model.SgdRow(data, 1, 1, 0.1)], 8
+            spec, [model.SgdRow(start, data, 1, 0, 0.1), model.SgdRow(start, data, 1, 1, 0.1)], 8
         )
         assert np.array_equal(idle, start)
         assert not np.array_equal(busy, start)
-        assert model.train_rows(start, spec, [], 8) == []
+        assert model.train_rows(spec, [], 8) == []
 
 
 class TestEvalLosses:

@@ -88,12 +88,12 @@ class TestRunRound:
         poisoned = select_clients(8, 6, 0, config.selection_seed)[2]
         honest_updates = orchestrator._client_updates
 
-        def updates(state, config, selected):
+        def updates(state, config, selected, trained):
             return [
                 ClientUpdate(u.client_id, np.full_like(u.delta, np.nan), u.num_samples)
                 if u.client_id == poisoned
                 else u
-                for u in honest_updates(state, config, selected)
+                for u in honest_updates(state, config, selected, trained)
             ]
 
         monkeypatch.setattr(orchestrator, "_client_updates", updates)
@@ -152,12 +152,25 @@ def spy_updates(monkeypatch):
     seen = []
     honest_updates = orchestrator._client_updates
 
-    def updates(state, config, selected):
-        seen.append(honest_updates(state, config, selected))
+    def updates(state, config, selected, trained):
+        seen.append(honest_updates(state, config, selected, trained))
         return seen[-1]
 
     monkeypatch.setattr(orchestrator, "_client_updates", updates)
     return seen
+
+
+def spy_train_rows(monkeypatch):
+    """Record the row count of every train_rows call."""
+    row_counts = []
+    honest_train_rows = model.train_rows
+
+    def train_rows(spec, rows, batch_size):
+        row_counts.append(len(rows))
+        return honest_train_rows(spec, rows, batch_size)
+
+    monkeypatch.setattr(model, "train_rows", train_rows)
+    return row_counts
 
 
 class TestCohortTraining:
@@ -209,14 +222,7 @@ class TestCohortTraining:
         )
         state = setup_experiment(config)
         seen = spy_updates(monkeypatch)
-        row_counts = []
-        honest_train_rows = model.train_rows
-
-        def train_rows(global_params, spec, rows, batch_size):
-            row_counts.append(len(rows))
-            return honest_train_rows(global_params, spec, rows, batch_size)
-
-        monkeypatch.setattr(model, "train_rows", train_rows)
+        row_counts = spy_train_rows(monkeypatch)
         run_round(state, config)
         (updates,) = seen
         attackers = [u for u in updates if u.client_id in state.malicious]
@@ -396,6 +402,66 @@ class TestRunExperiment:
         assert set(record.per_group_recall) == {0, 1}
         assert all(0.0 <= v <= 1.0 for v in record.per_group_recall.values())
         assert result.round_logs[-1].weights is not None
+
+
+STRATEGIES = (
+    Strategy(kind="fedavg"),
+    Strategy(kind="fedval"),
+    Strategy(kind="multi_krum", remove_fraction=0.5),
+    Strategy(kind="lfr", remove_fraction=0.4),
+    Strategy(kind="trimmed_mean", trim_fraction=0.2),
+)
+
+
+class TestRunExperiments:
+    """All strategies advance in lockstep; each must give what it gives alone."""
+
+    def wide_config(self):
+        # 16-128-10 at batch 32: a full-batch step holds 4 rows, fewer than
+        # the 5 strategies, so they train one after another.
+        return small_config(
+            task=SyntheticTask(classes=10, features=16, samples=1000, separation=6.0, seed=0),
+            model=MlpSpec((16, 128, 10), seed=0),
+            train=TrainSpec(epochs=1, batch_size=32, learning_rate=0.1, seed=0),
+            rounds=2,
+        )
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_engine_calls_per_round(self, monkeypatch, wide):
+        config = self.wide_config() if wide else pga_lda_config()
+        joint = model.rows_per_step(config.model, config.train.batch_size) >= len(STRATEGIES)
+        assert joint is not wide
+        configs = [dc_replace(config, strategy=s) for s in STRATEGIES]
+        alone = [run_experiment(c) for c in configs]
+        row_counts = spy_train_rows(monkeypatch)
+
+        results = orchestrator.run_experiments(configs)
+        calls_per_round = 1 if joint else len(STRATEGIES)
+        assert len(row_counts) == config.rounds * calls_per_round
+        for got, want in zip(results, alone):
+            assert np.array_equal(got.final_params, want.final_params)
+            assert [r.as_dict() for r in got.round_logs] == [r.as_dict() for r in want.round_logs]
+            assert [m.__dict__ for m in got.records] == [m.__dict__ for m in want.records]
+
+    def test_configs_differing_beyond_strategy_rejected(self):
+        config = small_config()
+        other = dc_replace(config, strategy=Strategy(kind="fedval"), selection_seed=6)
+        with pytest.raises(ConfigurationError, match="more than strategy"):
+            orchestrator.run_experiments([config, other])
+
+    def test_state_left_as_it_was(self):
+        config = small_config(
+            strategy=Strategy(kind="fedavg", pre_transforms=("norm_bound",)),
+            dp=DpState(clip_bound=0.5),
+        )
+        shared = setup_experiment(config)
+        params, bound = shared.global_params.copy(), shared.dp.clip_bound
+        orchestrator.run_experiments([config, dc_replace(config, strategy=Strategy("fedval"))],
+                                     shared)
+        assert np.array_equal(shared.global_params, params)
+        assert shared.dp.clip_bound == bound
+        assert shared.round_index == 0
+
 
 class TestMaliciousRoundProbability:
     def test_matches_exact_oracle(self):
