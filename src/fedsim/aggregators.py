@@ -91,15 +91,28 @@ def multi_krum(updates: list[ClientUpdate], remove_fraction: float) -> list[int]
     if neighbors < 1:
         log.warning("multi_krum: n-f-2 < 1, falling back to single nearest neighbor")
         neighbors = 1
-    # One row at a time: the (n, n, P) difference tensor would be the largest
-    # temporary of a round, and each row sums its squares in the same order.
-    sq = np.empty((n, n))
-    for i in range(n):
-        sq[i] = np.sum((deltas[i] - deltas) ** 2, axis=1)
+    sq = _squared_distances(deltas)
     np.fill_diagonal(sq, np.inf)
     scores = np.sort(sq, axis=1)[:, :neighbors].sum(axis=1)
     selected = np.argsort(scores, kind="stable")[:keep]
     return sorted(int(i) for i in selected)
+
+
+def _squared_distances(deltas: np.ndarray) -> np.ndarray:
+    """(n, n) squared Euclidean distances between the rows of `deltas`.
+
+    One row at a time, because the (n, n, P) difference tensor would be the
+    largest temporary of a round. Each row computes only the distances to
+    the rows after it and mirrors them: (a - b)**2 == (b - a)**2 exactly and
+    each sum adds its squares in the same order, so the matrix is bit for
+    bit the full one.
+    """
+    n = len(deltas)
+    sq = np.empty((n, n))
+    for i in range(n):
+        sq[i, i:] = np.sum((deltas[i] - deltas[i:]) ** 2, axis=1)
+        sq[i:, i] = sq[i, i:]
+    return sq
 
 
 def lfr(

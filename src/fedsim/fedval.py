@@ -106,21 +106,36 @@ def mad(values) -> float:
 
 def _recall(labels: np.ndarray, preds: np.ndarray, num_classes: int) -> float | None:
     """Recall of the positive class for binary tasks, macro recall over the
-    classes present otherwise. Used for the recall dimension here and for
-    the per-group recall of `metrics.evaluate`.
+    classes present otherwise. Used for the per-group recall of
+    `metrics.evaluate`; `compute_report` takes the whole cohort's at once.
 
     Returns None when no class has a positive sample (0/0)."""
+    recall = _cohort_recall(labels, preds[None], num_classes)
+    return None if recall is None else float(recall[0])
+
+
+def _cohort_recall(
+    labels: np.ndarray, preds: np.ndarray, num_classes: int
+) -> np.ndarray | None:
+    """`_recall` of every row of `preds` (clients, m) against `labels` (m,)
+    in [0, num_classes), with the bits of one `_recall` call per row; None
+    when no class has a positive sample, which depends on `labels` alone."""
     if num_classes == 2:
         pos = labels == 1
         if not pos.any():
             return None
-        return float((preds[pos] == 1).mean())
-    counts = np.bincount(labels, minlength=num_classes)[:num_classes]
-    hits = np.bincount(labels[preds == labels], minlength=num_classes)[:num_classes]
+        return np.count_nonzero(preds[:, pos] == 1, axis=1) / np.count_nonzero(pos)
+    counts = np.bincount(labels, minlength=num_classes)
     present = counts > 0
     if not present.any():
         return None
-    return float(np.mean(hits[present] / counts[present]))
+    # Every row's hits per class from one bincount over (row, label) keys.
+    rows = len(preds)
+    keys = labels + num_classes * np.arange(rows)[:, None]
+    hits = np.bincount(keys[preds == labels], minlength=rows * num_classes)
+    ratios = hits.reshape(rows, num_classes)[:, present] / counts[present]
+    # The mean of each row's ratios, summed in numpy's order for one row.
+    return model.class_sums(ratios.T) / np.count_nonzero(present)
 
 
 def compute_report(
@@ -131,9 +146,12 @@ def compute_report(
 ) -> ValidationReport:
     """Evaluate every client model on the validation set.
 
-    Per-label mean losses come from each label's index list; group recalls
-    (when requested) are computed within each group's index list. Groups
-    without positive samples are dropped with a warning.
+    Each client's losses are gathered once in label order, so that each
+    per-label mean is the sum of one contiguous slice over its count: the
+    bits of the mean over the label's index list. Group recalls (when
+    requested) are computed for the whole cohort at once within each
+    group's index list. Groups without positive samples are dropped with a
+    warning.
     """
     if not client_models:
         raise ConfigurationError("need at least one client model")
@@ -141,16 +159,21 @@ def compute_report(
     for label in range(k):
         if len(val.label_indices.get(label, ())) == 0:
             raise ConfigurationError(f"validation set has no samples of label {label}")
-
-    results = [model.eval_losses(p, spec, val.data) for p in client_models]
+    label_rows = [val.label_indices[label] for label in range(k)]
+    order = np.concatenate(label_rows)
+    bounds = np.cumsum([0] + [len(rows) for rows in label_rows]).tolist()
 
     n = len(client_models)
     per_label = np.empty((n, k))
     overall = np.empty(n)
-    for i, (losses, _) in enumerate(results):
+    preds = []
+    for i, params in enumerate(client_models):
+        losses, client_preds = model.eval_losses(params, spec, val.data, predict=recall_dim)
         overall[i] = losses.mean()
-        for label in range(k):
-            per_label[i, label] = losses[val.label_indices[label]].mean()
+        by_label = losses[order]
+        for label, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            per_label[i, label] = np.add.reduce(by_label[lo:hi]) / (hi - lo)
+        preds.append(client_preds)
 
     report = ValidationReport(
         per_label_loss=per_label,
@@ -163,25 +186,22 @@ def compute_report(
 
     if recall_dim:
         labels = val.data.labels
-        group_keys = sorted(val.group_indices)
+        preds = np.stack(preds)
+        overall_recall = _cohort_recall(labels, preds, k)
+        if overall_recall is None:
+            overall_recall = np.zeros(n)
         columns: dict[int, np.ndarray] = {}
-        overall_recall = np.empty(n)
-        for i, (_, preds) in enumerate(results):
-            overall_recall[i] = _recall(labels, preds, k) or 0.0
-        for g in group_keys:
+        for g in sorted(val.group_indices):
             idx = val.group_indices[g]
-            recalls = np.array(
-                [_recall(labels[idx], preds[idx], k) for _, preds in results],
-                dtype=object,
-            )
-            if any(r is None for r in recalls):
+            recalls = _cohort_recall(labels[idx], preds[:, idx], k)
+            if recalls is None:
                 log.warning("recall undefined for group %s; dimension dropped", g)
                 continue
-            columns[g] = recalls.astype(np.float64)
+            columns[g] = recalls
         if columns:
-            matrix = np.stack([columns[g] for g in sorted(columns)], axis=1)
+            matrix = np.stack(list(columns.values()), axis=1)
             report.group_recall = matrix
-            report.group_keys = tuple(sorted(columns))
+            report.group_keys = tuple(columns)
             report.group_mean = matrix.mean(axis=0)
             report.group_mad = np.abs(matrix - matrix.mean(axis=0)).mean(axis=0)
             report.overall_recall_mean = float(overall_recall.mean())

@@ -49,7 +49,7 @@ def evaluate(
     backdoor, when given as (source, target), reports the fraction of
     source-label samples predicted as the target label.
     """
-    losses, preds = model.eval_losses(params, spec, test)
+    losses, preds = model.eval_losses(params, spec, test, predict=True)
     labels = test.labels
     k = spec.num_classes
     per_label = []

@@ -18,10 +18,15 @@ generator and one permuted copy of the shard per epoch, from which each
 step gathers its batches.
 
 Evaluation (`eval_losses`, `forward`) runs one model at a time over all of
-its rows. Each layer allocates only its matmul result and applies the bias,
-the activation and the softmax to it in place, which gives the same bits
-as the out-of-place formula. Splitting the rows into chunks would not:
-OpenBLAS rounds a matmul over fewer rows differently.
+its rows, never in chunks: OpenBLAS rounds a matmul over fewer rows
+differently. Each layer allocates only its matmul result and applies the
+bias and the activation to it in place, which gives the same bits as the
+out-of-place formula. `eval_losses` then runs the softmax tail on one
+class-major copy of the logits, (K, n), so that every reduction over the
+classes is a handful of length-n vector operations instead of n tiny
+length-K ones: the max is exact in any order, and `class_sums` adds each
+column in numpy's own order for a length-K row. Argmax predictions are
+computed only for the callers that read them.
 """
 
 from __future__ import annotations
@@ -149,13 +154,13 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return logits
 
 
-def _forward_batch(params: np.ndarray, spec: MlpSpec, x: np.ndarray) -> np.ndarray:
-    """Class probabilities for a batch, shape (n, K).
+def _logits(params: np.ndarray, spec: MlpSpec, x: np.ndarray) -> np.ndarray:
+    """Logits for a batch, shape (n, K).
 
-    Each layer allocates only its matmul result; the bias, the activation and
-    the softmax are then applied to it in place. These are the same
-    operations in the same order as `z = a @ w + b; a = act(z)`, so the
-    probabilities are bit for bit those of the out-of-place formula.
+    Each layer allocates only its matmul result; the bias and the activation
+    are then applied to it in place. These are the same operations in the
+    same order as `z = a @ w + b; a = act(z)`, so the logits are bit for bit
+    those of the out-of-place formula.
     """
     if x.ndim != 2 or x.shape[1] != spec.input_dim:
         raise ConfigurationError(
@@ -168,7 +173,7 @@ def _forward_batch(params: np.ndarray, spec: MlpSpec, x: np.ndarray) -> np.ndarr
         a += b
         if i < len(layers) - 1:
             _activate(a, spec.activation, out=a)
-    return _softmax(a)
+    return a
 
 
 def forward(params: np.ndarray, spec: MlpSpec, x: np.ndarray) -> np.ndarray:
@@ -176,7 +181,49 @@ def forward(params: np.ndarray, spec: MlpSpec, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ConfigurationError("forward expects a single feature vector")
-    return _forward_batch(params, spec, x[None, :])[0]
+    return _softmax(_logits(params, spec, x[None, :]))[0]
+
+
+def class_sums(t: np.ndarray) -> np.ndarray:
+    """Column sums of a class-major (K, n) array with the bits of numpy's
+    row sums `t.T.sum(axis=-1)`.
+
+    numpy sums a row pairwise: fewer than 8 terms in order; up to 128 in
+    eight lanes, each adding every eighth term, which are combined as a tree
+    before the remainder is added in order; a longer row is split in two at
+    a multiple of 8 below its middle. (Only a sum of negative zeros can
+    differ, in its sign.)
+    """
+    k = len(t)
+    if k < 8:
+        s = t[0].copy()
+        for row in t[1:]:
+            s += row
+        return s
+    if k <= 128:
+        lanes = t[:8].copy()
+        full = k - k % 8
+        for i in range(8, full, 8):
+            lanes += t[i : i + 8]
+        s = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
+        s += (lanes[4] + lanes[5]) + (lanes[6] + lanes[7])
+        for row in t[full:]:
+            s += row
+        return s
+    half = k // 2 - k // 2 % 8
+    return class_sums(t[:half]) + class_sums(t[half:])
+
+
+def _first_argmax(t: np.ndarray) -> np.ndarray:
+    """`t.argmax(axis=0)` of a class-major (K, n) array, by numpy's rule: the
+    first maximum wins, and NaN counts as the maximum."""
+    hit = t == t.max(axis=0)
+    hit |= np.isnan(t)
+    out = np.empty(t.shape[1], dtype=np.intp)
+    # Every column has a hit; the lowest class assigned last wins.
+    for k in range(len(t) - 1, -1, -1):
+        out[hit[k]] = k
+    return out
 
 
 def _backprop(
@@ -463,15 +510,31 @@ def local_train(
     return check_trained(params, train.epochs)
 
 
-def eval_losses(params: np.ndarray, spec: MlpSpec, data) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample cross-entropy losses and argmax predictions (no proximal term)."""
+def eval_losses(
+    params: np.ndarray, spec: MlpSpec, data, *, predict: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per-sample cross-entropy losses (no proximal term) and, with
+    `predict`, argmax predictions; without it the predictions are None.
+
+    The softmax runs on the class-major logits (K, n): the same shift, exp
+    and division per element as the row-wise `_softmax`, and column sums in
+    numpy's row order, so losses and predictions are bit for bit the
+    row-wise ones. Only the picked probabilities are divided unless the
+    predictions need them all.
+    """
     n = len(data.labels)
     if n == 0:
         raise ValueError("empty dataset")
-    probs = _forward_batch(params, spec, np.asarray(data.features, dtype=np.float64))
-    y = np.asarray(data.labels, dtype=np.int64)
-    losses = probs[np.arange(n), y]
+    t = _logits(params, spec, np.asarray(data.features, dtype=np.float64)).T.copy()
+    t -= t.max(axis=0)
+    np.exp(t, out=t)
+    sums = class_sums(t)
+    losses = t[np.asarray(data.labels, dtype=np.int64), np.arange(n)]
+    losses /= sums
     np.maximum(losses, PROB_FLOOR, out=losses)
     np.log(losses, out=losses)
     np.negative(losses, out=losses)
-    return losses, probs.argmax(axis=1)
+    if not predict:
+        return losses, None
+    t /= sums
+    return losses, _first_argmax(t)

@@ -252,20 +252,21 @@ def _pga_attackers(state: ExperimentState, config: ExperimentConfig) -> frozense
 
 
 def _client_rows(
-    state: ExperimentState, config: ExperimentConfig, selected: list[int]
+    state: ExperimentState,
+    config: ExperimentConfig,
+    selected: list[int],
+    seeds: list[int],
 ) -> list[model.SgdRow]:
     """The `train_rows` rows of every selected client, from the state's global
-    model: one per benign client, an ascent and a benign-reference row per
-    PGA attacker (none when scale_factor is 0)."""
+    model and on the client's training seed in `seeds`: one per benign
+    client, an ascent and a benign-reference row per PGA attacker (none when
+    scale_factor is 0)."""
     g = state.global_params
     attackers = _pga_attackers(state, config)
     rows = []
-    for client in selected:
+    for client, seed in zip(selected, seeds):
         shard = state.shards[client]
-        train = dc_replace(
-            config.train,
-            seed=derive_seed(config.train.seed, _TRAIN_STREAM, state.round_index, client),
-        )
+        train = dc_replace(config.train, seed=seed)
         if client not in attackers:
             rows.append(model.local_row(g, shard, train))
         elif config.attack.scale_factor != 0.0:
@@ -406,29 +407,33 @@ def _lockstep_round(
 ) -> list[RoundLog]:
     """One round of every strategy, each advancing its own state in place.
 
-    The clients are selected once. When one full-batch step can hold a row of
-    every strategy, all their rows train in one `train_rows` call, so the
-    short tail batches of every strategy step together. With a wider model,
-    whose full batches already fill a step, that would save few steps and
-    hold every strategy's trained cohort at once, so each strategy trains in
-    turn. Either way the strategies are finished in list order.
+    The clients and their training seeds are drawn once: every config shares
+    `train.seed` and every state the round. When one full-batch step can
+    hold a row of every strategy, all their rows train in one `train_rows`
+    call, so the short tail batches of every strategy step together. With a
+    wider model, whose full batches already fill a step, that would save few
+    steps and hold every strategy's trained cohort at once, so each strategy
+    trains in turn. Either way the strategies are finished in list order.
     """
     first = configs[0]
+    round_index = states[0].round_index
     selected = select_clients(
         first.partition.client_count,
         first.clients_per_round,
-        states[0].round_index,
+        round_index,
         first.selection_seed,
     )
+    seeds = [derive_seed(first.train.seed, _TRAIN_STREAM, round_index, c) for c in selected]
     spec, batch_size = first.model, first.train.batch_size
     pairs = list(zip(states, configs))
     if model.rows_per_step(spec, batch_size) >= len(pairs):
-        rows = [row for s, c in pairs for row in _client_rows(s, c, selected)]
+        rows = [row for s, c in pairs for row in _client_rows(s, c, selected, seeds)]
         trained = iter(model.train_rows(spec, rows, batch_size))
         return [_finish_round(s, c, selected, trained) for s, c in pairs]
     logs = []
     for s, c in pairs:
-        trained = iter(model.train_rows(spec, _client_rows(s, c, selected), batch_size))
+        rows = _client_rows(s, c, selected, seeds)
+        trained = iter(model.train_rows(spec, rows, batch_size))
         logs.append(_finish_round(s, c, selected, trained))
         # Drop this cohort before the next strategy trains its own.
         del trained

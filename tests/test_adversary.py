@@ -38,11 +38,11 @@ class TestPoisonDataset:
         source_idx = val.label_indices[1]
 
         clean = model.local_train(g, spec, rest, ts)
-        _, clean_preds = model.eval_losses(clean, spec, val.data)
+        _, clean_preds = model.eval_losses(clean, spec, val.data, predict=True)
         clean_backdoor = (clean_preds[source_idx] == 0).mean()
 
         poisoned = model.local_train(g, spec, poison_dataset(rest, 1, 0), ts)
-        _, backdoor_preds = model.eval_losses(poisoned, spec, val.data)
+        _, backdoor_preds = model.eval_losses(poisoned, spec, val.data, predict=True)
         backdoor = (backdoor_preds[source_idx] == 0).mean()
         assert backdoor > clean_backdoor
         assert backdoor > 0.9  # the lone poisoned trainer fully commits

@@ -113,6 +113,14 @@ class TestMultiKrum:
         got = aggregators.multi_krum(make_updates(deltas), remove_fraction)
         assert got == broadcast_krum(deltas, remove_fraction)
 
+    @pytest.mark.parametrize("dim", [3, 7, 64, 1000, 3466, 10000])
+    def test_mirrored_distances_equal_the_full_matrix(self, dim):
+        rng = np.random.default_rng(dim)
+        for n in range(2, 32):
+            deltas = rng.normal(size=(n, dim)) * rng.uniform(1e-3, 1e3, size=(n, 1))
+            full = np.stack([np.sum((deltas[i] - deltas) ** 2, axis=1) for i in range(n)])
+            assert np.array_equal(aggregators._squared_distances(deltas), full), n
+
     def test_keeps_at_least_one(self):
         updates = make_updates([np.ones(2)])
         assert aggregators.multi_krum(updates, 0.0) == [0]

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,7 @@ def train_linear(data, seed=0, epochs=10, lr=0.5):
 
 
 def accuracy(spec, params, data):
-    _, preds = model.eval_losses(params, spec, data)
+    _, preds = model.eval_losses(params, spec, data, predict=True)
     return (preds == data.labels).mean()
 
 
@@ -242,3 +244,129 @@ class TestLoadCsv:
         path = self.write(tmp_path, "a,y\n1,zero\n")
         with pytest.raises(ConfigurationError, match="label"):
             load_csv(path, CsvSchema(("a",), "y"))
+
+
+def reference_load_csv(path, schema):
+    """`load_csv` as a `csv.DictReader` loop, one Python conversion per
+    field; the C-parsed loader must give its arrays and its errors."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise ConfigurationError(f"{path}: missing header row")
+        needed = set(schema.feature_columns) | {schema.label_column}
+        if schema.group_column:
+            needed.add(schema.group_column)
+        missing_cols = needed - set(reader.fieldnames)
+        if missing_cols:
+            raise ConfigurationError(f"{path}: missing columns {sorted(missing_cols)}")
+        rows_x, rows_y, rows_g = [], [], []
+        for line_no, row in enumerate(reader, start=2):
+            try:
+                rows_x.append([float(row[c]) for c in schema.feature_columns])
+            except (TypeError, ValueError):
+                raise ConfigurationError(f"{path}: malformed feature on row {line_no}")
+            raw_label = row[schema.label_column]
+            try:
+                label = int(raw_label)
+            except (TypeError, ValueError):
+                raise ConfigurationError(
+                    f"{path}: unknown label {raw_label!r} on row {line_no}"
+                )
+            if label < 0:
+                raise ConfigurationError(f"{path}: negative label on row {line_no}")
+            rows_y.append(label)
+            if schema.group_column:
+                rows_g.append(row[schema.group_column])
+    if not rows_y:
+        raise ConfigurationError(f"{path}: no data rows")
+    features = np.asarray(rows_x, dtype=np.float64)
+    mean = features.mean(axis=0)
+    std = features.std(axis=0)
+    std[std == 0.0] = 1.0
+    features = (features - mean) / std
+    labels = np.asarray(rows_y, dtype=np.int64)
+    group_ids = None
+    if schema.group_column:
+        mapping = {v: i for i, v in enumerate(sorted(set(rows_g)))}
+        group_ids = np.asarray([mapping[v] for v in rows_g], dtype=np.int64)
+    return Dataset(features, labels, int(labels.max()) + 1, group_ids)
+
+
+GROUPED = CsvSchema(("a", "b"), "y", "g")
+
+PARITY_CASES = {
+    "plain": "a,b,y,g\n1,2,0,x\n3,4,1,y\n5,6.5,2,x\n",
+    "short row": "a,b,y,g\n1,2,0,x\n3,4\n5,6,1,y\n",
+    "short row missing the label": "a,b,y,g\n1,2,0,x\n3,4,,\n",
+    "float label": "a,b,y,g\n1,2,0,x\n3,4,1.0,y\n",
+    "word label": "a,b,y,g\n1,2,zero,x\n",
+    "negative label": "a,b,y,g\n1,2,0,x\n3,4,1,y\n5,6,-1,x\n",
+    "negative label before a bad feature": "a,b,y,g\n1,2,-1,x\n3,oops,1,y\n",
+    "header only": "a,b,y,g\n",
+    "header and blank lines": "a,b,y,g\n\n\n",
+    "one data row": "a,b,y,g\n1,2,0,x\n",
+    "crlf": "a,b,y,g\r\n1,2,0,x\r\n3,4,1,y\r\n5,6,1,x\r\n",
+    "cr": "a,b,y,g\r1,2,0,x\r3,4,1,y\r",
+    "quoted number": 'a,b,y,g\n"1.5",2,"1",x\n3,4,0,"y,z"\n',
+    "spaces around values": "a,b,y,g\n 1 ,2, 1 , x\n3 , 4,0,x\n",
+    "line starting with #": "a,b,y,g\n1,2,0,x\n#3,4,1,y\n",
+    "blank line between rows": "a,b,y,g\n1,2,0,x\n\n3,4,1,y\n",
+    "bad feature after a blank line": "a,b,y,g\n1,2,0,x\n\n3,x,1,y\n",
+    "negative label after a blank line": "a,b,y,g\n1,2,0,x\n\n3,4,-1,y\n",
+    "group spanning two lines": 'a,b,y,g\n1,2,0,"x\ny"\n3,4,1,z\n5,6,-1,z\n',
+    "whitespace-only line": "a,b,y,g\n1,2,0,x\n   \n3,4,1,y\n",
+    "empty feature": "a,b,y,g\n1,,0,x\n",
+    "long row": "a,b,y,g\n1,2,0,x,extra\n3,4,1,y\n",
+    "reordered columns": "g,y,b,a\nx,0,2,1\ny,1,4,3\n",
+    "nan and inf features": "a,b,y,g\nnan,2,0,x\n3,inf,1,y\n",
+    "exponent features": "a,b,y,g\n1e3,-2.5E-2,0,x\n+3,4.,1,y\n",
+    "missing column": "a,y,g\n1,0,x\n",
+    "empty file": "",
+}
+
+
+class TestLoadCsvParity:
+    @pytest.mark.parametrize("case", sorted(PARITY_CASES))
+    def test_matches_dictreader_loop(self, tmp_path, case):
+        path = tmp_path / "data.csv"
+        path.write_bytes(PARITY_CASES[case].encode("utf-8"))
+        try:
+            with np.errstate(invalid="ignore"):
+                want = reference_load_csv(str(path), GROUPED)
+        except ConfigurationError as exc:
+            with pytest.raises(ConfigurationError) as got:
+                load_csv(str(path), GROUPED)
+            assert str(got.value) == str(exc)
+            return
+        with np.errstate(invalid="ignore"):
+            got = load_csv(str(path), GROUPED)
+        assert np.array_equal(got.features, want.features, equal_nan=True)
+        assert np.array_equal(got.labels, want.labels)
+        assert np.array_equal(got.group_ids, want.group_ids)
+        assert got.num_classes == want.num_classes
+
+    def test_python_only_number_spelling_rejected(self, tmp_path):
+        # `float` and `int` read "1_0" as 10 but numpy's reader does not, so
+        # the file is refused with numpy's message.
+        path = tmp_path / "data.csv"
+        path.write_text("a,b,y,g\n1_0,2,0,x\n", encoding="utf-8")
+        with pytest.raises(ConfigurationError, match="could not convert string '1_0'"):
+            load_csv(str(path), GROUPED)
+
+    def test_wide_file_matches(self, tmp_path):
+        rng = np.random.default_rng(4)
+        n, d = 3000, 16
+        x = rng.normal(size=(n, d)) * rng.uniform(0.1, 50.0, size=d)
+        y = rng.integers(0, 10, size=n)
+        g = rng.choice(["north", "south", "east", "west"], size=n)
+        header = [f"f{i}" for i in range(d)] + ["label", "region"]
+        lines = [",".join(header)]
+        lines += [",".join(f"{v:.6f}" for v in row) + f",{label},{grp}"
+                  for row, label, grp in zip(x, y, g)]
+        path = tmp_path / "wide.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        schema = CsvSchema(tuple(header[:d]), "label", "region")
+        got, want = load_csv(str(path), schema), reference_load_csv(str(path), schema)
+        assert np.array_equal(got.features, want.features)
+        assert np.array_equal(got.labels, want.labels)
+        assert np.array_equal(got.group_ids, want.group_ids)

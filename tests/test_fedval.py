@@ -10,6 +10,7 @@ from fedsim.aggregators import ClientUpdate
 from fedsim.data import Dataset, ValidationSet, build_validation, gen_synthetic
 from fedsim.fedval import ScoreParams, ValidationReport
 from fedsim.model import MlpSpec, TrainSpec
+from test_model import reference_eval_losses
 
 
 def report_from_losses(per_label, overall):
@@ -331,3 +332,121 @@ class TestRecall:
         labels = np.array([0, 0, 2, 2, 2, 2])
         preds = np.array([0, 1, 2, 2, 2, 0])
         assert fedval._recall(labels, preds, 4) == (0.5 + 0.75) / 2
+
+
+def loop_report(client_models, spec, val, recall_dim):
+    """`compute_report` as one loop per client, label and group over the
+    reference forward and the per-class recall loop; the report must match
+    it exactly."""
+    k = spec.num_classes
+    results = [reference_eval_losses(p, spec, val.data) for p in client_models]
+    n = len(client_models)
+    per_label = np.empty((n, k))
+    overall = np.empty(n)
+    for i, (losses, _) in enumerate(results):
+        overall[i] = losses.mean()
+        for label in range(k):
+            per_label[i, label] = losses[val.label_indices[label]].mean()
+    report = ValidationReport(
+        per_label_loss=per_label,
+        overall_loss=overall,
+        label_mean=per_label.mean(axis=0),
+        overall_mean=float(overall.mean()),
+        label_mad=np.abs(per_label - per_label.mean(axis=0)).mean(axis=0),
+        overall_mad=fedval.mad(overall),
+    )
+    if recall_dim:
+        labels = val.data.labels
+        overall_recall = np.array([loop_recall(labels, preds, k) or 0.0 for _, preds in results])
+        columns = {}
+        for g in sorted(val.group_indices):
+            idx = val.group_indices[g]
+            recalls = [loop_recall(labels[idx], preds[idx], k) for _, preds in results]
+            if None not in recalls:
+                columns[g] = np.array(recalls)
+        if columns:
+            matrix = np.stack([columns[g] for g in sorted(columns)], axis=1)
+            report.group_recall = matrix
+            report.group_keys = tuple(sorted(columns))
+            report.group_mean = matrix.mean(axis=0)
+            report.group_mad = np.abs(matrix - matrix.mean(axis=0)).mean(axis=0)
+            report.overall_recall_mean = float(overall_recall.mean())
+    return report
+
+
+def perturbed_models(spec, count, seed):
+    """`count` models spread around the initial one, so that their losses and
+    predictions differ."""
+    rng = np.random.default_rng(seed)
+    base = model.init_params(spec)
+    return [base + rng.uniform(0.2, 2.0) * rng.normal(size=spec.param_count)
+            for _ in range(count)]
+
+
+def grouped_set(classes, per_label, balanced, seed, groups=4):
+    """A validation set of a `classes`-label blob task with `groups` groups,
+    balanced per label or not."""
+    data = gen_synthetic(classes, 16, 6000, 3.0, seed=seed)
+    rng = np.random.default_rng(seed)
+    data.group_ids = rng.integers(0, groups, size=len(data))
+    val, _ = build_validation(data, per_label=per_label, balanced=balanced, seed=seed)
+    return val
+
+
+class TestComputeReportMatchesLoop:
+    def assert_reports_equal(self, got, want):
+        for name in ("per_label_loss", "overall_loss", "label_mean", "label_mad"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.overall_mean == want.overall_mean
+        assert got.overall_mad == want.overall_mad
+        assert got.group_keys == want.group_keys
+        assert got.overall_recall_mean == want.overall_recall_mean
+        for name in ("group_recall", "group_mean", "group_mad"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a is None) == (b is None), name
+            if a is not None:
+                assert np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("balanced", [True, False])
+    @pytest.mark.parametrize("recall_dim", [False, True])
+    def test_wide_cohort(self, balanced, recall_dim):
+        # 30 clients on 2000 rows of 10 labels: 200 rows per label when
+        # balanced, uneven label slices otherwise.
+        spec = MlpSpec((16, 12, 10), seed=1)
+        val = grouped_set(10, 200, balanced, seed=3)
+        models = perturbed_models(spec, 30, seed=4)
+        got = fedval.compute_report(models, spec, val, recall_dim=recall_dim)
+        self.assert_reports_equal(got, loop_report(models, spec, val, recall_dim))
+
+    def test_binary_recall(self):
+        spec = MlpSpec((16, 8, 2), seed=2)
+        val = grouped_set(2, 150, False, seed=5, groups=3)
+        models = perturbed_models(spec, 7, seed=6)
+        got = fedval.compute_report(models, spec, val, recall_dim=True)
+        self.assert_reports_equal(got, loop_report(models, spec, val, True))
+        assert got.group_keys == (0, 1, 2)
+
+    def test_multiclass_recall_with_an_absent_class(self):
+        spec = MlpSpec((16, 8, 4), seed=3)
+        val = grouped_set(4, 40, True, seed=7, groups=2)
+        # Group 1 loses every sample of label 2, so its macro recall
+        # averages over three classes.
+        labels, groups = val.data.labels, val.data.group_ids.copy()
+        groups[labels == 2] = 0
+        val = ValidationSet(Dataset(val.data.features, labels, 4, groups))
+        models = perturbed_models(spec, 6, seed=8)
+        got = fedval.compute_report(models, spec, val, recall_dim=True)
+        self.assert_reports_equal(got, loop_report(models, spec, val, True))
+
+    def test_group_without_positive_sample_dropped(self, caplog):
+        spec = MlpSpec((16, 8, 2), seed=4)
+        val = grouped_set(2, 60, True, seed=9, groups=3)
+        labels, groups = val.data.labels, val.data.group_ids.copy()
+        groups[(groups == 1) & (labels == 1)] = 2
+        val = ValidationSet(Dataset(val.data.features, labels, 2, groups))
+        models = perturbed_models(spec, 5, seed=10)
+        with caplog.at_level(logging.WARNING):
+            got = fedval.compute_report(models, spec, val, recall_dim=True)
+        self.assert_reports_equal(got, loop_report(models, spec, val, True))
+        assert got.group_keys == (0, 2)
+        assert "recall undefined for group 1; dimension dropped" in caplog.text

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace as dc_replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -152,7 +153,7 @@ class TestLocalTrain:
     def test_separable_blobs_reach_high_accuracy(self):
         train = TrainSpec(epochs=10, batch_size=16, learning_rate=0.1, seed=0)
         out = model.local_train(self.start, self.spec, self.data, train)
-        _, preds = model.eval_losses(out, self.spec, self.data)
+        _, preds = model.eval_losses(out, self.spec, self.data, predict=True)
         assert (preds == self.data.labels).mean() >= 0.95
 
     def test_prox_pulls_toward_anchor(self):
@@ -366,7 +367,8 @@ class TestEvalLosses:
     def test_output_lengths(self):
         spec = MlpSpec((4, 5, 4), seed=2)
         data = gen_synthetic(4, 4, 57, 3.0, seed=1)
-        losses, preds = model.eval_losses(model.init_params(spec), spec, data)
+        params = model.init_params(spec)
+        losses, preds = model.eval_losses(params, spec, data, predict=True)
         assert losses.shape == (57,)
         assert preds.shape == (57,)
 
@@ -416,7 +418,7 @@ class TestInPlaceForwardMatchesReference:
         # the max shift both matter.
         for scale in (0.0, 0.3, 3.0, 40.0):
             params = model.init_params(spec) + scale * rng.normal(size=spec.param_count)
-            losses, preds = model.eval_losses(params, spec, data)
+            losses, preds = model.eval_losses(params, spec, data, predict=True)
             want_losses, want_preds = reference_eval_losses(params, spec, data)
             assert np.array_equal(losses, want_losses)
             assert np.array_equal(preds, want_preds)
@@ -439,3 +441,66 @@ class TestInPlaceForwardMatchesReference:
         assert np.array_equal(data.features, features)
         assert np.array_equal(data.labels, labels)
         assert np.array_equal(params, before)
+
+
+# Class counts around numpy's pairwise-summation thresholds: rows shorter
+# than 8 add in order, rows up to 128 add in eight lanes, and longer rows
+# split in two.
+TAIL_CLASSES = [1, 2, 3, 7, 8, 9, 10, 17, 129, 300]
+
+
+def tail_case(k, n=301, seed=0):
+    """A 6-16-k relu spec and n random rows with labels in [0, k)."""
+    rng = np.random.default_rng(seed)
+    spec = MlpSpec((6, 16, k), seed=seed)
+    data = SimpleNamespace(
+        features=rng.normal(size=(n, 6)), labels=rng.integers(0, k, size=n)
+    )
+    return spec, data
+
+
+class TestClassMajorTail:
+    @pytest.mark.parametrize("k", TAIL_CLASSES)
+    def test_eval_losses_match_reference(self, k):
+        spec, data = tail_case(k)
+        rng = np.random.default_rng(k)
+        base = model.init_params(spec)
+        noise = rng.normal(size=spec.param_count)
+        cases = [base + scale * noise for scale in (0.0, 0.3, 40.0, 1e200)]
+        # One infinite and one NaN weight, in the last layer's weights.
+        last = spec.param_count - k - 1
+        for bad in (np.inf, np.nan):
+            params = base + 0.3 * noise
+            params[last] = bad
+            cases.append(params)
+        for params in cases:
+            with np.errstate(over="ignore", invalid="ignore"):
+                losses, preds = model.eval_losses(params, spec, data, predict=True)
+                want_losses, want_preds = reference_eval_losses(params, spec, data)
+            assert np.array_equal(losses, want_losses, equal_nan=True)
+            assert np.array_equal(preds, want_preds)
+
+    def test_predictions_only_on_request(self):
+        spec, data = tail_case(10)
+        params = model.init_params(spec)
+        losses, preds = model.eval_losses(params, spec, data)
+        assert preds is None
+        assert np.array_equal(losses, model.eval_losses(params, spec, data, predict=True)[0])
+
+    @pytest.mark.parametrize("k", TAIL_CLASSES)
+    def test_class_sums_match_numpy_row_sums(self, k):
+        rng = np.random.default_rng(k)
+        for x in (rng.exponential(size=(257, k)), rng.normal(size=(257, k)) * 1e6,
+                  np.exp(rng.normal(size=(257, k)) * 30.0)):
+            assert np.array_equal(model.class_sums(np.ascontiguousarray(x.T)), x.sum(axis=-1))
+
+    @pytest.mark.parametrize("k", TAIL_CLASSES)
+    def test_first_argmax_matches_numpy(self, k):
+        rng = np.random.default_rng(k)
+        # Few distinct values, so that ties are common, plus NaN, infinities
+        # and both zeros.
+        values = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, 2.0])
+        x = rng.choice(values, size=(500, k), p=[0.02, 0.05, 0.05, 0.2, 0.2, 0.28, 0.2])
+        x[:3] = values[3]
+        got = model._first_argmax(np.ascontiguousarray(x.T))
+        assert np.array_equal(got, x.argmax(axis=1))

@@ -443,6 +443,23 @@ class TestRunExperiments:
             assert [r.as_dict() for r in got.round_logs] == [r.as_dict() for r in want.round_logs]
             assert [m.__dict__ for m in got.records] == [m.__dict__ for m in want.records]
 
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_training_seeds_derived_once_per_round(self, monkeypatch, wide):
+        config = self.wide_config() if wide else pga_lda_config()
+        configs = [dc_replace(config, strategy=s) for s in STRATEGIES]
+        derived = []
+        real = orchestrator.derive_seed
+
+        def spy(*parts):
+            derived.append(parts)
+            return real(*parts)
+
+        monkeypatch.setattr(orchestrator, "derive_seed", spy)
+        orchestrator.run_experiments(configs)
+        train = [p for p in derived if p[1] == orchestrator._TRAIN_STREAM]
+        assert len(train) == config.rounds * config.clients_per_round
+        assert len(set(train)) == len(train)
+
     def test_configs_differing_beyond_strategy_rejected(self):
         config = small_config()
         other = dc_replace(config, strategy=Strategy(kind="fedval"), selection_seed=6)
