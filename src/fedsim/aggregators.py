@@ -21,7 +21,15 @@ from fedsim.model import MlpSpec
 
 log = logging.getLogger(__name__)
 
-STRATEGY_KINDS = ("fedavg", "fedval", "multi_krum", "lfr", "trimmed_mean")
+# Every strategy kind, with the fractions `fedsim compare` gives it when the
+# base config runs another kind.
+STRATEGY_KINDS = {
+    "fedavg": {},
+    "fedval": {},
+    "multi_krum": {"remove_fraction": 0.5},
+    "lfr": {"remove_fraction": 0.4},
+    "trimmed_mean": {"trim_fraction": 0.2},
+}
 PRE_TRANSFORMS = ("norm_bound", "dp_noise")
 
 
@@ -45,7 +53,7 @@ class Strategy:
 
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
-            raise ConfigurationError(f"strategy kind must be one of {STRATEGY_KINDS}")
+            raise ConfigurationError(f"strategy kind must be one of {tuple(STRATEGY_KINDS)}")
         if not 0.0 <= self.remove_fraction < 1.0:
             raise ConfigurationError("remove_fraction must lie in [0, 1)")
         if not 0.0 <= self.trim_fraction < 1.0:

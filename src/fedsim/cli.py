@@ -3,38 +3,40 @@
 Subcommands: `run` executes one experiment from a JSON config, `compare`
 runs the same config under several strategies in lockstep, with identical
 seeds, on data that it builds once, and `prob` prints the
-malicious-selection tail probabilities. Configs are strict: unknown keys are
-errors, and the canonicalized config (all defaults made explicit) is hashed
-into the run manifest.
+malicious-selection tail probabilities.
+
+Configs are read and written by one codec that walks the dataclasses of
+`ExperimentConfig`: each section is a dataclass, and each of its fields is
+a key, whose name, default and type come from the field. Configs are
+strict: unknown keys, missing required keys and values of the wrong type
+are errors that name the dotted key. The canonicalized config (all defaults
+made explicit) is hashed into the run manifest.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
 
 import fedsim
-from fedsim.adversary import AttackSpec
-from fedsim.aggregators import Strategy
-from fedsim.data import PartitionSpec
+from fedsim.aggregators import STRATEGY_KINDS, Strategy
 from fedsim.errors import ConfigurationError
-from fedsim.fedval import ScoreParams
 from fedsim.metrics import MetricRecord
-from fedsim.model import MlpSpec, TrainSpec
 from fedsim.orchestrator import (
     CsvTask,
     ExperimentConfig,
     ExperimentResult,
-    HoldoutSpec,
     SyntheticTask,
     malicious_round_probability,
     run_experiment,
@@ -42,15 +44,8 @@ from fedsim.orchestrator import (
     setup_experiment,
     validate_config,
 )
-from fedsim.privacy import DpState
 
-# Conventional removal fractions applied when `compare` switches a config to
-# a strategy kind the base config did not parameterize.
-COMPARE_DEFAULTS = {
-    "multi_krum": {"remove_fraction": 0.5},
-    "lfr": {"remove_fraction": 0.4},
-    "trimmed_mean": {"trim_fraction": 0.2},
-}
+TASK_TYPES = {"synthetic": SyntheticTask, "csv": CsvTask}
 
 
 def _check_keys(section: str, given: dict, allowed: set[str]) -> None:
@@ -59,184 +54,84 @@ def _check_keys(section: str, given: dict, allowed: set[str]) -> None:
         raise ConfigurationError(f"{section}: unknown keys {sorted(unknown)}")
 
 
-def _require(section: str, given: dict, key: str):
-    if key not in given:
-        raise ConfigurationError(f"{section}.{key}: missing required key")
-    return given[key]
+def _decode_value(hint, value, key: str, default):
+    """`value` read as type `hint`, refused with `key` if it is not one.
+
+    A dataclass is a section, named by the last part of `key`; its keys left
+    out take their values from `default` when that is an instance of it, as
+    a holdout section's do from its own default holdout."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        if value is None and type(None) in typing.get_args(hint):
+            return None
+        members = [t for t in typing.get_args(hint) if t is not type(None)]
+        if len(members) > 1:  # the task: its `type` names the dataclass
+            return _decode_task(value)
+        hint = members[0]
+    if dataclasses.is_dataclass(hint):
+        base = default if isinstance(default, hint) else None
+        return _decode(hint, value, key.rpartition(".")[2], base)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ConfigurationError(f"{key}: expected a list, got {value!r}")
+        item = typing.get_args(hint)[0]
+        return tuple(_decode_value(item, v, f"{key}[{i}]", None) for i, v in enumerate(value))
+    # A JSON true or false is a Python bool, which is also an int: it is
+    # accepted only where the field is a bool.
+    if hint is float and isinstance(value, int) and not isinstance(value, bool):
+        if abs(value) <= sys.float_info.max:
+            return float(value)
+    if hint is int and isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, hint) and (hint is bool or not isinstance(value, bool)):
+        return value
+    expected = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+    raise ConfigurationError(f"{key}: expected {expected[hint]}, got {value!r}")
 
 
-def _parse_task(raw: dict) -> SyntheticTask | CsvTask:
-    kind = _require("task", raw, "type")
-    if kind == "synthetic":
-        _check_keys("task", raw, {"type", "classes", "features", "samples", "separation", "seed"})
-        return SyntheticTask(
-            classes=int(raw.get("classes", 10)),
-            features=int(raw.get("features", 16)),
-            samples=int(raw.get("samples", 4000)),
-            separation=float(raw.get("separation", 6.0)),
-            seed=int(raw.get("seed", 0)),
-        )
-    if kind == "csv":
-        _check_keys("task", raw, {"type", "path", "feature_columns", "label_column", "group_column"})
-        return CsvTask(
-            path=str(_require("task", raw, "path")),
-            feature_columns=tuple(_require("task", raw, "feature_columns")),
-            label_column=str(_require("task", raw, "label_column")),
-            group_column=raw.get("group_column"),
-        )
-    raise ConfigurationError(f"task.type: unknown type {kind!r}")
+def _decode(cls, raw, section: str, base=None):
+    """An instance of the dataclass `cls` from the JSON object `raw`.
+
+    Each field is one key, with the field's type. A key left out takes its
+    value from `base` if one is given, else the field's default; a field
+    without a default is required."""
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"{section}: expected an object, got {raw!r}")
+    fields = dataclasses.fields(cls)
+    _check_keys(section, raw, {f.name for f in fields})
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for f in fields:
+        hint = hints[f.name]
+        if base is not None:
+            default = getattr(base, f.name)
+        elif f.default_factory is not dataclasses.MISSING:
+            default = f.default_factory()
+        else:
+            default = f.default
+        if f.name in raw:
+            values[f.name] = _decode_value(hint, raw[f.name], f"{section}.{f.name}", default)
+        elif default is not dataclasses.MISSING:
+            values[f.name] = default
+        elif any(dataclasses.is_dataclass(t) for t in (hint, *typing.get_args(hint))):
+            raise ConfigurationError(f"{f.name}: missing required section")
+        else:
+            raise ConfigurationError(f"{section}.{f.name}: missing required key")
+    return cls(**values)
 
 
-def _parse_partition(raw: dict) -> PartitionSpec:
-    _check_keys(
-        "partition", raw, {"scheme", "client_count", "seed", "alpha", "missing", "affected_fraction"}
-    )
-    return PartitionSpec(
-        scheme=str(_require("partition", raw, "scheme")),
-        client_count=int(_require("partition", raw, "client_count")),
-        seed=int(raw.get("seed", 0)),
-        alpha=float(raw.get("alpha", 1.0)),
-        missing=tuple(raw.get("missing", ())),
-        affected_fraction=float(raw.get("affected_fraction", 0.0)),
-    )
-
-
-def _parse_model(raw: dict) -> MlpSpec:
-    _check_keys("model", raw, {"layer_sizes", "activation", "seed"})
-    return MlpSpec(
-        layer_sizes=tuple(_require("model", raw, "layer_sizes")),
-        activation=str(raw.get("activation", "relu")),
-        seed=int(raw.get("seed", 0)),
-    )
-
-
-def _parse_train(raw: dict) -> TrainSpec:
-    _check_keys("train", raw, {"epochs", "batch_size", "learning_rate", "prox_mu", "seed"})
-    return TrainSpec(
-        epochs=int(raw.get("epochs", 10)),
-        batch_size=int(raw.get("batch_size", 32)),
-        learning_rate=float(raw.get("learning_rate", 0.005)),
-        prox_mu=float(raw.get("prox_mu", 0.0)),
-        seed=int(raw.get("seed", 0)),
-    )
-
-
-def _parse_strategy(raw: dict) -> Strategy:
-    _check_keys("strategy", raw, {"kind", "remove_fraction", "trim_fraction", "pre_transforms"})
-    return Strategy(
-        kind=str(_require("strategy", raw, "kind")),
-        remove_fraction=float(raw.get("remove_fraction", 0.0)),
-        trim_fraction=float(raw.get("trim_fraction", 0.0)),
-        pre_transforms=tuple(raw.get("pre_transforms", ())),
-    )
-
-
-def _parse_score_params(raw: dict) -> ScoreParams:
-    _check_keys(
-        "score_params", raw, {"s1_label", "s1_avg", "s2", "s2_recall", "baseline_c", "clamp_floor"}
-    )
-    return ScoreParams(
-        s1_label=float(raw.get("s1_label", 3.0)),
-        s1_avg=float(raw.get("s1_avg", 5.0)),
-        s2=float(raw.get("s2", 3.0)),
-        s2_recall=float(raw.get("s2_recall", 30.0)),
-        baseline_c=float(raw.get("baseline_c", 3.0)),
-        clamp_floor=float(raw.get("clamp_floor", 0.0)),
-    )
-
-
-def _parse_attack(raw: dict) -> AttackSpec:
-    _check_keys(
-        "attack",
-        raw,
-        {
-            "kind",
-            "source_label",
-            "target_label",
-            "scale_factor",
-            "ascent_epochs",
-            "malicious_fraction",
-            "placement_seed",
-        },
-    )
-    return AttackSpec(
-        kind=str(raw.get("kind", "none")),
-        source_label=int(raw.get("source_label", 0)),
-        target_label=int(raw.get("target_label", 0)),
-        scale_factor=float(raw.get("scale_factor", 1.0)),
-        ascent_epochs=int(raw.get("ascent_epochs", 1)),
-        malicious_fraction=float(raw.get("malicious_fraction", 0.0)),
-        placement_seed=int(raw.get("placement_seed", 0)),
-    )
-
-
-def _parse_dp(raw: dict | None) -> DpState | None:
-    if raw is None:
-        return None
-    _check_keys("dp", raw, {"clip_bound", "target_quantile", "adapt_rate", "noise_multiplier"})
-    return DpState(
-        clip_bound=float(raw.get("clip_bound", 1.0)),
-        target_quantile=float(raw.get("target_quantile", 0.5)),
-        adapt_rate=float(raw.get("adapt_rate", 0.2)),
-        noise_multiplier=float(raw.get("noise_multiplier", 0.0)),
-    )
-
-
-def _parse_holdout(section: str, raw: dict, default_seed: int, default_per_label: int) -> HoldoutSpec:
-    _check_keys(section, raw, {"per_label", "balanced", "seed"})
-    return HoldoutSpec(
-        per_label=int(raw.get("per_label", default_per_label)),
-        balanced=bool(raw.get("balanced", True)),
-        seed=int(raw.get("seed", default_seed)),
-    )
-
-
-TOP_LEVEL_KEYS = {
-    "task",
-    "partition",
-    "model",
-    "train",
-    "strategy",
-    "score_params",
-    "attack",
-    "dp",
-    "rounds",
-    "clients_per_round",
-    "selection_seed",
-    "validation",
-    "test",
-    "metrics_every",
-    "recall_dim",
-    "backdoor_eval",
-}
+def _decode_task(raw) -> SyntheticTask | CsvTask:
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"task: expected an object, got {raw!r}")
+    if "type" not in raw:
+        raise ConfigurationError("task.type: missing required key")
+    kind = raw["type"]
+    if not isinstance(kind, str) or kind not in TASK_TYPES:
+        raise ConfigurationError(f"task.type: unknown type {kind!r}")
+    return _decode(TASK_TYPES[kind], {k: v for k, v in raw.items() if k != "type"}, "task")
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ConfigurationError("config root must be an object")
-    _check_keys("config", raw, TOP_LEVEL_KEYS)
-    for section in ("task", "partition", "model", "train", "strategy"):
-        if section not in raw:
-            raise ConfigurationError(f"{section}: missing required section")
-    backdoor = raw.get("backdoor_eval")
-    return ExperimentConfig(
-        task=_parse_task(raw["task"]),
-        partition=_parse_partition(raw["partition"]),
-        model=_parse_model(raw["model"]),
-        train=_parse_train(raw["train"]),
-        strategy=_parse_strategy(raw["strategy"]),
-        score_params=_parse_score_params(raw.get("score_params", {})),
-        attack=_parse_attack(raw.get("attack", {})),
-        dp=_parse_dp(raw.get("dp")),
-        rounds=int(_require("config", raw, "rounds")),
-        clients_per_round=int(_require("config", raw, "clients_per_round")),
-        selection_seed=int(raw.get("selection_seed", 0)),
-        validation=_parse_holdout("validation", raw.get("validation", {}), 2, 10),
-        test=_parse_holdout("test", raw.get("test", {}), 1, 50),
-        metrics_every=int(raw.get("metrics_every", 1)),
-        recall_dim=bool(raw.get("recall_dim", False)),
-        backdoor_eval=tuple(int(v) for v in backdoor) if backdoor is not None else None,
-    )
+    return _decode(ExperimentConfig, raw, "config")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -249,96 +144,19 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return config_from_dict(raw)
 
 
+def _encode(value):
+    if dataclasses.is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    return value
+
+
 def canonical_dict(config: ExperimentConfig) -> dict:
     """Nested plain-dict form with every default materialized."""
-    task: dict[str, object]
-    if isinstance(config.task, SyntheticTask):
-        task = {
-            "type": "synthetic",
-            "classes": config.task.classes,
-            "features": config.task.features,
-            "samples": config.task.samples,
-            "separation": config.task.separation,
-            "seed": config.task.seed,
-        }
-    else:
-        task = {
-            "type": "csv",
-            "path": config.task.path,
-            "feature_columns": list(config.task.feature_columns),
-            "label_column": config.task.label_column,
-            "group_column": config.task.group_column,
-        }
-    return {
-        "task": task,
-        "partition": {
-            "scheme": config.partition.scheme,
-            "client_count": config.partition.client_count,
-            "seed": config.partition.seed,
-            "alpha": config.partition.alpha,
-            "missing": list(config.partition.missing),
-            "affected_fraction": config.partition.affected_fraction,
-        },
-        "model": {
-            "layer_sizes": list(config.model.layer_sizes),
-            "activation": config.model.activation,
-            "seed": config.model.seed,
-        },
-        "train": {
-            "epochs": config.train.epochs,
-            "batch_size": config.train.batch_size,
-            "learning_rate": config.train.learning_rate,
-            "prox_mu": config.train.prox_mu,
-            "seed": config.train.seed,
-        },
-        "strategy": {
-            "kind": config.strategy.kind,
-            "remove_fraction": config.strategy.remove_fraction,
-            "trim_fraction": config.strategy.trim_fraction,
-            "pre_transforms": list(config.strategy.pre_transforms),
-        },
-        "score_params": {
-            "s1_label": config.score_params.s1_label,
-            "s1_avg": config.score_params.s1_avg,
-            "s2": config.score_params.s2,
-            "s2_recall": config.score_params.s2_recall,
-            "baseline_c": config.score_params.baseline_c,
-            "clamp_floor": config.score_params.clamp_floor,
-        },
-        "attack": {
-            "kind": config.attack.kind,
-            "source_label": config.attack.source_label,
-            "target_label": config.attack.target_label,
-            "scale_factor": config.attack.scale_factor,
-            "ascent_epochs": config.attack.ascent_epochs,
-            "malicious_fraction": config.attack.malicious_fraction,
-            "placement_seed": config.attack.placement_seed,
-        },
-        "dp": None
-        if config.dp is None
-        else {
-            "clip_bound": config.dp.clip_bound,
-            "target_quantile": config.dp.target_quantile,
-            "adapt_rate": config.dp.adapt_rate,
-            "noise_multiplier": config.dp.noise_multiplier,
-        },
-        "rounds": config.rounds,
-        "clients_per_round": config.clients_per_round,
-        "selection_seed": config.selection_seed,
-        "validation": {
-            "per_label": config.validation.per_label,
-            "balanced": config.validation.balanced,
-            "seed": config.validation.seed,
-        },
-        "test": {
-            "per_label": config.test.per_label,
-            "balanced": config.test.balanced,
-            "seed": config.test.seed,
-        },
-        "metrics_every": config.metrics_every,
-        "recall_dim": config.recall_dim,
-        "backdoor_eval": list(config.backdoor_eval) if config.backdoor_eval else None,
-    }
+    out = _encode(config)
+    out["task"]["type"] = next(k for k, cls in TASK_TYPES.items() if isinstance(config.task, cls))
+    return out
 
 
 def canonical_json(config: ExperimentConfig) -> str:
@@ -350,7 +168,7 @@ def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(compact.encode("utf-8")).hexdigest()
 
 
-@dataclass
+@dataclasses.dataclass
 class RunManifest:
     config_hash: str
     artifacts: dict[str, str]
@@ -435,6 +253,7 @@ def _write_run(
 
 def cmd_run(config_path: str, out_dir: str) -> RunManifest:
     config = load_config(config_path)
+    validate_config(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -444,14 +263,11 @@ def cmd_run(config_path: str, out_dir: str) -> RunManifest:
 
 
 def _strategy_override(config: ExperimentConfig, kind: str) -> ExperimentConfig:
-    from dataclasses import replace
-
-    if kind not in ("fedavg", "fedval", "multi_krum", "lfr", "trimmed_mean"):
+    if kind not in STRATEGY_KINDS:
         raise ConfigurationError(f"compare: unknown strategy {kind!r}")
     if kind == config.strategy.kind:
         return config
-    extra = COMPARE_DEFAULTS.get(kind, {})
-    return replace(config, strategy=Strategy(kind=kind, **extra))
+    return dataclasses.replace(config, strategy=Strategy(kind=kind, **STRATEGY_KINDS[kind]))
 
 
 def cmd_compare(config_path: str, strategies: list[str], out_dir: str) -> dict[str, RunManifest]:

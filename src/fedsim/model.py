@@ -17,7 +17,7 @@ object with the same seed draw the same permutations: they share one
 generator and one permuted copy of the shard per epoch, from which each
 step gathers its batches.
 
-Evaluation (`eval_losses`, `forward`) runs one model at a time over all of
+Evaluation (`eval_losses`) runs one model at a time over all of
 its rows, never in chunks: OpenBLAS rounds a matmul over fewer rows
 differently. Each layer allocates only its matmul result and applies the
 bias and the activation to it in place, which gives the same bits as the
@@ -174,14 +174,6 @@ def _logits(params: np.ndarray, spec: MlpSpec, x: np.ndarray) -> np.ndarray:
         if i < len(layers) - 1:
             _activate(a, spec.activation, out=a)
     return a
-
-
-def forward(params: np.ndarray, spec: MlpSpec, x: np.ndarray) -> np.ndarray:
-    """Probability vector for a single feature vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ConfigurationError("forward expects a single feature vector")
-    return _softmax(_logits(params, spec, x[None, :]))[0]
 
 
 def class_sums(t: np.ndarray) -> np.ndarray:

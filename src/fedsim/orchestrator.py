@@ -88,7 +88,7 @@ class ExperimentConfig:
     score_params: ScoreParams = field(default_factory=ScoreParams)
     attack: AttackSpec = field(default_factory=AttackSpec)
     dp: DpState | None = None
-    validation: HoldoutSpec = field(default_factory=HoldoutSpec)
+    validation: HoldoutSpec = field(default_factory=lambda: HoldoutSpec(seed=2))
     test: HoldoutSpec = field(default_factory=lambda: HoldoutSpec(per_label=50, seed=1))
     metrics_every: int = 1
     recall_dim: bool = False
@@ -110,20 +110,33 @@ def validate_config(config: ExperimentConfig) -> None:
         )
     if config.strategy.pre_transforms and config.dp is None:
         raise ConfigurationError("strategy.pre_transforms: requires a dp section")
+    k = config.model.num_classes
     if isinstance(config.task, SyntheticTask):
-        k = config.task.classes
-        if config.model.num_classes != k:
+        if k != config.task.classes:
             raise ConfigurationError(
-                f"model.layer_sizes: output dim {config.model.num_classes} != task classes {k}"
+                f"model.layer_sizes: output dim {k} != task classes {config.task.classes}"
             )
         if config.model.input_dim != config.task.features:
             raise ConfigurationError(
                 f"model.layer_sizes: input dim {config.model.input_dim} "
                 f"!= task features {config.task.features}"
             )
-        if config.attack.kind == "label_flip":
-            if config.attack.source_label >= k or config.attack.target_label >= k:
-                raise ConfigurationError("attack: label_flip labels outside the task's classes")
+    # The model's classes are the task's: checked above for a synthetic task,
+    # and when the file is read for a CSV one.
+    labels = []
+    if config.attack.kind == "label_flip":
+        labels += [("attack.source_label", config.attack.source_label),
+                   ("attack.target_label", config.attack.target_label)]
+    if config.backdoor_eval is not None:
+        if len(config.backdoor_eval) != 2 or len(set(config.backdoor_eval)) != 2:
+            raise ConfigurationError(
+                "backdoor_eval: needs two distinct labels [source, target], "
+                f"got {list(config.backdoor_eval)}"
+            )
+        labels += [(f"backdoor_eval[{i}]", v) for i, v in enumerate(config.backdoor_eval)]
+    for key, label in labels:
+        if not 0 <= label < k:
+            raise ConfigurationError(f"{key}: label {label} outside the model's {k} classes")
 
 
 @dataclass

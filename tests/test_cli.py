@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from fedsim import cli, orchestrator
-from fedsim.aggregators import ClientUpdate, Strategy
+from fedsim.aggregators import STRATEGY_KINDS, ClientUpdate, Strategy
+from fedsim.data import PartitionSpec
 from fedsim.errors import ConfigurationError
 from fedsim.metrics import MetricRecord
-from fedsim.orchestrator import ExperimentResult
+from fedsim.model import MlpSpec, TrainSpec
+from fedsim.orchestrator import ExperimentConfig, ExperimentResult, HoldoutSpec, SyntheticTask
 
 
 def minimal_config(**overrides) -> dict:
@@ -115,6 +117,74 @@ class TestRun:
         fedval_log, fedavg_log = (json.loads(line, parse_constant=reject) for line in lines)
         assert set(fedval_log["scores"].values()) == {None}
         assert fedavg_log["val_loss"] is None
+
+
+def assert_refused(tmp_path, capsys, config, named):
+    """`fedsim run` exits 1 naming `named` and leaves no output behind."""
+    path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    assert cli.main(["run", path, "--out", str(out)]) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+class TestStrictTypes:
+    @pytest.mark.parametrize(
+        "section, key, value, named",
+        [
+            (None, "recall_dim", "false", "config.recall_dim: expected true or false"),
+            (None, "rounds", 1.7, "config.rounds: expected an integer"),
+            (None, "rounds", True, "config.rounds: expected an integer"),
+            ("strategy", "pre_transforms", "norm_bound",
+             "strategy.pre_transforms: expected a list"),
+            ("model", "layer_sizes", [5, "8", 3], "model.layer_sizes[1]: expected an integer"),
+            ("train", "learning_rate", "0.1", "train.learning_rate: expected a number"),
+            ("train", "learning_rate", False, "train.learning_rate: expected a number"),
+            ("train", "learning_rate", 10**400, "train.learning_rate: expected a number"),
+            ("validation", "balanced", 1, "validation.balanced: expected true or false"),
+            ("task", "seed", None, "task.seed: expected an integer"),
+            (None, "score_params", None, "score_params: expected an object"),
+        ],
+    )
+    def test_wrong_type_refused(self, tmp_path, capsys, section, key, value, named):
+        config = minimal_config()
+        (config if section is None else config[section])[key] = value
+        assert_refused(tmp_path, capsys, config, named)
+
+    def test_numbers_convert_where_exact(self):
+        config = minimal_config(rounds=3.0)
+        config["train"]["learning_rate"] = 1
+        parsed = cli.config_from_dict(config)
+        assert parsed.rounds == 3 and type(parsed.rounds) is int
+        assert parsed.train.learning_rate == 1.0 and type(parsed.train.learning_rate) is float
+
+
+class TestLabelChecks:
+    @pytest.mark.parametrize(
+        "labels, named",
+        [
+            ([1], "backdoor_eval: needs two distinct labels"),
+            ([1, 2, 3], "backdoor_eval: needs two distinct labels"),
+            ([2, 2], "backdoor_eval: needs two distinct labels"),
+            ([0, 7], "backdoor_eval[1]: label 7 outside the model's 3 classes"),
+            ([-1, 0], "backdoor_eval[0]: label -1 outside the model's 3 classes"),
+        ],
+    )
+    def test_backdoor_eval(self, tmp_path, capsys, labels, named):
+        assert_refused(tmp_path, capsys, minimal_config(backdoor_eval=labels), named)
+
+    def test_label_flip_on_csv_task(self, tmp_path, capsys):
+        rows = ["a,b,y"] + [f"{i % 7}.5,{i % 5}.25,{i % 3}" for i in range(90)]
+        (tmp_path / "data.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        config = minimal_config(
+            task={"type": "csv", "path": str(tmp_path / "data.csv"),
+                  "feature_columns": ["a", "b"], "label_column": "y"},
+            model={"layer_sizes": [2, 8, 3], "seed": 0},
+            attack={"kind": "label_flip", "source_label": 7, "target_label": 1,
+                    "malicious_fraction": 0.5},
+        )
+        assert_refused(tmp_path, capsys, config,
+                       "attack.source_label: label 7 outside the model's 3 classes")
 
 
 class TestCompare:
@@ -288,6 +358,23 @@ class TestCanonicalConfig:
         b = cli.config_from_dict(minimal_config(selection_seed=99))
         assert cli.config_hash(a) != cli.config_hash(b)
 
+    def test_python_defaults_are_the_config_defaults(self):
+        raw = minimal_config()
+        for key in ("selection_seed", "validation", "test"):
+            del raw[key]
+        config = ExperimentConfig(
+            task=SyntheticTask(classes=3, features=5, samples=600),
+            partition=PartitionSpec("iid", 6),
+            model=MlpSpec((5, 8, 3)),
+            train=TrainSpec(epochs=2, batch_size=16, learning_rate=0.1),
+            strategy=Strategy("fedval"),
+            rounds=3,
+            clients_per_round=3,
+        )
+        assert cli.config_from_dict(raw) == config
+        assert config.validation == HoldoutSpec(per_label=10, balanced=True, seed=2)
+        assert config.test == HoldoutSpec(per_label=50, balanced=True, seed=1)
+
     def test_defaults_materialized(self):
         canonical = cli.canonical_dict(cli.config_from_dict(minimal_config()))
         assert canonical["score_params"]["s1_label"] == 3.0
@@ -302,6 +389,14 @@ class TestStrategyOverride:
         assert lfr.strategy.remove_fraction == 0.4
         krum = cli._strategy_override(base, "multi_krum")
         assert krum.strategy.remove_fraction == 0.5
+
+    def test_every_kind_gets_its_table_entry(self):
+        strategy = {"kind": "fedavg", "trim_fraction": 0.1}
+        base = cli.config_from_dict(minimal_config(strategy=strategy))
+        for kind, extra in STRATEGY_KINDS.items():
+            override = cli._strategy_override(base, kind)
+            want = base.strategy if kind == "fedavg" else Strategy(kind=kind, **extra)
+            assert override.strategy == want
 
     def test_same_kind_keeps_base(self):
         base = cli.config_from_dict(minimal_config())

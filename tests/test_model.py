@@ -48,10 +48,17 @@ class TestInitParams:
             MlpSpec((3, 0, 2))
 
 
+def probabilities(params, spec, x):
+    """The softmax output for one feature vector: `_softmax(_logits(...))`
+    on a one-row batch."""
+    batch = np.asarray(x, dtype=np.float64)[None, :]
+    return model._softmax(model._logits(params, spec, batch))[0]
+
+
 class TestForward:
     def test_zero_params_uniform(self):
         spec = MlpSpec((2, 3, 4))
-        probs = model.forward(np.zeros(spec.param_count), spec, np.array([0.3, -1.2]))
+        probs = probabilities(np.zeros(spec.param_count), spec, np.array([0.3, -1.2]))
         assert np.allclose(probs, 0.25, atol=1e-12)
 
     def test_sums_to_one(self):
@@ -59,7 +66,7 @@ class TestForward:
         rng = np.random.default_rng(0)
         params = model.init_params(spec)
         for _ in range(20):
-            probs = model.forward(params, spec, rng.normal(size=3))
+            probs = probabilities(params, spec, rng.normal(size=3))
             assert abs(probs.sum() - 1.0) < 1e-9
             assert np.all(probs > 0.0)
 
@@ -67,14 +74,14 @@ class TestForward:
         spec = MlpSpec((2, 2))
         # weights push logits to +/- 1e3
         params = np.array([1e3, -1e3, 1e3, -1e3, 0.0, 0.0])
-        probs = model.forward(params, spec, np.array([1.0, 1.0]))
+        probs = probabilities(params, spec, np.array([1.0, 1.0]))
         assert np.all(np.isfinite(probs))
         assert abs(probs.sum() - 1.0) < 1e-9
 
     def test_dimension_mismatch(self):
         spec = MlpSpec((3, 2))
         with pytest.raises(ConfigurationError):
-            model.forward(np.zeros(spec.param_count), spec, np.array([1.0, 2.0]))
+            probabilities(np.zeros(spec.param_count), spec, np.array([1.0, 2.0]))
 
 
 class TestLossAndGrad:
@@ -429,7 +436,7 @@ class TestInPlaceForwardMatchesReference:
         for scale in (0.3, 40.0):
             params = model.init_params(spec) + scale * rng.normal(size=spec.param_count)
             x = rng.normal(size=16)
-            got = model.forward(params, spec, x)
+            got = probabilities(params, spec, x)
             assert np.array_equal(got, reference_probs(params, spec, x[None, :])[0])
 
     def test_inputs_untouched(self, activation):
