@@ -8,9 +8,9 @@ malicious-selection tail probabilities.
 Configs are read and written by one codec that walks the dataclasses of
 `ExperimentConfig`: each section is a dataclass, and each of its fields is
 a key, whose name, default and type come from the field. Configs are
-strict: unknown keys, missing required keys and values of the wrong type
-are errors that name the dotted key. The canonicalized config (all defaults
-made explicit) is hashed into the run manifest.
+strict: unknown keys, missing required keys, values of the wrong type and
+non-finite numbers are errors that name the dotted key. The canonicalized
+config (all defaults made explicit) is hashed into the run manifest.
 """
 
 from __future__ import annotations
@@ -80,6 +80,9 @@ def _decode_value(hint, value, key: str, default):
     if hint is float and isinstance(value, int) and not isinstance(value, bool):
         if abs(value) <= sys.float_info.max:
             return float(value)
+    # Python's json reads NaN and Infinity, which no field may hold.
+    if hint is float and isinstance(value, float) and not math.isfinite(value):
+        raise ConfigurationError(f"{key}: expected a finite number, got {value!r}")
     if hint is int and isinstance(value, float) and value.is_integer():
         return int(value)
     if isinstance(value, hint) and (hint is bool or not isinstance(value, bool)):
@@ -116,7 +119,10 @@ def _decode(cls, raw, section: str, base=None):
             raise ConfigurationError(f"{f.name}: missing required section")
         else:
             raise ConfigurationError(f"{section}.{f.name}: missing required key")
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ConfigurationError as exc:  # the section's own range checks
+        raise ConfigurationError(f"{section}: {exc}") from None
 
 
 def _decode_task(raw) -> SyntheticTask | CsvTask:

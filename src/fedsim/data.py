@@ -58,9 +58,6 @@ class Dataset:
         groups = self.group_ids[indices] if self.group_ids is not None else None
         return Dataset(self.features[indices], self.labels[indices], self.num_classes, groups)
 
-    def label_indices(self, label: int) -> np.ndarray:
-        return np.flatnonzero(self.labels == label)
-
 
 @dataclass(frozen=True)
 class PartitionSpec:
@@ -94,20 +91,36 @@ class PartitionSpec:
 
 @dataclass
 class ValidationSet:
-    """A holdout dataset tagged with per-label (and per-group) index lists."""
+    """A holdout dataset with per-label and per-group index lists: the
+    validation holdout of `fedval.compute_report` and the test holdout of
+    `metrics.evaluate`, each of which refuses a label without samples."""
 
     data: Dataset
-    label_indices: dict[int, np.ndarray] = field(default_factory=dict)
-    group_indices: dict[int, np.ndarray] = field(default_factory=dict)
+    label_indices: dict[int, np.ndarray] = field(init=False)
+    group_indices: dict[int, np.ndarray] = field(init=False)
 
     def __post_init__(self):
-        if not self.label_indices:
-            self.label_indices = {
-                k: self.data.label_indices(k) for k in range(self.data.num_classes)
-            }
-        if not self.group_indices and self.data.group_ids is not None:
-            for g in np.unique(self.data.group_ids):
-                self.group_indices[int(g)] = np.flatnonzero(self.data.group_ids == g)
+        labels, groups = self.data.labels, self.data.group_ids
+        rows = [np.flatnonzero(labels == k) for k in range(self.data.num_classes)]
+        self.label_indices = dict(enumerate(rows))
+        self.group_indices = {} if groups is None else {
+            int(g): np.flatnonzero(groups == g) for g in np.unique(groups)
+        }
+        # Sample positions in label order, and where each label's run starts.
+        self._order = np.concatenate(rows)
+        self._bounds = np.cumsum([0] + [len(r) for r in rows]).tolist()
+
+    @property
+    def labels(self) -> np.ndarray:
+        return self.data.labels
+
+    def label_means(self, values: np.ndarray) -> np.ndarray:
+        """The mean of per-sample `values` over each label's index list, with
+        the bits of `values[label_indices[k]].mean()`: the values gathered in
+        label order, each label's contiguous slice summed over its count."""
+        by_label, bounds = values[self._order], self._bounds
+        return np.array([np.add.reduce(by_label[lo:hi]) / (hi - lo)
+                         for lo, hi in zip(bounds, bounds[1:])])
 
 
 def gen_synthetic(
@@ -254,7 +267,7 @@ def build_validation(
     if balanced:
         chosen = []
         for k in range(data.num_classes):
-            pool = data.label_indices(k)
+            pool = np.flatnonzero(data.labels == k)
             if len(pool) < per_label:
                 raise ConfigurationError(
                     f"label {k} has only {len(pool)} samples, need {per_label}"

@@ -104,22 +104,13 @@ def mad(values) -> float:
     return float(np.abs(v - v.mean()).mean())
 
 
-def _recall(labels: np.ndarray, preds: np.ndarray, num_classes: int) -> float | None:
-    """Recall of the positive class for binary tasks, macro recall over the
-    classes present otherwise. Used for the per-group recall of
-    `metrics.evaluate`; `compute_report` takes the whole cohort's at once.
-
-    Returns None when no class has a positive sample (0/0)."""
-    recall = _cohort_recall(labels, preds[None], num_classes)
-    return None if recall is None else float(recall[0])
-
-
 def _cohort_recall(
     labels: np.ndarray, preds: np.ndarray, num_classes: int
 ) -> np.ndarray | None:
-    """`_recall` of every row of `preds` (clients, m) against `labels` (m,)
-    in [0, num_classes), with the bits of one `_recall` call per row; None
-    when no class has a positive sample, which depends on `labels` alone."""
+    """Recall of each row of `preds` (clients, m) against `labels` (m,),
+    with the bits of a per-class loop over that row: of the positive class
+    for binary tasks, else macro over the classes present. None when no
+    class has a positive sample (0/0), which depends on `labels` alone."""
     if num_classes == 2:
         pos = labels == 1
         if not pos.any():
@@ -146,9 +137,8 @@ def compute_report(
 ) -> ValidationReport:
     """Evaluate every client model on the validation set.
 
-    Each client's losses are gathered once in label order, so that each
-    per-label mean is the sum of one contiguous slice over its count: the
-    bits of the mean over the label's index list. Group recalls (when
+    Each client's per-label mean loss is `val.label_means` of its losses:
+    the bits of the mean over the label's index list. Group recalls (when
     requested) are computed for the whole cohort at once within each
     group's index list. Groups without positive samples are dropped with a
     warning.
@@ -159,9 +149,6 @@ def compute_report(
     for label in range(k):
         if len(val.label_indices.get(label, ())) == 0:
             raise ConfigurationError(f"validation set has no samples of label {label}")
-    label_rows = [val.label_indices[label] for label in range(k)]
-    order = np.concatenate(label_rows)
-    bounds = np.cumsum([0] + [len(rows) for rows in label_rows]).tolist()
 
     n = len(client_models)
     per_label = np.empty((n, k))
@@ -170,9 +157,7 @@ def compute_report(
     for i, params in enumerate(client_models):
         losses, client_preds = model.eval_losses(params, spec, val.data, predict=recall_dim)
         overall[i] = losses.mean()
-        by_label = losses[order]
-        for label, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            per_label[i, label] = np.add.reduce(by_label[lo:hi]) / (hi - lo)
+        per_label[i] = val.label_means(losses)
         preds.append(client_preds)
 
     report = ValidationReport(
@@ -185,14 +170,13 @@ def compute_report(
     )
 
     if recall_dim:
-        labels = val.data.labels
+        labels = val.labels
         preds = np.stack(preds)
         overall_recall = _cohort_recall(labels, preds, k)
         if overall_recall is None:
             overall_recall = np.zeros(n)
         columns: dict[int, np.ndarray] = {}
-        for g in sorted(val.group_indices):
-            idx = val.group_indices[g]
+        for g, idx in sorted(val.group_indices.items()):
             recalls = _cohort_recall(labels[idx], preds[:, idx], k)
             if recalls is None:
                 log.warning("recall undefined for group %s; dimension dropped", g)

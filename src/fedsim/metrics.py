@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fedsim import model
-from fedsim.data import Dataset
-from fedsim.fedval import _recall, mad
+from fedsim import fedval, model
+from fedsim.data import ValidationSet
+from fedsim.fedval import mad
 from fedsim.model import MlpSpec
 
 
@@ -39,52 +39,48 @@ class MetricRecord:
 def evaluate(
     params: np.ndarray,
     spec: MlpSpec,
-    test: Dataset,
+    test: ValidationSet,
     backdoor: tuple[int, int] | None = None,
     round_index: int = 0,
     validation_loss: float = float("nan"),
 ) -> MetricRecord:
-    """Evaluate a model on a test set that covers every label.
+    """Evaluate a model on a test holdout that covers every label, sliced
+    by label and group as `fedval.compute_report` slices its holdout.
 
     backdoor, when given as (source, target), reports the fraction of
     source-label samples predicted as the target label.
     """
-    losses, preds = model.eval_losses(params, spec, test, predict=True)
-    labels = test.labels
     k = spec.num_classes
-    per_label = []
     for c in range(k):
-        sel = labels == c
-        if not sel.any():
+        if len(test.label_indices.get(c, ())) == 0:
             raise ValueError(f"test set has no samples of label {c}")
-        per_label.append(float((preds[sel] == c).mean()))
+    _, preds = model.eval_losses(params, spec, test.data, predict=True)
+    labels = test.labels
+    hits = preds == labels
+    per_label = test.label_means(hits).tolist()
 
     backdoor_accuracy = None
     if backdoor is not None:
         source, target = backdoor
-        sel = labels == source
-        if not sel.any():
+        rows = test.label_indices.get(source, ())
+        if len(rows) == 0:
             raise ValueError(f"test set has no samples of backdoor source label {source}")
-        backdoor_accuracy = float((preds[sel] == target).mean())
+        backdoor_accuracy = float((preds[rows] == target).mean())
 
-    recall = None
-    if test.group_ids is not None:
-        # Groups whose recall is undefined (no positive sample) are left out.
-        recall = {}
-        for g in np.unique(test.group_ids):
-            sel = test.group_ids == g
-            value = _recall(labels[sel], preds[sel], k)
-            if value is not None:
-                recall[int(g)] = value
-        recall = recall or None
+    # Groups whose recall is undefined (no positive sample) are left out.
+    recall = {}
+    for g, rows in sorted(test.group_indices.items()):
+        value = fedval._cohort_recall(labels[rows], preds[None, rows], k)
+        if value is not None:
+            recall[g] = float(value[0])
 
     return MetricRecord(
         round=round_index,
-        overall_accuracy=float((preds == labels).mean()),
+        overall_accuracy=float(hits.mean()),
         per_label_accuracy=per_label,
         label_accuracy_mad=mad(per_label),
         mean_validation_loss=validation_loss,
-        per_group_recall=recall,
+        per_group_recall=recall or None,
         backdoor_accuracy=backdoor_accuracy,
     )
 

@@ -173,7 +173,7 @@ class ExperimentState:
     global_params: np.ndarray
     shards: list[Dataset]
     val: ValidationSet
-    test: Dataset
+    test: ValidationSet
     malicious: frozenset[int]
     s2: float
     dp: DpState | None
@@ -253,7 +253,7 @@ def setup_experiment(config: ExperimentConfig) -> ExperimentState:
         global_params=model.init_params(config.model),
         shards=shards,
         val=val_set,
-        test=test_holdout.data,
+        test=test_holdout,
         malicious=malicious,
         s2=config.score_params.s2,
         dp=dc_replace(config.dp) if config.dp else None,

@@ -27,6 +27,7 @@ from fedsim.orchestrator import (
     SyntheticTask,
     malicious_round_probability,
     run_experiment,
+    run_experiments,
 )
 from fedsim.privacy import DpState, adapt_bound, add_noise, clip
 
@@ -63,22 +64,31 @@ def pga_attack(fraction: float) -> AttackSpec:
 
 @pytest.fixture(scope="module")
 def pga_runs():
-    def run(kind, fraction, per_label=10):
-        config = ExperimentConfig(
-            strategy=Strategy(kind=kind),
-            attack=pga_attack(fraction) if fraction else AttackSpec(),
-            **{**PGA_BASE, "validation": HoldoutSpec(per_label=per_label, seed=2)},
-        )
-        return final5(run_experiment(config))["overall_accuracy"]
+    def run(kinds, fraction, per_label=10):
+        """Final accuracy of each strategy in `kinds`, trained in lockstep."""
+        configs = [
+            ExperimentConfig(
+                strategy=Strategy(kind=kind),
+                attack=pga_attack(fraction) if fraction else AttackSpec(),
+                **{**PGA_BASE, "validation": HoldoutSpec(per_label=per_label, seed=2)},
+            )
+            for kind in kinds
+        ]
+        return [final5(r)["overall_accuracy"] for r in run_experiments(configs)]
 
+    fedval_clean, fedavg_clean = run(["fedval", "fedavg"], 0.0)
+    fedval_40, fedavg_40 = run(["fedval", "fedavg"], 0.4)
+    (fedval_80,) = run(["fedval"], 0.8)
+    (fedval_clean_v1,) = run(["fedval"], 0.0, per_label=1)
+    (fedval_40_v1,) = run(["fedval"], 0.4, per_label=1)
     return {
-        "fedval_clean": run("fedval", 0.0),
-        "fedval_40": run("fedval", 0.4),
-        "fedval_80": run("fedval", 0.8),
-        "fedavg_clean": run("fedavg", 0.0),
-        "fedavg_40": run("fedavg", 0.4),
-        "fedval_clean_v1": run("fedval", 0.0, per_label=1),
-        "fedval_40_v1": run("fedval", 0.4, per_label=1),
+        "fedval_clean": fedval_clean,
+        "fedval_40": fedval_40,
+        "fedval_80": fedval_80,
+        "fedavg_clean": fedavg_clean,
+        "fedavg_40": fedavg_40,
+        "fedval_clean_v1": fedval_clean_v1,
+        "fedval_40_v1": fedval_40_v1,
     }
 
 
@@ -103,20 +113,20 @@ FLIP = AttackSpec(kind="label_flip", source_label=4, target_label=5,
 
 @pytest.fixture(scope="module")
 def backdoor_runs():
-    def run(strategy, attacked):
-        config = ExperimentConfig(
-            strategy=strategy, attack=FLIP if attacked else AttackSpec(), **BACKDOOR_BASE
-        )
-        return final5(run_experiment(config))["backdoor_accuracy"]
-
+    strategies = {
+        "fedavg": Strategy(kind="fedavg"),
+        "fedval": Strategy(kind="fedval"),
+        "lfr": Strategy(kind="lfr", remove_fraction=0.4),
+    }
     out = {}
-    for name, strategy in [
-        ("fedavg", Strategy(kind="fedavg")),
-        ("fedval", Strategy(kind="fedval")),
-        ("lfr", Strategy(kind="lfr", remove_fraction=0.4)),
-    ]:
-        out[f"{name}_clean"] = run(strategy, False)
-        out[f"{name}_attacked"] = run(strategy, True)
+    for suffix, attack in [("clean", AttackSpec()), ("attacked", FLIP)]:
+        # The strategies train in lockstep on one set-up.
+        configs = [
+            ExperimentConfig(strategy=strategy, attack=attack, **BACKDOOR_BASE)
+            for strategy in strategies.values()
+        ]
+        for name, result in zip(strategies, run_experiments(configs)):
+            out[f"{name}_{suffix}"] = final5(result)["backdoor_accuracy"]
     return out
 
 

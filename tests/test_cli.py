@@ -144,11 +144,21 @@ class TestStrictTypes:
             ("validation", "balanced", 1, "validation.balanced: expected true or false"),
             ("task", "seed", None, "task.seed: expected an integer"),
             (None, "score_params", None, "score_params: expected an object"),
+            # Python's json reads NaN and Infinity; the canonical config
+            # would then not be strict JSON.
+            ("train", "learning_rate", math.nan,
+             "train.learning_rate: expected a finite number, got nan"),
+            ("train", "learning_rate", -math.inf,
+             "train.learning_rate: expected a finite number, got -inf"),
+            ("score_params", "clamp_floor", math.inf,
+             "score_params.clamp_floor: expected a finite number, got inf"),
+            ("dp", "noise_multiplier", math.nan,
+             "dp.noise_multiplier: expected a finite number, got nan"),
         ],
     )
     def test_wrong_type_refused(self, tmp_path, capsys, section, key, value, named):
         config = minimal_config()
-        (config if section is None else config[section])[key] = value
+        (config if section is None else config.setdefault(section, {}))[key] = value
         assert_refused(tmp_path, capsys, config, named)
 
     def test_numbers_convert_where_exact(self):
@@ -157,6 +167,34 @@ class TestStrictTypes:
         parsed = cli.config_from_dict(config)
         assert parsed.rounds == 3 and type(parsed.rounds) is int
         assert parsed.train.learning_rate == 1.0 and type(parsed.train.learning_rate) is float
+
+
+class TestSectionRangeChecks:
+    @pytest.mark.parametrize(
+        "section, values, named",
+        [
+            ("dp", {"clip_bound": 0}, "dp: clip_bound must be positive"),
+            ("train", {"epochs": -1}, "train: epochs must be >= 0"),
+            ("partition", {"client_count": 0}, "partition: client_count must be >= 1"),
+            ("attack", {"malicious_fraction": 1.5},
+             "attack: malicious_fraction must lie in [0, 1]"),
+            ("score_params", {"s1_label": 0}, "score_params: s1_label must be positive"),
+            ("model", {"layer_sizes": [5]},
+             "model: layer_sizes needs at least input and output dims"),
+            ("strategy", {"remove_fraction": 1.0},
+             "strategy: remove_fraction must lie in [0, 1)"),
+        ],
+    )
+    def test_refusal_names_its_section(self, tmp_path, capsys, section, values, named):
+        config = minimal_config()
+        config.setdefault(section, {}).update(values)
+        assert_refused(tmp_path, capsys, config, named)
+
+    def test_python_callers_keep_the_bare_message(self):
+        from fedsim.privacy import DpState
+
+        with pytest.raises(ConfigurationError, match=r"^clip_bound must be positive$"):
+            DpState(clip_bound=0)
 
 
 class TestLabelChecks:

@@ -286,7 +286,8 @@ class TestAdaptS2:
 
 
 def loop_recall(labels, preds, num_classes):
-    """The per-class loop that `_recall`'s counting must match exactly."""
+    """The per-class loop that `_cohort_recall`'s counting must match
+    exactly, row by row."""
     if num_classes == 2:
         pos = labels == 1
         if not pos.any():
@@ -314,24 +315,30 @@ def labelled_predictions(draw):
     return np.array(labels, dtype=np.int64), np.array(preds, dtype=np.int64), k
 
 
+def one_row_recall(labels, preds, num_classes):
+    """`_cohort_recall` on the one row `preds`, as a float or None."""
+    recall = fedval._cohort_recall(labels, preds[None], num_classes)
+    return None if recall is None else float(recall[0])
+
+
 class TestRecall:
     @given(labelled_predictions())
     def test_matches_per_class_loop(self, case):
         labels, preds, k = case
-        got = fedval._recall(labels, preds, k)
+        got = one_row_recall(labels, preds, k)
         want = loop_recall(labels, preds, k)
         assert got == want
         assert type(got) is type(want)
 
     def test_no_positive_sample_is_none(self):
         labels = np.zeros(5, dtype=np.int64)
-        assert fedval._recall(labels, labels, 2) is None
-        assert fedval._recall(labels[:0], labels[:0], 4) is None
+        assert one_row_recall(labels, labels, 2) is None
+        assert one_row_recall(labels[:0], labels[:0], 4) is None
 
     def test_absent_classes_are_left_out_of_the_macro_mean(self):
         labels = np.array([0, 0, 2, 2, 2, 2])
         preds = np.array([0, 1, 2, 2, 2, 0])
-        assert fedval._recall(labels, preds, 4) == (0.5 + 0.75) / 2
+        assert one_row_recall(labels, preds, 4) == (0.5 + 0.75) / 2
 
 
 def loop_report(client_models, spec, val, recall_dim):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fedsim.data import Dataset, gen_synthetic
+from fedsim.data import Dataset, ValidationSet, gen_synthetic
 from fedsim.fedval import mad
 from fedsim.metrics import MetricRecord, evaluate, summarize
 from fedsim.model import MlpSpec
@@ -17,7 +17,8 @@ class TestEvaluate:
         spec, params = one_hot_classifier()
         features = np.array([[1.0, 0.0]] * 5 + [[0.0, 1.0]] * 5)
         labels = np.array([0] * 5 + [1] * 5)
-        record = evaluate(params, spec, Dataset(features, labels, 2), backdoor=(0, 1))
+        test = ValidationSet(Dataset(features, labels, 2))
+        record = evaluate(params, spec, test, backdoor=(0, 1))
         assert record.overall_accuracy == 1.0
         assert record.per_label_accuracy == [1.0, 1.0]
         assert record.label_accuracy_mad == 0.0
@@ -27,7 +28,7 @@ class TestEvaluate:
         # zero parameters predict class 0 everywhere on a balanced K=10 set
         spec = MlpSpec((10, 10))
         data = gen_synthetic(10, 10, 200, 5.0, seed=2)
-        record = evaluate(np.zeros(spec.param_count), spec, data)
+        record = evaluate(np.zeros(spec.param_count), spec, ValidationSet(data))
         assert record.overall_accuracy == pytest.approx(0.1, abs=1e-12)
         assert record.per_label_accuracy == [1.0] + [0.0] * 9
         assert record.label_accuracy_mad == pytest.approx(0.18, abs=1e-12)
@@ -39,7 +40,8 @@ class TestEvaluate:
         source_x = np.concatenate([np.linspace(0.5, 2, 20), np.linspace(-2, -0.5, 30)])
         features = np.concatenate([source_x, [-1.0, 1.0]])[:, None]
         labels = np.array([0] * 50 + [1, 1])
-        record = evaluate(params, spec, Dataset(features, labels, 2), backdoor=(0, 1))
+        test = ValidationSet(Dataset(features, labels, 2))
+        record = evaluate(params, spec, test, backdoor=(0, 1))
         assert record.backdoor_accuracy == pytest.approx(0.4, abs=1e-12)
 
     def test_per_label_weighted_matches_overall(self):
@@ -47,7 +49,7 @@ class TestEvaluate:
         data = gen_synthetic(4, 5, 333, 2.0, seed=4)
         from fedsim import model
 
-        record = evaluate(model.init_params(spec), spec, data)
+        record = evaluate(model.init_params(spec), spec, ValidationSet(data))
         counts = np.bincount(data.labels, minlength=4)
         weighted = np.dot(record.per_label_accuracy, counts) / counts.sum()
         assert weighted == pytest.approx(record.overall_accuracy, abs=1e-9)
@@ -61,12 +63,12 @@ class TestEvaluate:
         features = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
         labels = np.array([0, 1, 1, 1])  # last sample mispredicted as 0
         groups = np.array([0, 0, 1, 1])
-        record = evaluate(params, spec, Dataset(features, labels, 2, groups))
+        record = evaluate(params, spec, ValidationSet(Dataset(features, labels, 2, groups)))
         assert record.per_group_recall == {0: 1.0, 1: 0.5}
 
     def test_missing_label_rejected(self):
         spec, params = one_hot_classifier()
-        data = Dataset(np.array([[1.0, 0.0]]), np.array([0]), 2)
+        data = ValidationSet(Dataset(np.array([[1.0, 0.0]]), np.array([0]), 2))
         with pytest.raises(ValueError):
             evaluate(params, spec, data)
 
