@@ -3,7 +3,10 @@
 Subcommands: `run` executes one experiment from a JSON config, `compare`
 runs the same config under several strategies in lockstep, with identical
 seeds, on data that it builds once, and `prob` prints the
-malicious-selection tail probabilities.
+malicious-selection tail probabilities. `run` and `compare` validate and
+build through `run_experiments`, so a config is refused exactly as the
+Python API refuses it, and they write their output directory only after
+every round has run.
 
 Configs are read and written by one codec that walks the dataclasses of
 `ExperimentConfig`: each section is a dataclass, and each of its fields is
@@ -41,8 +44,6 @@ from fedsim.orchestrator import (
     malicious_round_probability,
     run_experiment,
     run_experiments,
-    setup_experiment,
-    validate_config,
 )
 
 TASK_TYPES = {"synthetic": SyntheticTask, "csv": CsvTask}
@@ -181,14 +182,6 @@ class RunManifest:
     tool_version: str
     duration_seconds: float
 
-    def as_dict(self) -> dict:
-        return {
-            "config_hash": self.config_hash,
-            "artifacts": self.artifacts,
-            "tool_version": self.tool_version,
-            "duration_seconds": self.duration_seconds,
-        }
-
 
 def _format_cell(value) -> str:
     if value is None:
@@ -225,7 +218,8 @@ def _finite_or_null(value):
 def _write_run(
     out: Path, config: ExperimentConfig, result: ExperimentResult, duration: float
 ) -> RunManifest:
-    """Write one run's artifacts and manifest into `out`, which must exist."""
+    """Write one run's artifacts and manifest into `out`, creating it."""
+    out.mkdir(parents=True, exist_ok=True)
     metrics_path = out / "metrics.csv"
     rounds_path = out / "rounds.jsonl"
     model_path = out / "final_model.npz"
@@ -251,7 +245,8 @@ def _write_run(
         duration_seconds=duration,
     )
     (out / "manifest.json").write_text(
-        json.dumps(manifest.as_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        json.dumps(dataclasses.asdict(manifest), sort_keys=True, indent=2) + "\n",
+        encoding="utf-8",
     )
     (out / "config.canonical.json").write_text(canonical_json(config), encoding="utf-8")
     return manifest
@@ -259,13 +254,9 @@ def _write_run(
 
 def cmd_run(config_path: str, out_dir: str) -> RunManifest:
     config = load_config(config_path)
-    validate_config(config)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     started = time.perf_counter()
     result = run_experiment(config)
-    return _write_run(out, config, result, time.perf_counter() - started)
+    return _write_run(Path(out_dir), config, result, time.perf_counter() - started)
 
 
 def _strategy_override(config: ExperimentConfig, kind: str) -> ExperimentConfig:
@@ -285,21 +276,15 @@ def cmd_compare(config_path: str, strategies: list[str], out_dir: str) -> dict[s
         if kind in strategies[:i]:
             raise ConfigurationError(f"compare: strategy {kind!r} is listed twice")
         configs.append(_strategy_override(base, kind))
-        validate_config(configs[-1])
-    # An override changes only the strategy, which set-up never reads, so
-    # every strategy starts from the same data.
-    shared = setup_experiment(configs[0])
     started = time.perf_counter()
-    results = run_experiments(configs, shared)
+    results = run_experiments(configs)
     duration = time.perf_counter() - started
 
     out = Path(out_dir)
     manifests: dict[str, RunManifest] = {}
     rows: list[tuple[str, int, str, float]] = []
     for kind, config, result in zip(strategies, configs, results):
-        sub = out / kind
-        sub.mkdir(parents=True, exist_ok=True)
-        manifests[kind] = _write_run(sub, config, result, duration)
+        manifests[kind] = _write_run(out / kind, config, result, duration)
         for record in result.records:
             rows.append((kind, record.round, "overall_accuracy", record.overall_accuracy))
             rows.append((kind, record.round, "label_accuracy_mad", record.label_accuracy_mad))
@@ -371,7 +356,10 @@ def main(argv: list[str] | None = None) -> int:
             manifests = cmd_compare(args.config, strategies, args.out)
             print(f"compared {len(manifests)} strategies -> {args.out}/combined.csv")
         else:
-            rounds = [int(r.strip()) for r in args.rounds.split(",") if r.strip()]
+            try:
+                rounds = [int(r) for r in args.rounds.split(",") if r.strip()]
+            except ValueError as exc:  # names the item: "... base 10: 'x'"
+                raise ConfigurationError(f"prob: --rounds: {exc}") from None
             if not rounds:
                 raise ConfigurationError("prob: --rounds list is empty")
             table = cmd_prob(args.n, args.p, args.threshold, args.k0, rounds)

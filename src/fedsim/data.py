@@ -93,7 +93,8 @@ class PartitionSpec:
 class ValidationSet:
     """A holdout dataset with per-label and per-group index lists: the
     validation holdout of `fedval.compute_report` and the test holdout of
-    `metrics.evaluate`, each of which refuses a label without samples."""
+    `metrics.evaluate`. Every label of the data's classes has samples; a
+    holdout without some label is refused when it is built."""
 
     data: Dataset
     label_indices: dict[int, np.ndarray] = field(init=False)
@@ -102,6 +103,9 @@ class ValidationSet:
     def __post_init__(self):
         labels, groups = self.data.labels, self.data.group_ids
         rows = [np.flatnonzero(labels == k) for k in range(self.data.num_classes)]
+        missing = [k for k, r in enumerate(rows) if len(r) == 0]
+        if missing:
+            raise ConfigurationError(f"holdout has no samples of labels {missing}")
         self.label_indices = dict(enumerate(rows))
         self.group_indices = {} if groups is None else {
             int(g): np.flatnonzero(groups == g) for g in np.unique(groups)

@@ -32,8 +32,6 @@ MAD_EPS = 1e-9
 # Floor for mean group recall in the bias-reducer denominator.
 RECALL_FLOOR = 1e-3
 
-DEFAULT_DIMS = ("label", "overall")
-
 
 @dataclass(frozen=True)
 class ScoreParams:
@@ -138,18 +136,14 @@ def compute_report(
     """Evaluate every client model on the validation set.
 
     Each client's per-label mean loss is `val.label_means` of its losses:
-    the bits of the mean over the label's index list. Group recalls (when
-    requested) are computed for the whole cohort at once within each
-    group's index list. Groups without positive samples are dropped with a
-    warning.
+    the bits of the mean over the label's index list, which is never empty
+    (a `ValidationSet` holds every label). Group recalls (when requested)
+    are computed for the whole cohort at once within each group's index
+    list. Groups without positive samples are dropped with a warning.
     """
     if not client_models:
         raise ConfigurationError("need at least one client model")
     k = spec.num_classes
-    for label in range(k):
-        if len(val.label_indices.get(label, ())) == 0:
-            raise ConfigurationError(f"validation set has no samples of label {label}")
-
     n = len(client_models)
     per_label = np.empty((n, k))
     overall = np.empty(n)
@@ -172,9 +166,8 @@ def compute_report(
     if recall_dim:
         labels = val.labels
         preds = np.stack(preds)
+        # Defined, because `val` holds every label.
         overall_recall = _cohort_recall(labels, preds, k)
-        if overall_recall is None:
-            overall_recall = np.zeros(n)
         columns: dict[int, np.ndarray] = {}
         for g, idx in sorted(val.group_indices.items()):
             recalls = _cohort_recall(labels[idx], preds[:, idx], k)
@@ -199,36 +192,32 @@ def _bias_reducer(ratio: float, exponent: float) -> float:
     return float(np.exp(min(exponent * np.log(ratio), 700.0)))
 
 
-def score(
-    report: ValidationReport,
-    params: ScoreParams,
-    dims: tuple[str, ...] = DEFAULT_DIMS,
-) -> ScoreTable:
+def score(report: ValidationReport, params: ScoreParams) -> ScoreTable:
     """Score every client and derive normalized aggregation weights.
 
-    Raw scores below params.clamp_floor clamp to the floor; when every
+    Every label and the overall loss are scored, and each group's recall
+    too when the report has them (`compute_report(recall_dim=True)`). Raw
+    scores below params.clamp_floor clamp to the floor; when every
     clamped score is zero the weights are all zero and the caller applies a
     zero aggregate update for the round.
     """
     n = report.num_clients
     raw = np.zeros(n)
 
-    if "label" in dims:
-        for k in range(report.per_label_loss.shape[1]):
-            raw += params.baseline_c * params.s1_label
-            if report.label_mad[k] < MAD_EPS:
-                continue
-            reducer = _bias_reducer(report.label_mean[k] / report.overall_mean, params.s2)
-            div = report.label_mean[k] - report.per_label_loss[:, k]
-            raw += reducer * params.s1_label * div / report.label_mad[k]
+    for k in range(report.per_label_loss.shape[1]):
+        raw += params.baseline_c * params.s1_label
+        if report.label_mad[k] < MAD_EPS:
+            continue
+        reducer = _bias_reducer(report.label_mean[k] / report.overall_mean, params.s2)
+        div = report.label_mean[k] - report.per_label_loss[:, k]
+        raw += reducer * params.s1_label * div / report.label_mad[k]
 
-    if "overall" in dims:
-        raw += params.baseline_c * params.s1_avg
-        if report.overall_mad >= MAD_EPS:
-            div = report.overall_mean - report.overall_loss
-            raw += params.s1_avg * div / report.overall_mad
+    raw += params.baseline_c * params.s1_avg
+    if report.overall_mad >= MAD_EPS:
+        div = report.overall_mean - report.overall_loss
+        raw += params.s1_avg * div / report.overall_mad
 
-    if "recall" in dims and report.group_recall is not None:
+    if report.group_recall is not None:
         for j in range(report.group_recall.shape[1]):
             raw += params.baseline_c * params.s1_label
             if report.group_mad[j] < MAD_EPS:
@@ -293,7 +282,6 @@ def adapt_s2(
     params: ScoreParams,
     spec: MlpSpec,
     val: ValidationSet,
-    dims: tuple[str, ...] = DEFAULT_DIMS,
 ) -> S2Choice:
     """Try the candidate exponents around params.s2 and keep the one whose
     aggregated model has the lowest mean validation loss.
@@ -309,7 +297,7 @@ def adapt_s2(
     best: S2Choice | None = None
     best_key: tuple[float, float, float] | None = None
     for c in candidates:
-        table = score(report, replace(params, s2=c), dims)
+        table = score(report, replace(params, s2=c))
         if table.all_zero:
             candidate_model = global_params.copy()
         else:

@@ -207,8 +207,18 @@ def select_clients(
     return [int(i) for i in rng.choice(population, size=count, replace=False)]
 
 
+def _holdout(source: Dataset, spec: HoldoutSpec, section: str) -> tuple[ValidationSet, Dataset]:
+    """`build_validation` of the holdout `spec`, its refusals named by the
+    config `section` that holds it."""
+    try:
+        return build_validation(source, spec.per_label, spec.balanced, spec.seed)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{section}: {exc}") from None
+
+
 def setup_experiment(config: ExperimentConfig) -> ExperimentState:
-    """Materialize data, holdouts, shards, and the initial model."""
+    """Materialize data, holdouts, shards, and the initial model. A holdout
+    that lacks some label is refused here, before any round trains."""
     validate_config(config)
     if isinstance(config.task, SyntheticTask):
         t = config.task
@@ -226,12 +236,8 @@ def setup_experiment(config: ExperimentConfig) -> ExperimentState:
                 f"!= csv classes {source.num_classes}"
             )
 
-    test_holdout, rest = build_validation(
-        source, config.test.per_label, config.test.balanced, config.test.seed
-    )
-    val_set, train_source = build_validation(
-        rest, config.validation.per_label, config.validation.balanced, config.validation.seed
-    )
+    test_holdout, rest = _holdout(source, config.test, "test")
+    val_set, train_source = _holdout(rest, config.validation, "validation")
     shards = partition(train_source, config.partition)
 
     malicious: frozenset[int] = frozenset()
@@ -356,8 +362,7 @@ def _finish_round(
     state in place."""
     updates = _client_updates(state, config, selected, trained)
 
-    if config.strategy.pre_transforms and state.dp is not None:
-        updates = _apply_pre_transforms(updates, state, config)
+    updates = _apply_pre_transforms(updates, state, config)
 
     strategy = config.strategy
     log = RoundLog(
@@ -385,7 +390,6 @@ def _finish_round(
         )
     else:  # fedval
         client_models = [state.global_params + u.delta for u in updates]
-        dims = ("label", "overall", "recall") if config.recall_dim else fedval.DEFAULT_DIMS
         report = fedval.compute_report(
             client_models, config.model, state.val, recall_dim=config.recall_dim
         )
@@ -396,7 +400,6 @@ def _finish_round(
             dc_replace(config.score_params, s2=state.s2),
             config.model,
             state.val,
-            dims,
         )
         new_global = choice.global_params
         state.s2 = choice.s2
@@ -465,10 +468,11 @@ def run_experiments(
     """Run several strategies on one set-up in lockstep, round by round, and
     return their results in the order of `configs`.
 
-    The configs may differ only in `strategy`. Each strategy runs on its own
-    fork of `state` (`setup_experiment(configs[0])` by default), which is
-    left as it was, and gives bit for bit the result of running it alone.
-    An error in any strategy stops them all.
+    The configs may differ only in `strategy`, and each is validated before
+    any data is built. Each strategy runs on its own fork of `state`
+    (`setup_experiment(configs[0])` by default), which is left as it was,
+    and gives bit for bit the result of running it alone. An error in any
+    strategy stops them all.
     """
     if not configs:
         raise ConfigurationError("run_experiments: no configs")

@@ -225,6 +225,79 @@ class TestLabelChecks:
                        "attack.source_label: label 7 outside the model's 3 classes")
 
 
+def holdout_config(section, seed):
+    """A 3-class, 5-client config whose `section` holdout is three samples
+    drawn without balancing at `seed`; as the test holdout, seeds 0-4 miss
+    a label and seed 5 holds all three."""
+    config = minimal_config(
+        task={"type": "synthetic", "classes": 3, "features": 5, "samples": 400,
+              "separation": 6.0, "seed": 0},
+        partition={"scheme": "iid", "client_count": 5, "seed": 0},
+    )
+    config[section] = {"per_label": 1, "balanced": False, "seed": seed}
+    return config
+
+
+class TestHoldoutCoverage:
+    """A holdout without some label is refused at set-up, with exit 1 and
+    no output directory, before any client trains."""
+
+    MISSING = {0: "[0]", 1: "[2]", 2: "[1]", 3: "[1]", 4: "[0]"}
+
+    @pytest.fixture
+    def no_training(self, monkeypatch):
+        def train_rows(*args, **kwargs):
+            raise AssertionError("a client trained")
+
+        monkeypatch.setattr(orchestrator.model, "train_rows", train_rows)
+
+    @pytest.mark.parametrize("seed", sorted(MISSING))
+    def test_test_holdout_without_a_label(self, tmp_path, capsys, no_training, seed):
+        path = write_config(tmp_path, holdout_config("test", seed))
+        out = tmp_path / "out"
+        for command in (["run"], ["compare", "--strategies", "fedavg,fedval"]):
+            assert cli.main([*command, path, "--out", str(out)]) == 1
+            named = f"error: test: holdout has no samples of labels {self.MISSING[seed]}"
+            assert named in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_test_holdout_with_every_label_runs(self, tmp_path):
+        path = write_config(tmp_path, holdout_config("test", 5))
+        assert cli.main(["run", path, "--out", str(tmp_path / "run")]) == 0
+        assert cli.main(["compare", path, "--strategies", "fedavg,fedval",
+                         "--out", str(tmp_path / "cmp")]) == 0
+        assert (tmp_path / "run" / "metrics.csv").read_bytes() == (
+            tmp_path / "cmp" / "fedval" / "metrics.csv"
+        ).read_bytes()
+
+    def test_validation_holdout_without_a_label_refused_under_fedavg(
+        self, tmp_path, capsys, no_training
+    ):
+        config = holdout_config("validation", 0)
+        config["strategy"] = {"kind": "fedavg"}
+        assert_refused(tmp_path, capsys, config,
+                       "error: validation: holdout has no samples of labels [0, 2]")
+
+    @pytest.mark.parametrize(
+        "section, holdout, named",
+        [("validation", {"per_label": 0}, "validation: per_label must be >= 1"),
+         ("test", {"per_label": 500}, "test: label 0 has only 200 samples, need 500")],
+    )
+    def test_holdout_refusals_name_their_section(self, tmp_path, capsys, section, holdout,
+                                                 named):
+        assert_refused(tmp_path, capsys, minimal_config(**{section: holdout}), named)
+
+    def test_failed_run_writes_nothing(self, tmp_path, capsys):
+        config = minimal_config(
+            train={"epochs": 2, "batch_size": 16, "learning_rate": 1e200, "seed": 0})
+        path = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli.main(["run", path, "--out", str(out)]) == 2
+        assert "runtime error: training diverged" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCompare:
     def test_two_strategies_share_selection(self, tmp_path):
         path = write_config(tmp_path, minimal_config())
@@ -381,6 +454,14 @@ class TestProb:
                          "--rounds", "25000"])
         assert code == 0
         assert float(capsys.readouterr().out.splitlines()[1].split()[2]) > 0.99
+
+
+    @pytest.mark.parametrize("rounds, item", [("1,x", "'x'"), ("1.5", "'1.5'")])
+    def test_malformed_rounds_is_usage_error(self, capsys, rounds, item):
+        code = cli.main(["prob", "--n", "30", "--p", "0.1", "--k0", "9", "--rounds", rounds])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--rounds" in err and item in err
 
 
 class TestCanonicalConfig:

@@ -201,9 +201,9 @@ class TestScore:
         report.group_mad = np.array([0.1])
         report.overall_recall_mean = 0.6
         params = ScoreParams(s2_recall=2.0)
-        inactive = fedval.score(report, params, dims=("label", "overall"))
+        inactive = fedval.score(replace(report, group_recall=None), params)
         assert np.allclose(inactive.raw, [24.0, 24.0], atol=1e-12)  # baselines only
-        active = fedval.score(report, params, dims=("label", "overall", "recall"))
+        active = fedval.score(report, params)
         # reducer (0.6/0.3)^2 = 4; slope 4*3*(+-0.1)/0.1 = +-12; baseline 9
         assert np.allclose(active.raw, [24.0 + 9.0 - 12.0, 24.0 + 9.0 + 12.0], atol=1e-9)
 

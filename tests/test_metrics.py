@@ -68,8 +68,8 @@ class TestEvaluate:
 
     def test_missing_label_rejected(self):
         spec, params = one_hot_classifier()
-        data = ValidationSet(Dataset(np.array([[1.0, 0.0]]), np.array([0]), 2))
         with pytest.raises(ValueError):
+            data = ValidationSet(Dataset(np.array([[1.0, 0.0]]), np.array([0]), 2))
             evaluate(params, spec, data)
 
 class TestSummarize:
