@@ -135,10 +135,8 @@ def lfr(
     drop = math.ceil(remove_fraction * n)
     if drop >= n:
         raise ConfigurationError(f"lfr would drop all {n} clients")
-    losses = np.empty(n)
-    for i, u in enumerate(updates):
-        sample_losses, _ = model.eval_losses(global_params + u.delta, spec, val.data)
-        losses[i] = sample_losses.mean()
+    cohort = model.eval_cohort([(global_params, u.delta) for u in updates], spec, val.data)
+    losses = np.array([sample_losses.mean() for sample_losses, _ in cohort])
     keep_order = np.argsort(losses, kind="stable")[: n - drop]
     survivors = [updates[i] for i in sorted(int(i) for i in keep_order)]
     return fedavg(global_params, survivors)

@@ -362,6 +362,9 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigurationError(f"prob: --rounds: {exc}") from None
             if not rounds:
                 raise ConfigurationError("prob: --rounds list is empty")
+            for r in rounds:
+                if r < 0:
+                    raise ConfigurationError(f"prob: --rounds: {str(r)!r} must be >= 0")
             table = cmd_prob(args.n, args.p, args.threshold, args.k0, rounds)
             print(f"{'rounds':>10}  {'per_round_p':>14}  {'at_least_once_p':>16}")
             for r, per_round, at_least_once in table:

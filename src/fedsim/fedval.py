@@ -128,12 +128,13 @@ def _cohort_recall(
 
 
 def compute_report(
-    client_models: list[np.ndarray],
+    client_models: list[np.ndarray | tuple[np.ndarray, np.ndarray]],
     spec: MlpSpec,
     val: ValidationSet,
     recall_dim: bool = False,
 ) -> ValidationReport:
-    """Evaluate every client model on the validation set.
+    """Evaluate every client model on the validation set in one
+    `model.eval_cohort`, which also takes `(global, delta)` pairs.
 
     Each client's per-label mean loss is `val.label_means` of its losses:
     the bits of the mean over the label's index list, which is never empty
@@ -147,12 +148,10 @@ def compute_report(
     n = len(client_models)
     per_label = np.empty((n, k))
     overall = np.empty(n)
-    preds = []
-    for i, params in enumerate(client_models):
-        losses, client_preds = model.eval_losses(params, spec, val.data, predict=recall_dim)
+    results = model.eval_cohort(client_models, spec, val.data, predict=recall_dim)
+    for i, (losses, _) in enumerate(results):
         overall[i] = losses.mean()
         per_label[i] = val.label_means(losses)
-        preds.append(client_preds)
 
     report = ValidationReport(
         per_label_loss=per_label,
@@ -165,7 +164,7 @@ def compute_report(
 
     if recall_dim:
         labels = val.labels
-        preds = np.stack(preds)
+        preds = np.stack([client_preds for _, client_preds in results])
         # Defined, because `val` holds every label.
         overall_recall = _cohort_recall(labels, preds, k)
         columns: dict[int, np.ndarray] = {}
@@ -289,23 +288,20 @@ def adapt_s2(
     Ties break toward the candidate closest to the current exponent, then
     toward the smaller value. Candidates are clamped to >= S2_MIN and
     deduplicated; scoring reuses the one validation report since only the
-    exponent changes.
+    exponent changes. Every candidate model is built first and then
+    evaluated in one `model.eval_cohort`.
     """
     current = params.s2
     candidates = s2_candidates(current)
-
-    best: S2Choice | None = None
-    best_key: tuple[float, float, float] | None = None
-    for c in candidates:
-        table = score(report, replace(params, s2=c))
-        if table.all_zero:
-            candidate_model = global_params.copy()
-        else:
-            candidate_model = aggregate(global_params, updates, table.weights)
-        losses, _ = model.eval_losses(candidate_model, spec, val.data)
-        loss = float(losses.mean())
-        key = (loss, abs(c - current), c)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = S2Choice(s2=c, table=table, global_params=candidate_model, val_loss=loss)
-    return best
+    tables = [score(report, replace(params, s2=c)) for c in candidates]
+    models = [
+        global_params.copy() if table.all_zero
+        else aggregate(global_params, updates, table.weights)
+        for table in tables
+    ]
+    losses = [float(l.mean()) for l, _ in model.eval_cohort(models, spec, val.data)]
+    # The first candidate with the smallest key, as a strict `<` scan finds.
+    best = min(range(len(candidates)),
+               key=lambda i: (losses[i], abs(candidates[i] - current), candidates[i]))
+    return S2Choice(s2=candidates[best], table=tables[best],
+                    global_params=models[best], val_loss=losses[best])

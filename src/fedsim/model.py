@@ -17,20 +17,31 @@ object with the same seed draw the same permutations: they share one
 generator and one permuted copy of the shard per epoch, from which each
 step gathers its batches.
 
-Evaluation (`eval_losses`) runs one model at a time over all of
-its rows, never in chunks: OpenBLAS rounds a matmul over fewer rows
-differently. Each layer allocates only its matmul result and applies the
-bias and the activation to it in place, which gives the same bits as the
-out-of-place formula. `eval_losses` then runs the softmax tail on one
-class-major copy of the logits, (K, n), so that every reduction over the
-classes is a handful of length-n vector operations instead of n tiny
-length-K ones: the max is exact in any order, and `class_sums` adds each
-column in numpy's own order for a length-K row. Argmax predictions are
-computed only for the callers that read them.
+Evaluation (`eval_cohort`, and `eval_losses`, its one-model case) runs
+each model over all of the rows at once, never in chunks: OpenBLAS rounds a
+matmul over fewer rows differently. Each layer writes its matmul result
+into a buffer that the cohort reuses and applies the bias and the
+activation to it in place, which gives the same bits as the out-of-place
+formula. The softmax tail then runs on one class-major copy of the logits,
+(K, n), so that every reduction over the classes is a handful of length-n
+vector operations instead of n tiny length-K ones: the max is exact in any
+order, and `class_sums` adds each column in numpy's own order for a
+length-K row. Argmax predictions are computed only for the callers that
+read them.
+
+A cohort of large evaluations runs on two lanes, the calling thread and one
+persistent helper thread, each on one OpenBLAS thread. Every model is still
+evaluated whole by one lane, and OpenBLAS's bits do not depend on its
+thread count, so the split changes no output.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,13 +165,16 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return logits
 
 
-def _logits(params: np.ndarray, spec: MlpSpec, x: np.ndarray) -> np.ndarray:
+def _logits(
+    params: np.ndarray, spec: MlpSpec, x: np.ndarray, out: list[np.ndarray] | None = None
+) -> np.ndarray:
     """Logits for a batch, shape (n, K).
 
-    Each layer allocates only its matmul result; the bias and the activation
-    are then applied to it in place. These are the same operations in the
-    same order as `z = a @ w + b; a = act(z)`, so the logits are bit for bit
-    those of the out-of-place formula.
+    Each layer's matmul result goes into `out[layer]` (n, width), or a new
+    array without `out`; the bias and the activation are then applied to it
+    in place. These are the same operations in the same order as
+    `z = a @ w + b; a = act(z)`, so the logits are bit for bit those of the
+    out-of-place formula.
     """
     if x.ndim != 2 or x.shape[1] != spec.input_dim:
         raise ConfigurationError(
@@ -169,7 +183,7 @@ def _logits(params: np.ndarray, spec: MlpSpec, x: np.ndarray) -> np.ndarray:
     a = x
     layers = unpack(params, spec)
     for i, (w, b) in enumerate(layers):
-        a = a @ w
+        a = np.matmul(a, w, out=None if out is None else out[i])
         a += b
         if i < len(layers) - 1:
             _activate(a, spec.activation, out=a)
@@ -206,12 +220,14 @@ def class_sums(t: np.ndarray) -> np.ndarray:
     return class_sums(t[:half]) + class_sums(t[half:])
 
 
-def _first_argmax(t: np.ndarray) -> np.ndarray:
-    """`t.argmax(axis=0)` of a class-major (K, n) array, by numpy's rule: the
-    first maximum wins, and NaN counts as the maximum."""
+def _first_argmax(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """`t.argmax(axis=0)` of a class-major (K, n) array, into `out` (n,) when
+    given, by numpy's rule: the first maximum wins, and NaN counts as the
+    maximum."""
     hit = t == t.max(axis=0)
     hit |= np.isnan(t)
-    out = np.empty(t.shape[1], dtype=np.intp)
+    if out is None:
+        out = np.empty(t.shape[1], dtype=np.intp)
     # Every column has a hit; the lowest class assigned last wins.
     for k in range(len(t) - 1, -1, -1):
         out[hit[k]] = k
@@ -348,6 +364,12 @@ def train_rows(spec: MlpSpec, rows: list[SgdRow], batch_size: int) -> list[np.nd
     """
     if not rows:
         return []
+    # A diverging row overflows quietly; the caller refuses non-finite results.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _train_rows(spec, rows, batch_size)
+
+
+def _train_rows(spec: MlpSpec, rows: list[SgdRow], batch_size: int) -> list[np.ndarray]:
     # One key per (shard object, seed): its features, labels and generator.
     keys: dict[tuple[int, int], int] = {}
     row_keys, features, labels, rngs = [], [], [], []
@@ -507,26 +529,243 @@ def eval_losses(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Per-sample cross-entropy losses (no proximal term) and, with
     `predict`, argmax predictions; without it the predictions are None.
+    The one-model case of `eval_cohort`."""
+    (result,) = eval_cohort([params], spec, data, predict=predict)
+    return result
+
+
+# A cohort is split over two lanes when one evaluation's widest activation,
+# rows x widest layer, holds more float64s than this. On two cores, pinned
+# lanes were no faster at 64,000 elements (500 x 128, 2000 x 32), and
+# faster from 128,000 up: 2000 x 128 took 590-680 us per evaluation against
+# 960-1020 on one lane. A 100 x 32 evaluation (about 40 us) lost to the
+# handoff.
+_LANE_ELEMENTS = 65536
+
+
+def eval_cohort(
+    models: list[np.ndarray | tuple[np.ndarray, np.ndarray]],
+    spec: MlpSpec,
+    data,
+    *,
+    predict: bool = False,
+) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """`eval_losses` of every model on `data`, in input order. A model is a
+    parameter vector or a `(start, delta)` pair, evaluated as
+    `start + delta` without keeping that sum.
 
     The softmax runs on the class-major logits (K, n): the same shift, exp
     and division per element as the row-wise `_softmax`, and column sums in
     numpy's row order, so losses and predictions are bit for bit the
     row-wise ones. Only the picked probabilities are divided unless the
     predictions need them all.
+
+    When the cohort has several models, each evaluation is large
+    (`_LANE_ELEMENTS`), numpy's OpenBLAS can be pinned and two cores are
+    available, the calling thread evaluates the even models and the helper
+    lane the odd ones, both on one OpenBLAS thread; otherwise the calling
+    thread evaluates them all. The helper lane writes only into buffers
+    allocated here. Either way every model is evaluated whole, so the
+    results are the same bits.
     """
     n = len(data.labels)
     if n == 0:
         raise ValueError("empty dataset")
-    t = _logits(params, spec, np.asarray(data.features, dtype=np.float64)).T.copy()
-    t -= t.max(axis=0)
+    x = np.asarray(data.features, dtype=np.float64)
+    # Each sample's own-label entry in the flat class-major logits.
+    picks = np.asarray(data.labels, dtype=np.int64) * n + np.arange(n)
+    losses = np.empty((len(models), n))
+    preds = np.empty((len(models), n), dtype=np.intp) if predict else None
+
+    def lane(first: int, step: int, work: tuple) -> None:
+        for i in range(first, len(models), step):
+            _eval_into(models[i], spec, x, picks, work, losses[i],
+                       None if preds is None else preds[i])
+
+    split = len(models) > 1 and n * max(spec.layer_sizes) > _LANE_ELEMENTS
+    helper = _helper_lane() if split else None
+    if helper is None:
+        lane(0, 1, _workspace(spec, n))
+    else:
+        with one_blas_thread(), helper.lock:
+            helper.start(functools.partial(lane, 1, 2, _workspace(spec, n)))
+            try:
+                lane(0, 2, _workspace(spec, n))
+            finally:
+                error = helper.wait()
+            if error is not None:
+                raise error
+    return [(losses[i], None if preds is None else preds[i]) for i in range(len(models))]
+
+
+def _workspace(spec: MlpSpec, n: int) -> tuple:
+    """One lane's buffers for evaluations over `n` rows: each layer's output,
+    the class-major logits (K, n), their column maxima and one parameter
+    vector for `(start, delta)` models."""
+    return (
+        [np.empty((n, width)) for width in spec.layer_sizes[1:]],
+        np.empty((spec.num_classes, n)),
+        np.empty(n),
+        np.empty(spec.param_count),
+    )
+
+
+def _eval_into(
+    params: np.ndarray | tuple[np.ndarray, np.ndarray],
+    spec: MlpSpec,
+    x: np.ndarray,
+    picks: np.ndarray,
+    work: tuple,
+    losses: np.ndarray,
+    preds: np.ndarray | None,
+) -> None:
+    """Evaluate one cohort model into `losses` (n,) and, when given, `preds`
+    (n,), using the lane's `work` buffers."""
+    layers, t, top, summed = work
+    if isinstance(params, tuple):
+        params = np.add(*params, out=summed)
+    np.copyto(t, _logits(params, spec, x, layers).T)
+    t -= np.max(t, axis=0, out=top)
     np.exp(t, out=t)
     sums = class_sums(t)
-    losses = t[np.asarray(data.labels, dtype=np.int64), np.arange(n)]
+    np.take(t, picks, out=losses)
     losses /= sums
     np.maximum(losses, PROB_FLOOR, out=losses)
     np.log(losses, out=losses)
     np.negative(losses, out=losses)
-    if not predict:
-        return losses, None
-    t /= sums
-    return losses, _first_argmax(t)
+    if preds is not None:
+        t /= sums
+        _first_argmax(t, preds)
+
+
+def _find_blas_thread_setter():
+    """`openblas_set_num_threads_local` of the OpenBLAS that numpy bundles,
+    or None when numpy brings no OpenBLAS that exports it. It sets the
+    OpenBLAS thread count and returns the previous one: for the calling
+    thread where OpenBLAS keeps the count per thread, and for the whole
+    process in the pthreads build that numpy's wheels ship."""
+    root = os.path.dirname(np.__file__)
+    for folder in (root + ".libs", os.path.join(root, ".dylibs")):
+        try:
+            names = sorted(os.listdir(folder))
+        except OSError:
+            continue
+        for name in names:
+            if "openblas" not in name:
+                continue
+            try:
+                setter = ctypes.CDLL(os.path.join(folder, name)).openblas_set_num_threads_local
+            except (OSError, AttributeError):
+                continue
+            setter.argtypes = [ctypes.c_int]
+            setter.restype = ctypes.c_int
+            return setter
+    return None
+
+
+# The setter, looked up at first use rather than at import; `...` until then.
+_BLAS_THREADS = ...
+
+
+def _blas_thread_setter():
+    global _BLAS_THREADS
+    if _BLAS_THREADS is ...:
+        _BLAS_THREADS = _find_blas_thread_setter()
+    return _BLAS_THREADS
+
+
+# Blocks inside `one_blas_thread` over all threads, and the thread count
+# before the first of them: where the count is process-wide, the last block
+# to leave restores it, whichever thread opened the first.
+_PIN_LOCK = threading.Lock()
+_pins = 0
+_unpinned = None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with the calling thread on one OpenBLAS thread (in
+    numpy's pthreads build, the whole process), and put the previous thread
+    count back when the last such block in the process leaves, even on
+    error. Without numpy's OpenBLAS setter this changes nothing.
+
+    OpenBLAS's other threads then never wake, so none of them busy-waits
+    for work between calls; its results do not depend on the thread count.
+    """
+    global _pins, _unpinned
+    setter = _blas_thread_setter()
+    if setter is None:
+        yield
+        return
+    with _PIN_LOCK:
+        previous = setter(1)
+        if _pins == 0:
+            _unpinned = previous
+        _pins += 1
+    try:
+        yield
+    finally:
+        with _PIN_LOCK:
+            _pins -= 1
+            if _pins == 0:
+                setter(_unpinned)
+
+
+class _HelperLane:
+    """A daemon thread that runs one job at a time: the odd lane of each
+    split cohort. It lives as long as the process, so a cohort costs two
+    handoffs, not a thread start. A caller holds `lock` for its cohort.
+    Each job runs on one OpenBLAS thread and under the caller's numpy error
+    state."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self._ready = threading.Event()
+        self._done = threading.Event()
+        self._job = None
+        self._errstate = None
+        self._error = None
+        threading.Thread(target=self._serve, name="fedsim-eval-lane", daemon=True).start()
+
+    def start(self, job) -> None:
+        self._job, self._errstate, self._error = job, np.geterr(), None
+        self._done.clear()
+        self._ready.set()
+
+    def wait(self) -> BaseException | None:
+        """Block until the job has finished; return what it raised, if anything."""
+        self._done.wait()
+        error, self._error = self._error, None
+        return error
+
+    def _serve(self) -> None:
+        while True:
+            self._ready.wait()
+            self._ready.clear()
+            try:
+                with one_blas_thread(), np.errstate(**self._errstate):
+                    self._job()
+            except BaseException as exc:  # re-raised by the caller's `wait`
+                self._error = exc
+            self._job = None
+            self._done.set()
+
+
+_HELPER: _HelperLane | None = None
+_HELPER_LOCK = threading.Lock()
+
+
+def _helper_lane() -> _HelperLane | None:
+    """The helper lane, started at first use; None when OpenBLAS cannot be
+    pinned or fewer than two cores are available, so that lanes would
+    share a core or spin OpenBLAS's threads."""
+    global _HELPER
+    if _blas_thread_setter() is None:
+        return None
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if (cores or 1) < 2:
+        return None
+    with _HELPER_LOCK:
+        if _HELPER is None:
+            _HELPER = _HelperLane()
+        return _HELPER

@@ -389,7 +389,7 @@ def _finish_round(
             state.global_params, updates, strategy.trim_fraction
         )
     else:  # fedval
-        client_models = [state.global_params + u.delta for u in updates]
+        client_models = [(state.global_params, u.delta) for u in updates]
         report = fedval.compute_report(
             client_models, config.model, state.val, recall_dim=config.recall_dim
         )
@@ -468,11 +468,15 @@ def run_experiments(
     """Run several strategies on one set-up in lockstep, round by round, and
     return their results in the order of `configs`.
 
-    The configs may differ only in `strategy`, and each is validated before
-    any data is built. Each strategy runs on its own fork of `state`
+    The configs may differ only in `strategy`, and each is validated once,
+    before any data is built. Each strategy runs on its own fork of `state`
     (`setup_experiment(configs[0])` by default), which is left as it was,
     and gives bit for bit the result of running it alone. An error in any
     strategy stops them all.
+
+    The calling thread runs on one OpenBLAS thread for the whole run (see
+    `model.one_blas_thread`), and its previous thread count is put back
+    when the run returns or raises.
     """
     if not configs:
         raise ConfigurationError("run_experiments: no configs")
@@ -480,6 +484,8 @@ def run_experiments(
     for config in configs:
         if dc_replace(config, strategy=first.strategy) != first:
             raise ConfigurationError("run_experiments: configs differ in more than strategy")
+    # `setup_experiment` validates the first config itself.
+    for config in configs[1:] if state is None else configs:
         validate_config(config)
     if state is None:
         state = setup_experiment(first)
@@ -490,22 +496,23 @@ def run_experiments(
 
     records: list[list[MetricRecord]] = [[] for _ in configs]
     logs: list[list[RoundLog]] = [[] for _ in configs]
-    for r in range(first.rounds):
-        for s, own_records, own_logs, log in zip(
-            states, records, logs, _lockstep_round(states, configs)
-        ):
-            own_logs.append(log)
-            if (r + 1) % first.metrics_every == 0 or r == first.rounds - 1:
-                own_records.append(
-                    metrics.evaluate(
-                        s.global_params,
-                        first.model,
-                        s.test,
-                        backdoor=backdoor,
-                        round_index=r,
-                        validation_loss=log.val_loss,
+    with model.one_blas_thread():
+        for r in range(first.rounds):
+            for s, own_records, own_logs, log in zip(
+                states, records, logs, _lockstep_round(states, configs)
+            ):
+                own_logs.append(log)
+                if (r + 1) % first.metrics_every == 0 or r == first.rounds - 1:
+                    own_records.append(
+                        metrics.evaluate(
+                            s.global_params,
+                            first.model,
+                            s.test,
+                            backdoor=backdoor,
+                            round_index=r,
+                            validation_loss=log.val_loss,
+                        )
                     )
-                )
     return [
         ExperimentResult(
             records=own_records,

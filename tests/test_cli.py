@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fedsim
 from fedsim import cli, orchestrator
 from fedsim.aggregators import STRATEGY_KINDS, ClientUpdate, Strategy
 from fedsim.data import PartitionSpec
@@ -117,6 +122,23 @@ class TestRun:
         fedval_log, fedavg_log = (json.loads(line, parse_constant=reject) for line in lines)
         assert set(fedval_log["scores"].values()) == {None}
         assert fedavg_log["val_loss"] is None
+
+
+    def test_diverging_run_prints_only_the_error(self, tmp_path):
+        # A fresh process, so that numpy's RuntimeWarnings reach stderr as
+        # they would for a user, not pytest's warning capture.
+        config = minimal_config()
+        config["train"]["learning_rate"] = 1e200
+        path = write_config(tmp_path, config)
+        env = dict(os.environ, PYTHONPATH=str(Path(fedsim.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "fedsim.cli", "run", path, "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env,
+        )
+        assert done.returncode == 2
+        assert done.stderr.splitlines() == [
+            "runtime error: training diverged: non-finite parameters (learning rate too high?)"
+        ]
 
 
 def assert_refused(tmp_path, capsys, config, named):
@@ -455,13 +477,17 @@ class TestProb:
         assert code == 0
         assert float(capsys.readouterr().out.splitlines()[1].split()[2]) > 0.99
 
-
     @pytest.mark.parametrize("rounds, item", [("1,x", "'x'"), ("1.5", "'1.5'")])
     def test_malformed_rounds_is_usage_error(self, capsys, rounds, item):
         code = cli.main(["prob", "--n", "30", "--p", "0.1", "--k0", "9", "--rounds", rounds])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "--rounds" in err and item in err
+
+    def test_negative_rounds_name_the_option_and_item(self, capsys):
+        code = cli.main(["prob", "--n", "30", "--p", "0.1", "--k0", "9", "--rounds", "1,-2"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: prob: --rounds: '-2' must be >= 0\n"
 
 
 class TestCanonicalConfig:

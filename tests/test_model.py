@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from dataclasses import replace as dc_replace
 from types import SimpleNamespace
 
@@ -511,3 +513,173 @@ class TestClassMajorTail:
         x[:3] = values[3]
         got = model._first_argmax(np.ascontiguousarray(x.T))
         assert np.array_equal(got, x.argmax(axis=1))
+
+
+class FakeBlasThreads:
+    """Stands in for OpenBLAS's `openblas_set_num_threads_local`: it sets the
+    thread count and returns the previous one."""
+
+    def __init__(self, threads):
+        self.threads = threads
+
+    def __call__(self, threads):
+        previous, self.threads = self.threads, threads
+        return previous
+
+
+@pytest.fixture
+def lanes(monkeypatch):
+    """Two evaluation lanes, on numpy's OpenBLAS setter or, without one, on
+    a stand-in; skipped where only one core is available."""
+    if model._blas_thread_setter() is None:
+        monkeypatch.setattr(model, "_BLAS_THREADS", FakeBlasThreads(1))
+    if model._helper_lane() is None:
+        pytest.skip("one core: the cohort runs as one lane")
+
+
+def blas_threads():
+    """The OpenBLAS thread count that the setter holds now."""
+    setter = model._blas_thread_setter()
+    now = setter(1)
+    setter(now)
+    return now
+
+
+def lane_threads(monkeypatch):
+    """Record the thread of every model evaluation."""
+    threads = []
+    honest = model._eval_into
+
+    def spy(*args):
+        threads.append(threading.get_ident())
+        return honest(*args)
+
+    monkeypatch.setattr(model, "_eval_into", spy)
+    return threads
+
+
+# The benchmark's wide validation set (2000 rows through 16-128-10, over the
+# lane budget) and its narrow one (100 rows through 16-32-10, under it).
+COHORT_SHAPES = {"wide": ((16, 128, 10), 2000), "narrow": ((16, 32, 10), 100)}
+
+
+def cohort_case(shape, count, seed=0):
+    """A spec, a data set and `count` models around the initial one, every
+    other model as a (start, delta) pair."""
+    sizes, n = COHORT_SHAPES[shape]
+    spec = MlpSpec(sizes, seed=seed)
+    data = gen_synthetic(sizes[-1], sizes[0], n, 4.0, seed=seed)
+    rng = np.random.default_rng(seed)
+    start = model.init_params(spec)
+    models = []
+    for i in range(count):
+        delta = rng.uniform(0.1, 2.0) * rng.normal(size=spec.param_count)
+        models.append((start, delta) if i % 2 else start + delta)
+    return spec, data, models
+
+
+def as_array(m):
+    return m[0] + m[1] if isinstance(m, tuple) else m
+
+
+class TestEvalCohort:
+    @pytest.mark.parametrize("predict", [False, True])
+    @pytest.mark.parametrize("count", [1, 2, 5, 30])
+    @pytest.mark.parametrize("shape", ["wide", "narrow"])
+    def test_matches_a_sequential_loop(self, monkeypatch, shape, count, predict):
+        spec, data, models = cohort_case(shape, count, seed=count)
+        threads = lane_threads(monkeypatch)
+        got = model.eval_cohort(models, spec, data, predict=predict)
+        split = shape == "wide" and count > 1 and model._helper_lane() is not None
+        assert len(set(threads)) == (2 if split else 1)
+        assert len(got) == count
+        for m, (losses, preds) in zip(models, got):
+            want_losses, want_preds = model.eval_losses(as_array(m), spec, data, predict=predict)
+            assert np.array_equal(losses, want_losses)
+            assert np.array_equal(losses, reference_eval_losses(as_array(m), spec, data)[0])
+            if predict:
+                assert np.array_equal(preds, want_preds)
+            else:
+                assert preds is None and want_preds is None
+
+    def test_pairs_leave_their_parts_untouched(self):
+        spec, data, models = cohort_case("wide", 4)
+        start, delta = models[1]
+        before = start.copy(), delta.copy()
+        model.eval_cohort(models, spec, data)
+        assert np.array_equal(start, before[0]) and np.array_equal(delta, before[1])
+
+    def test_without_the_blas_setter_outputs_match(self, monkeypatch):
+        spec, data, models = cohort_case("wide", 7)
+        split = model.eval_cohort(models, spec, data, predict=True)
+        monkeypatch.setattr(model, "_BLAS_THREADS", None)
+        threads = lane_threads(monkeypatch)
+        alone = model.eval_cohort(models, spec, data, predict=True)
+        assert len(set(threads)) == 1
+        for (a_losses, a_preds), (b_losses, b_preds) in zip(split, alone):
+            assert np.array_equal(a_losses, b_losses)
+            assert np.array_equal(a_preds, b_preds)
+
+    def test_helper_lane_error_reaches_the_caller(self, lanes):
+        spec, data, models = cohort_case("wide", 4)
+        models[1] = np.zeros(spec.param_count + 1)  # evaluated by the helper lane
+        with pytest.raises(ConfigurationError, match="parameter vector has length"):
+            model.eval_cohort(models, spec, data)
+        # The lane is free again for the next cohort.
+        models[1] = models[0]
+        losses = [l for l, _ in model.eval_cohort(models, spec, data)]
+        assert np.array_equal(losses[1], losses[0])
+
+    def test_helper_lane_runs_under_the_callers_error_state(self, lanes):
+        spec, data, models = cohort_case("wide", 2)
+        models[1] = 1e200 * as_array(models[1])  # overflows in the helper lane
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            model.eval_cohort(models, spec, data)
+
+    def test_concurrent_callers_each_get_their_own_results(self, lanes):
+        # More calling threads than cores, switching often; they share the one
+        # helper lane, and each must get the sequential results of its cohort.
+        cases = [cohort_case("wide", 5, seed=seed) for seed in range(4)]
+        want = [[model.eval_losses(as_array(m), spec, data)[0] for m in models]
+                for spec, data, models in cases]
+        got = [[] for _ in cases]
+
+        def run(i):
+            spec, data, models = cases[i]
+            for _ in range(3):
+                got[i].append([l for l, _ in model.eval_cohort(models, spec, data)])
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cases))]
+        before = blas_threads()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        # The pins overlapped across threads; the count is back all the same.
+        assert blas_threads() == before
+        for runs, expected in zip(got, want):
+            assert len(runs) == 3
+            for losses in runs:
+                assert all(np.array_equal(a, b) for a, b in zip(losses, expected))
+
+    def test_split_cohort_runs_on_one_blas_thread(self, monkeypatch, lanes):
+        fake = FakeBlasThreads(3)
+        monkeypatch.setattr(model, "_BLAS_THREADS", fake)
+        seen = []
+        honest = model._eval_into
+
+        def spy(*args):
+            seen.append(fake.threads)
+            return honest(*args)
+
+        monkeypatch.setattr(model, "_eval_into", spy)
+        spec, data, models = cohort_case("wide", 4)
+        model.eval_cohort(models, spec, data)
+        assert seen == [1] * 4
+        assert fake.threads == 3

@@ -26,7 +26,7 @@ from fedsim.orchestrator import (
     setup_experiment,
 )
 from fedsim.privacy import DpState
-from test_model import reference_sgd
+from test_model import FakeBlasThreads, reference_sgd
 
 def small_config(**overrides) -> ExperimentConfig:
     base = dict(
@@ -465,6 +465,60 @@ class TestRunExperiments:
         other = dc_replace(config, strategy=Strategy(kind="fedval"), selection_seed=6)
         with pytest.raises(ConfigurationError, match="more than strategy"):
             orchestrator.run_experiments([config, other])
+
+    @pytest.mark.parametrize("given_state", [False, True])
+    def test_each_config_validated_once(self, monkeypatch, given_state):
+        config = small_config(rounds=1)
+        configs = [dc_replace(config, strategy=Strategy(kind)) for kind in ("fedavg", "fedval")]
+        state = setup_experiment(config) if given_state else None
+        validated = []
+        honest = orchestrator.validate_config
+
+        def spy(config):
+            validated.append(config)
+            honest(config)
+
+        monkeypatch.setattr(orchestrator, "validate_config", spy)
+        orchestrator.run_experiments(configs, state)
+        assert sorted(map(id, validated)) == sorted(map(id, configs))
+
+    def test_setup_experiment_alone_validates(self):
+        with pytest.raises(ConfigurationError, match="clients_per_round"):
+            setup_experiment(small_config(clients_per_round=99))
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_blas_thread_count_restored(self, monkeypatch, fails):
+        fake = FakeBlasThreads(3)
+        monkeypatch.setattr(model, "_BLAS_THREADS", fake)
+        during = []
+        honest = orchestrator._lockstep_round
+
+        def lockstep_round(states, configs):
+            during.append(fake.threads)
+            if fails:
+                raise RuntimeError("round failed")
+            return honest(states, configs)
+
+        monkeypatch.setattr(orchestrator, "_lockstep_round", lockstep_round)
+        config = small_config(rounds=2)
+        if fails:
+            with pytest.raises(RuntimeError, match="round failed"):
+                orchestrator.run_experiments([config])
+        else:
+            orchestrator.run_experiments([config])
+        assert during == ([1] if fails else [1, 1])
+        assert fake.threads == 3
+
+    @pytest.mark.skipif(model._blas_thread_setter() is None,
+                        reason="numpy's OpenBLAS exports no per-thread setter")
+    def test_openblas_thread_count_restored(self):
+        setter = model._blas_thread_setter()
+        before = setter(2)
+        try:
+            orchestrator.run_experiments([small_config(rounds=1)])
+            assert setter(2) == 2
+        finally:
+            setter(before)
 
     def test_state_left_as_it_was(self):
         config = small_config(
