@@ -12,7 +12,8 @@ fedsim sources under `--src` (this checkout's `src/` by default). The
 workload inputs come from `bench/workloads.py`, which is imported and not
 changed; the CSV path in `server_wide`'s config is made relative, so the
 canonical config it writes does not depend on the scratch directory.
-`manifest.json` is left out: it holds a wall time and absolute paths.
+`manifest.json` is left out: it holds a wall time, absolute paths and the
+BLAS fingerprint, which names the OpenBLAS settings of the run.
 """
 
 from __future__ import annotations

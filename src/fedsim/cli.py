@@ -24,15 +24,21 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 import types
 import typing
 from pathlib import Path
 
+# The CLI owns its process: start numpy's OpenBLAS on one thread, so that no
+# worker thread spins while numpy and fedsim load. An explicit setting wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 import fedsim
+from fedsim import model
 from fedsim.aggregators import STRATEGY_KINDS, Strategy
 from fedsim.errors import ConfigurationError
 from fedsim.metrics import MetricRecord
@@ -181,6 +187,7 @@ class RunManifest:
     artifacts: dict[str, str]
     tool_version: str
     duration_seconds: float
+    blas: dict[str, str | int | None]
 
 
 def _format_cell(value) -> str:
@@ -243,6 +250,7 @@ def _write_run(
         },
         tool_version=fedsim.__version__,
         duration_seconds=duration,
+        blas=model.blas_fingerprint(),
     )
     (out / "manifest.json").write_text(
         json.dumps(dataclasses.asdict(manifest), sort_keys=True, indent=2) + "\n",

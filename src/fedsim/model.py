@@ -638,12 +638,11 @@ def _eval_into(
         _first_argmax(t, preds)
 
 
-def _find_blas_thread_setter():
-    """`openblas_set_num_threads_local` of the OpenBLAS that numpy bundles,
-    or None when numpy brings no OpenBLAS that exports it. It sets the
-    OpenBLAS thread count and returns the previous one: for the calling
-    thread where OpenBLAS keeps the count per thread, and for the whole
-    process in the pthreads build that numpy's wheels ship."""
+@functools.cache
+def _openblas() -> ctypes.CDLL | None:
+    """The OpenBLAS library that numpy bundles, opened once, or None when
+    numpy brings none. The thread setter and `blas_fingerprint` both read
+    it."""
     root = os.path.dirname(np.__file__)
     for folder in (root + ".libs", os.path.join(root, ".dylibs")):
         try:
@@ -654,13 +653,53 @@ def _find_blas_thread_setter():
             if "openblas" not in name:
                 continue
             try:
-                setter = ctypes.CDLL(os.path.join(folder, name)).openblas_set_num_threads_local
-            except (OSError, AttributeError):
+                return ctypes.CDLL(os.path.join(folder, name))
+            except OSError:
                 continue
-            setter.argtypes = [ctypes.c_int]
-            setter.restype = ctypes.c_int
-            return setter
     return None
+
+
+def _find_blas_thread_setter():
+    """`openblas_set_num_threads_local` of the OpenBLAS that numpy bundles,
+    or None when numpy brings no OpenBLAS that exports it. It sets the
+    OpenBLAS thread count and returns the previous one: for the calling
+    thread where OpenBLAS keeps the count per thread, and for the whole
+    process in the pthreads build that numpy's wheels ship."""
+    setter = getattr(_openblas(), "openblas_set_num_threads_local", None)
+    if setter is not None:
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = ctypes.c_int
+    return setter
+
+
+def _openblas_call(name: str, restype):
+    """OpenBLAS's argument-free function `name`, called under the name that
+    numpy's scipy-openblas build exports (`scipy_<name>64_`) or else its
+    own; None when numpy's OpenBLAS has neither."""
+    lib = _openblas()
+    for symbol in (f"scipy_{name}64_", name):
+        function = getattr(lib, symbol, None)
+        if function is not None:
+            function.argtypes, function.restype = [], restype
+            return function()
+    return None
+
+
+def blas_fingerprint() -> dict[str, str | int | None]:
+    """The numpy and OpenBLAS that a run's bits depend on, for its manifest:
+    the numpy version, OpenBLAS's build string, the kernel it runs and its
+    thread count, and the two variables that choose them. The OpenBLAS
+    fields are None where numpy bundles no OpenBLAS."""
+    config = _openblas_call("openblas_get_config", ctypes.c_char_p)
+    corename = _openblas_call("openblas_get_corename", ctypes.c_char_p)
+    return {
+        "numpy_version": np.__version__,
+        "openblas_config": None if config is None else config.decode(),
+        "openblas_corename": None if corename is None else corename.decode(),
+        "openblas_num_threads": _openblas_call("openblas_get_num_threads", ctypes.c_int),
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "OPENBLAS_CORETYPE": os.environ.get("OPENBLAS_CORETYPE"),
+    }
 
 
 # The setter, looked up at first use rather than at import; `...` until then.

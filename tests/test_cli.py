@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fedsim
-from fedsim import cli, orchestrator
+from fedsim import cli, model, orchestrator
 from fedsim.aggregators import STRATEGY_KINDS, ClientUpdate, Strategy
 from fedsim.data import PartitionSpec
 from fedsim.errors import ConfigurationError
@@ -139,6 +139,81 @@ class TestRun:
         assert done.stderr.splitlines() == [
             "runtime error: training diverged: non-finite parameters (learning rate too high?)"
         ]
+
+
+def fresh_python(argv: list[str], **env_vars) -> subprocess.CompletedProcess:
+    """`python argv` in a fresh process with fedsim on its path, and with
+    OPENBLAS_NUM_THREADS unset unless given in `env_vars`."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update(env_vars, PYTHONPATH=str(Path(fedsim.__file__).parents[1]))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env,
+                          check=True)
+
+
+def cpu_has(flag: str) -> bool:
+    try:
+        return flag in Path("/proc/cpuinfo").read_text().split()
+    except OSError:
+        return False
+
+
+class TestOpenBlasStart:
+    """The CLI starts numpy's OpenBLAS on one thread unless the variable is
+    set; library modules leave the environment alone."""
+
+    @staticmethod
+    def after_import(module: str, **env_vars) -> list:
+        """OPENBLAS_NUM_THREADS and the process's OS thread count (0 off
+        Linux) after a fresh `import module`."""
+        code = (f"import json, os, sys, {module}; print(json.dumps(["
+                "os.environ.get('OPENBLAS_NUM_THREADS'), "
+                "len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else 0]))")
+        return json.loads(fresh_python(["-c", code], **env_vars).stdout)
+
+    def test_cli_starts_openblas_on_one_thread(self):
+        value, threads = self.after_import("fedsim.cli")
+        assert value == "1"
+        if sys.platform == "linux":
+            assert threads == 1
+
+    def test_explicit_setting_wins(self):
+        value, _ = self.after_import("fedsim.cli", OPENBLAS_NUM_THREADS="2")
+        assert value == "2"
+
+    def test_library_leaves_the_variable_unset(self):
+        value, _ = self.after_import("fedsim.orchestrator")
+        assert value is None
+
+
+BLAS_KEYS = {"numpy_version", "openblas_config", "openblas_corename", "openblas_num_threads",
+             "OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE"}
+
+
+class TestBlasFingerprint:
+    def test_manifest_records_it(self, tmp_path):
+        path = write_config(tmp_path, minimal_config(rounds=1))
+        out = tmp_path / "out"
+        assert cli.main(["run", path, "--out", str(out)]) == 0
+        blas = json.loads((out / "manifest.json").read_text())["blas"]
+        assert set(blas) == BLAS_KEYS
+        assert blas["numpy_version"] == np.__version__
+        if model._openblas() is not None:
+            assert blas["openblas_config"].startswith("OpenBLAS")
+            assert blas["openblas_corename"]
+            assert blas["openblas_num_threads"] >= 1
+
+    @pytest.mark.skipif(not cpu_has("avx2"), reason="the Haswell kernel needs AVX2")
+    @pytest.mark.skipif(model._openblas() is None, reason="numpy bundles no OpenBLAS")
+    def test_forced_kernel_is_recorded(self, tmp_path):
+        path = write_config(tmp_path, minimal_config(rounds=1))
+        out = tmp_path / "out"
+        fresh_python(["-m", "fedsim.cli", "run", path, "--out", str(out)],
+                     OPENBLAS_CORETYPE="Haswell")
+        blas = json.loads((out / "manifest.json").read_text())["blas"]
+        assert blas["openblas_corename"] == "Haswell"
+        assert blas["OPENBLAS_CORETYPE"] == "Haswell"
+        assert blas["OPENBLAS_NUM_THREADS"] == "1"
+        assert blas["openblas_num_threads"] == 1
 
 
 def assert_refused(tmp_path, capsys, config, named):
