@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import TextIO
 
@@ -107,8 +108,9 @@ class ValidationSet:
         if missing:
             raise ConfigurationError(f"holdout has no samples of labels {missing}")
         self.label_indices = dict(enumerate(rows))
+        # The sorted keys without `np.unique`, which imports numpy.ma.
         self.group_indices = {} if groups is None else {
-            int(g): np.flatnonzero(groups == g) for g in np.unique(groups)
+            g: np.flatnonzero(groups == g) for g in sorted(set(groups.tolist()))
         }
         # Sample positions in label order, and where each label's run starts.
         self._order = np.concatenate(rows)
@@ -158,12 +160,13 @@ def gen_synthetic(
 
 
 def _deal_stratified(
-    labels: np.ndarray, classes: int, clients: list[int], rng: np.random.Generator
+    labels: np.ndarray, deal: Iterable[int], n_clients: int, rng: np.random.Generator
 ) -> list[list[int]]:
-    """Per-label shuffle + rotated chunking so remainders spread evenly."""
-    shards: list[list[int]] = [[] for _ in clients]
-    n_clients = len(clients)
-    for k in range(classes):
+    """Deal the samples of each label in `deal` over `n_clients` shards:
+    per-label shuffle + chunking rotated by the label, so remainders spread
+    evenly."""
+    shards: list[list[int]] = [[] for _ in range(n_clients)]
+    for k in deal:
         pool = rng.permutation(np.flatnonzero(labels == k))
         chunks = np.array_split(pool, n_clients)
         for i in range(n_clients):
@@ -193,7 +196,7 @@ def _partition_once(
     n = len(data)
     n_clients = spec.client_count
     if spec.scheme == "iid":
-        return _deal_stratified(data.labels, data.num_classes, list(range(n_clients)), rng)
+        return _deal_stratified(data.labels, range(data.num_classes), n_clients, rng)
 
     if spec.scheme == "lda":
         proportions = rng.dirichlet(np.full(data.num_classes, spec.alpha), size=n_clients)
@@ -224,12 +227,7 @@ def _partition_once(
             if m < 0 or m >= data.num_classes:
                 raise ConfigurationError(f"missing label {m} outside [0, {data.num_classes})")
         present = [k for k in range(data.num_classes) if k not in missing]
-        shards = [[] for _ in range(n_clients)]
-        for k in present:
-            pool = rng.permutation(np.flatnonzero(data.labels == k))
-            chunks = np.array_split(pool, n_clients)
-            for i in range(n_clients):
-                shards[(i + k) % n_clients].extend(chunks[i].tolist())
+        shards = _deal_stratified(data.labels, present, n_clients, rng)
         for j, k in enumerate(sorted(missing)):
             pool = rng.permutation(np.flatnonzero(data.labels == k))
             chunks = np.array_split(pool, len(holders))

@@ -29,10 +29,10 @@ order, and `class_sums` adds each column in numpy's own order for a
 length-K row. Argmax predictions are computed only for the callers that
 read them.
 
-A cohort of large evaluations runs on two lanes, the calling thread and one
-persistent helper thread, each on one OpenBLAS thread. Every model is still
-evaluated whole by one lane, and OpenBLAS's bits do not depend on its
-thread count, so the split changes no output.
+A cohort of large evaluations runs on two lanes, the calling thread and
+one persistent helper thread, while the caller holds OpenBLAS on one
+thread. Every model is still evaluated whole by one lane, and OpenBLAS's
+bits do not depend on its thread count, so the split changes no output.
 """
 
 from __future__ import annotations
@@ -563,10 +563,13 @@ def eval_cohort(
     When the cohort has several models, each evaluation is large
     (`_LANE_ELEMENTS`), numpy's OpenBLAS can be pinned and two cores are
     available, the calling thread evaluates the even models and the helper
-    lane the odd ones, both on one OpenBLAS thread; otherwise the calling
-    thread evaluates them all. The helper lane writes only into buffers
-    allocated here. Either way every model is evaluated whole, so the
-    results are the same bits.
+    lane the odd ones; otherwise the calling thread evaluates them all. The
+    caller holds `one_blas_thread` until the helper is done, which in
+    numpy's pthreads OpenBLAS pins both lanes, since the count is
+    process-wide. The helper lane runs under the caller's numpy error
+    state, writes only into buffers allocated here, and its error is
+    raised here. Either way every model is evaluated whole, so the results
+    are the same bits.
     """
     n = len(data.labels)
     if n == 0:
@@ -577,24 +580,26 @@ def eval_cohort(
     losses = np.empty((len(models), n))
     preds = np.empty((len(models), n), dtype=np.intp) if predict else None
 
+    errstate = np.geterr()
+
     def lane(first: int, step: int, work: tuple) -> None:
-        for i in range(first, len(models), step):
-            _eval_into(models[i], spec, x, picks, work, losses[i],
-                       None if preds is None else preds[i])
+        with np.errstate(**errstate):  # the caller's, on the helper thread too
+            for i in range(first, len(models), step):
+                _eval_into(models[i], spec, x, picks, work, losses[i],
+                           None if preds is None else preds[i])
 
     split = len(models) > 1 and n * max(spec.layer_sizes) > _LANE_ELEMENTS
     helper = _helper_lane() if split else None
     if helper is None:
         lane(0, 1, _workspace(spec, n))
     else:
-        with one_blas_thread(), helper.lock:
-            helper.start(functools.partial(lane, 1, 2, _workspace(spec, n)))
+        with one_blas_thread():
+            odd = helper.submit(lane, 1, 2, _workspace(spec, n))
             try:
                 lane(0, 2, _workspace(spec, n))
             finally:
-                error = helper.wait()
-            if error is not None:
-                raise error
+                odd.exception()  # waits for the helper, also when this lane fails
+            odd.result()
     return [(losses[i], None if preds is None else preds[i]) for i in range(len(models))]
 
 
@@ -659,12 +664,14 @@ def _openblas() -> ctypes.CDLL | None:
     return None
 
 
-def _find_blas_thread_setter():
+@functools.cache
+def _blas_thread_setter():
     """`openblas_set_num_threads_local` of the OpenBLAS that numpy bundles,
-    or None when numpy brings no OpenBLAS that exports it. It sets the
-    OpenBLAS thread count and returns the previous one: for the calling
-    thread where OpenBLAS keeps the count per thread, and for the whole
-    process in the pthreads build that numpy's wheels ship."""
+    looked up at first use, or None when numpy brings no OpenBLAS that
+    exports it. It sets the OpenBLAS thread count and returns the previous
+    one: for the calling thread where OpenBLAS keeps the count per thread,
+    and for the whole process in the pthreads build that numpy's wheels
+    ship."""
     setter = getattr(_openblas(), "openblas_set_num_threads_local", None)
     if setter is not None:
         setter.argtypes = [ctypes.c_int]
@@ -700,17 +707,6 @@ def blas_fingerprint() -> dict[str, str | int | None]:
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         "OPENBLAS_CORETYPE": os.environ.get("OPENBLAS_CORETYPE"),
     }
-
-
-# The setter, looked up at first use rather than at import; `...` until then.
-_BLAS_THREADS = ...
-
-
-def _blas_thread_setter():
-    global _BLAS_THREADS
-    if _BLAS_THREADS is ...:
-        _BLAS_THREADS = _find_blas_thread_setter()
-    return _BLAS_THREADS
 
 
 # Blocks inside `one_blas_thread` over all threads, and the thread count
@@ -750,54 +746,17 @@ def one_blas_thread():
                 setter(_unpinned)
 
 
-class _HelperLane:
-    """A daemon thread that runs one job at a time: the odd lane of each
-    split cohort. It lives as long as the process, so a cohort costs two
-    handoffs, not a thread start. A caller holds `lock` for its cohort.
-    Each job runs on one OpenBLAS thread and under the caller's numpy error
-    state."""
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self._ready = threading.Event()
-        self._done = threading.Event()
-        self._job = None
-        self._errstate = None
-        self._error = None
-        threading.Thread(target=self._serve, name="fedsim-eval-lane", daemon=True).start()
-
-    def start(self, job) -> None:
-        self._job, self._errstate, self._error = job, np.geterr(), None
-        self._done.clear()
-        self._ready.set()
-
-    def wait(self) -> BaseException | None:
-        """Block until the job has finished; return what it raised, if anything."""
-        self._done.wait()
-        error, self._error = self._error, None
-        return error
-
-    def _serve(self) -> None:
-        while True:
-            self._ready.wait()
-            self._ready.clear()
-            try:
-                with one_blas_thread(), np.errstate(**self._errstate):
-                    self._job()
-            except BaseException as exc:  # re-raised by the caller's `wait`
-                self._error = exc
-            self._job = None
-            self._done.set()
-
-
-_HELPER: _HelperLane | None = None
+_HELPER = None  # the helper lane, once started
 _HELPER_LOCK = threading.Lock()
 
 
-def _helper_lane() -> _HelperLane | None:
-    """The helper lane, started at first use; None when OpenBLAS cannot be
-    pinned or fewer than two cores are available, so that lanes would
-    share a core or spin OpenBLAS's threads."""
+def _helper_lane():
+    """The one-worker executor that runs the odd lane of each split cohort,
+    started at first use; None when OpenBLAS cannot be pinned or fewer than
+    two cores are available, so that lanes would share a core or spin
+    OpenBLAS's threads. Its queue runs one cohort's lane at a time, and it
+    lives as long as the process, so a cohort costs a handoff, not a thread
+    start."""
     global _HELPER
     if _blas_thread_setter() is None:
         return None
@@ -806,5 +765,7 @@ def _helper_lane() -> _HelperLane | None:
         return None
     with _HELPER_LOCK:
         if _HELPER is None:
-            _HELPER = _HelperLane()
+            from concurrent.futures import ThreadPoolExecutor
+
+            _HELPER = ThreadPoolExecutor(1, thread_name_prefix="fedsim-eval-lane")
         return _HELPER

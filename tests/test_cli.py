@@ -130,10 +130,9 @@ class TestRun:
         config = minimal_config()
         config["train"]["learning_rate"] = 1e200
         path = write_config(tmp_path, config)
-        env = dict(os.environ, PYTHONPATH=str(Path(fedsim.__file__).parents[1]))
         done = subprocess.run(
             [sys.executable, "-m", "fedsim.cli", "run", path, "--out", str(tmp_path / "out")],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=child_env(),
         )
         assert done.returncode == 2
         assert done.stderr.splitlines() == [
@@ -141,13 +140,21 @@ class TestRun:
         ]
 
 
-def fresh_python(argv: list[str], **env_vars) -> subprocess.CompletedProcess:
-    """`python argv` in a fresh process with fedsim on its path, and with
-    OPENBLAS_NUM_THREADS unset unless given in `env_vars`."""
+def child_env(**env_vars) -> dict[str, str]:
+    """The environment of a fresh fedsim process: this one's, with fedsim on
+    the path and OPENBLAS_NUM_THREADS unset unless given in `env_vars`.
+    Importing `fedsim.cli` sets that variable in this process, so without
+    this every later child would inherit it and none would see the CLI's
+    own default start."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env.update(env_vars, PYTHONPATH=str(Path(fedsim.__file__).parents[1]))
-    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env,
-                          check=True)
+    return env
+
+
+def fresh_python(argv: list[str], **env_vars) -> subprocess.CompletedProcess:
+    """`python argv` in a fresh process with `child_env(**env_vars)`."""
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env=child_env(**env_vars), check=True)
 
 
 def cpu_has(flag: str) -> bool:
@@ -183,6 +190,33 @@ class TestOpenBlasStart:
     def test_library_leaves_the_variable_unset(self):
         value, _ = self.after_import("fedsim.orchestrator")
         assert value is None
+
+
+class TestImportFootprint:
+    def test_grouped_csv_setup_leaves_numpy_ma_unloaded(self, tmp_path):
+        # numpy.ma costs about 1 MB of RSS and 10 ms; `np.unique` imports it.
+        if json.loads(fresh_python(
+                ["-c", "import json, sys, numpy; print(json.dumps('numpy.ma' in sys.modules))"]
+        ).stdout):
+            pytest.skip("numpy loads numpy.ma on import")
+        rows = ["f0,f1,y,g"] + [f"{i % 7 / 7:.3f},{i % 5 / 5:.3f},{i % 2},{'AB'[i % 3 == 0]}"
+                                for i in range(120)]
+        csv_path = tmp_path / "grouped.csv"
+        csv_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        config = minimal_config(
+            task={"type": "csv", "path": str(csv_path), "feature_columns": ["f0", "f1"],
+                  "label_column": "y", "group_column": "g"},
+            model={"layer_sizes": [2, 8, 2], "seed": 0},
+            validation={"per_label": 5, "seed": 2},
+            test={"per_label": 10, "seed": 1},
+        )
+        path = write_config(tmp_path, config)
+        code = ("import json, sys; from fedsim import cli, orchestrator; "
+                f"state = orchestrator.setup_experiment(cli.load_config({path!r})); "
+                "print(json.dumps([sorted(state.val.group_indices), 'numpy.ma' in sys.modules]))")
+        groups, loaded = json.loads(fresh_python(["-c", code]).stdout)
+        assert groups == [0, 1]
+        assert not loaded
 
 
 BLAS_KEYS = {"numpy_version", "openblas_config", "openblas_corename", "openblas_num_threads",

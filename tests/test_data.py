@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from fedsim import data as data_module
 from fedsim import model
 from fedsim.data import (
     CsvSchema,
@@ -161,6 +162,62 @@ class TestPartition:
                              missing=(1,), affected_fraction=1.0)
         with pytest.raises(ConfigurationError):
             partition(data, spec)
+
+
+def reference_partition_once(data, spec, rng):
+    """The iid and missing_labels branches of `_partition_once` as they were
+    before both dealt their labels through `_deal_stratified`."""
+    n_clients = spec.client_count
+    if spec.scheme == "iid":
+        shards = [[] for _ in range(n_clients)]
+        for k in range(data.num_classes):
+            pool = rng.permutation(np.flatnonzero(data.labels == k))
+            chunks = np.array_split(pool, n_clients)
+            for i in range(n_clients):
+                shards[(i + k) % n_clients].extend(chunks[i].tolist())
+        return shards
+    affected_count = round(spec.affected_fraction * n_clients)
+    affected = set(rng.choice(n_clients, size=affected_count, replace=False).tolist())
+    holders = [c for c in range(n_clients) if c not in affected]
+    missing = set(spec.missing)
+    present = [k for k in range(data.num_classes) if k not in missing]
+    shards = [[] for _ in range(n_clients)]
+    for k in present:
+        pool = rng.permutation(np.flatnonzero(data.labels == k))
+        chunks = np.array_split(pool, n_clients)
+        for i in range(n_clients):
+            shards[(i + k) % n_clients].extend(chunks[i].tolist())
+    for j, k in enumerate(sorted(missing)):
+        pool = rng.permutation(np.flatnonzero(data.labels == k))
+        chunks = np.array_split(pool, len(holders))
+        for i in range(len(holders)):
+            shards[holders[(i + j) % len(holders)]].extend(chunks[i].tolist())
+    return shards
+
+
+class TestDealStratifiedParity:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            PartitionSpec("iid", client_count=7, seed=11),
+            PartitionSpec("iid", client_count=40, seed=3),
+            PartitionSpec("missing_labels", client_count=7, seed=11, missing=(1,),
+                          affected_fraction=0.5),
+            PartitionSpec("missing_labels", client_count=40, seed=4, missing=(4, 5),
+                          affected_fraction=0.7),
+            PartitionSpec("missing_labels", client_count=9, seed=2, missing=(0, 3),
+                          affected_fraction=0.0),
+        ],
+    )
+    def test_partition_matches_the_old_loops(self, monkeypatch, spec):
+        data = gen_synthetic(6, 6, 1003, 3.0, seed=9)
+        shards = partition(data, spec)
+        monkeypatch.setattr(data_module, "_partition_once", reference_partition_once)
+        expected = partition(data, spec)
+        assert len(shards) == len(expected)
+        for got, want in zip(shards, expected):
+            assert np.array_equal(got.labels, want.labels)
+            assert np.array_equal(got.features, want.features)
 
 
 class TestBuildValidation:

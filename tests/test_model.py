@@ -532,7 +532,8 @@ def lanes(monkeypatch):
     """Two evaluation lanes, on numpy's OpenBLAS setter or, without one, on
     a stand-in; skipped where only one core is available."""
     if model._blas_thread_setter() is None:
-        monkeypatch.setattr(model, "_BLAS_THREADS", FakeBlasThreads(1))
+        fake = FakeBlasThreads(1)
+        monkeypatch.setattr(model, "_blas_thread_setter", lambda: fake)
     if model._helper_lane() is None:
         pytest.skip("one core: the cohort runs as one lane")
 
@@ -612,7 +613,7 @@ class TestEvalCohort:
     def test_without_the_blas_setter_outputs_match(self, monkeypatch):
         spec, data, models = cohort_case("wide", 7)
         split = model.eval_cohort(models, spec, data, predict=True)
-        monkeypatch.setattr(model, "_BLAS_THREADS", None)
+        monkeypatch.setattr(model, "_blas_thread_setter", lambda: None)
         threads = lane_threads(monkeypatch)
         alone = model.eval_cohort(models, spec, data, predict=True)
         assert len(set(threads)) == 1
@@ -629,6 +630,33 @@ class TestEvalCohort:
         models[1] = models[0]
         losses = [l for l, _ in model.eval_cohort(models, spec, data)]
         assert np.array_equal(losses[1], losses[0])
+
+    def test_caller_lane_error_waits_for_the_helper(self, monkeypatch, lanes):
+        spec, data, models = cohort_case("wide", 4)
+        models[0] = np.zeros(spec.param_count + 1)  # evaluated by the calling thread
+        caller, failed, helper_done = threading.get_ident(), threading.Event(), []
+        honest = model._eval_into
+
+        def spy(*args):
+            if threading.get_ident() == caller:
+                try:
+                    return honest(*args)
+                finally:
+                    failed.set()
+            # The helper starts each model only once the caller has failed.
+            assert failed.wait(timeout=30)
+            honest(*args)
+            helper_done.append(id(args[0]))
+
+        monkeypatch.setattr(model, "_eval_into", spy)
+        before = blas_threads()
+        with pytest.raises(ConfigurationError, match="parameter vector has length"):
+            model.eval_cohort(models, spec, data)
+        assert helper_done == [id(models[1]), id(models[3])]
+        assert blas_threads() == before
+        models[0] = models[2]
+        losses = [l for l, _ in model.eval_cohort(models, spec, data)]
+        assert np.array_equal(losses[0], losses[2])
 
     def test_helper_lane_runs_under_the_callers_error_state(self, lanes):
         spec, data, models = cohort_case("wide", 2)
@@ -670,7 +698,7 @@ class TestEvalCohort:
 
     def test_split_cohort_runs_on_one_blas_thread(self, monkeypatch, lanes):
         fake = FakeBlasThreads(3)
-        monkeypatch.setattr(model, "_BLAS_THREADS", fake)
+        monkeypatch.setattr(model, "_blas_thread_setter", lambda: fake)
         seen = []
         honest = model._eval_into
 

@@ -489,7 +489,7 @@ class TestRunExperiments:
     @pytest.mark.parametrize("fails", [False, True])
     def test_blas_thread_count_restored(self, monkeypatch, fails):
         fake = FakeBlasThreads(3)
-        monkeypatch.setattr(model, "_BLAS_THREADS", fake)
+        monkeypatch.setattr(model, "_blas_thread_setter", lambda: fake)
         during = []
         honest = orchestrator._lockstep_round
 
