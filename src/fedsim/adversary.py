@@ -105,11 +105,11 @@ def pga_combine(
     malicious_delta = _check_ascended(ascended) - global_params
     mal_norm = float(np.linalg.norm(malicious_delta))
     if mal_norm == 0.0:
-        log.warning("pga_update: degenerate zero ascent delta, returning global model")
+        log.warning("pga_combine: degenerate zero ascent delta, returning global model")
         return global_params.copy()
     benign_norm = float(np.linalg.norm(model.check_trained(benign) - global_params))
     if benign_norm == 0.0:
-        log.warning("pga_update: benign reference delta is zero, returning global model")
+        log.warning("pga_combine: benign reference delta is zero, returning global model")
         return global_params.copy()
     return global_params + (scale_factor * benign_norm / mal_norm) * malicious_delta
 

@@ -30,14 +30,15 @@ length-K row. Argmax predictions are computed only for the callers that
 read them.
 
 A cohort of large evaluations runs on two lanes, the calling thread and
-one persistent helper thread, while the caller holds OpenBLAS on one
-thread. Every model is still evaluated whole by one lane, and OpenBLAS's
-bits do not depend on its thread count, so the split changes no output.
+one persistent helper thread, when OpenBLAS runs one thread, as the CLI
+starts it. The library never sets OpenBLAS's thread count: that belongs to
+the process that starts Python. Every model is still evaluated whole by one
+lane, and OpenBLAS's bits do not depend on its thread count, so the split
+changes no output.
 """
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import os
@@ -535,11 +536,11 @@ def eval_losses(
 
 
 # A cohort is split over two lanes when one evaluation's widest activation,
-# rows x widest layer, holds more float64s than this. On two cores, pinned
-# lanes were no faster at 64,000 elements (500 x 128, 2000 x 32), and
-# faster from 128,000 up: 2000 x 128 took 590-680 us per evaluation against
-# 960-1020 on one lane. A 100 x 32 evaluation (about 40 us) lost to the
-# handoff.
+# rows x widest layer, holds more float64s than this. On two cores, lanes
+# on one OpenBLAS thread were no faster at 64,000 elements (500 x 128,
+# 2000 x 32), and faster from 128,000 up: 2000 x 128 took 590-680 us per
+# evaluation against 960-1020 on one lane. A 100 x 32 evaluation (about
+# 40 us) lost to the handoff.
 _LANE_ELEMENTS = 65536
 
 
@@ -561,15 +562,12 @@ def eval_cohort(
     predictions need them all.
 
     When the cohort has several models, each evaluation is large
-    (`_LANE_ELEMENTS`), numpy's OpenBLAS can be pinned and two cores are
-    available, the calling thread evaluates the even models and the helper
-    lane the odd ones; otherwise the calling thread evaluates them all. The
-    caller holds `one_blas_thread` until the helper is done, which in
-    numpy's pthreads OpenBLAS pins both lanes, since the count is
-    process-wide. The helper lane runs under the caller's numpy error
-    state, writes only into buffers allocated here, and its error is
-    raised here. Either way every model is evaluated whole, so the results
-    are the same bits.
+    (`_LANE_ELEMENTS`), and `_helper_lane` gives a lane, the calling thread
+    evaluates the even models and the helper lane the odd ones; otherwise
+    the calling thread evaluates them all. The helper lane runs under the
+    caller's numpy error state, writes only into buffers allocated here,
+    and its error is raised here once it is done. Either way every model is
+    evaluated whole, so the results are the same bits.
     """
     n = len(data.labels)
     if n == 0:
@@ -593,13 +591,12 @@ def eval_cohort(
     if helper is None:
         lane(0, 1, _workspace(spec, n))
     else:
-        with one_blas_thread():
-            odd = helper.submit(lane, 1, 2, _workspace(spec, n))
-            try:
-                lane(0, 2, _workspace(spec, n))
-            finally:
-                odd.exception()  # waits for the helper, also when this lane fails
-            odd.result()
+        odd = helper.submit(lane, 1, 2, _workspace(spec, n))
+        try:
+            lane(0, 2, _workspace(spec, n))
+        finally:
+            odd.exception()  # waits for the helper, also when this lane fails
+        odd.result()
     return [(losses[i], None if preds is None else preds[i]) for i in range(len(models))]
 
 
@@ -646,7 +643,7 @@ def _eval_into(
 @functools.cache
 def _openblas() -> ctypes.CDLL | None:
     """The OpenBLAS library that numpy bundles, opened once, or None when
-    numpy brings none. The thread setter and `blas_fingerprint` both read
+    numpy brings none. `_helper_lane` and `blas_fingerprint` both read
     it."""
     root = os.path.dirname(np.__file__)
     for folder in (root + ".libs", os.path.join(root, ".dylibs")):
@@ -662,21 +659,6 @@ def _openblas() -> ctypes.CDLL | None:
             except OSError:
                 continue
     return None
-
-
-@functools.cache
-def _blas_thread_setter():
-    """`openblas_set_num_threads_local` of the OpenBLAS that numpy bundles,
-    looked up at first use, or None when numpy brings no OpenBLAS that
-    exports it. It sets the OpenBLAS thread count and returns the previous
-    one: for the calling thread where OpenBLAS keeps the count per thread,
-    and for the whole process in the pthreads build that numpy's wheels
-    ship."""
-    setter = getattr(_openblas(), "openblas_set_num_threads_local", None)
-    if setter is not None:
-        setter.argtypes = [ctypes.c_int]
-        setter.restype = ctypes.c_int
-    return setter
 
 
 def _openblas_call(name: str, restype):
@@ -709,56 +691,20 @@ def blas_fingerprint() -> dict[str, str | int | None]:
     }
 
 
-# Blocks inside `one_blas_thread` over all threads, and the thread count
-# before the first of them: where the count is process-wide, the last block
-# to leave restores it, whichever thread opened the first.
-_PIN_LOCK = threading.Lock()
-_pins = 0
-_unpinned = None
-
-
-@contextlib.contextmanager
-def one_blas_thread():
-    """Run the block with the calling thread on one OpenBLAS thread (in
-    numpy's pthreads build, the whole process), and put the previous thread
-    count back when the last such block in the process leaves, even on
-    error. Without numpy's OpenBLAS setter this changes nothing.
-
-    OpenBLAS's other threads then never wake, so none of them busy-waits
-    for work between calls; its results do not depend on the thread count.
-    """
-    global _pins, _unpinned
-    setter = _blas_thread_setter()
-    if setter is None:
-        yield
-        return
-    with _PIN_LOCK:
-        previous = setter(1)
-        if _pins == 0:
-            _unpinned = previous
-        _pins += 1
-    try:
-        yield
-    finally:
-        with _PIN_LOCK:
-            _pins -= 1
-            if _pins == 0:
-                setter(_unpinned)
-
-
 _HELPER = None  # the helper lane, once started
 _HELPER_LOCK = threading.Lock()
 
 
 def _helper_lane():
     """The one-worker executor that runs the odd lane of each split cohort,
-    started at first use; None when OpenBLAS cannot be pinned or fewer than
-    two cores are available, so that lanes would share a core or spin
-    OpenBLAS's threads. Its queue runs one cohort's lane at a time, and it
-    lives as long as the process, so a cohort costs a handoff, not a thread
-    start."""
+    started at first use; None unless numpy's OpenBLAS reports one thread
+    and two cores are available, so that lanes never share a core or spin
+    OpenBLAS's threads. The count is read, never set: a process that wants
+    the lanes starts Python with OPENBLAS_NUM_THREADS=1, as the CLI does.
+    Its queue runs one cohort's lane at a time, and it lives as long as the
+    process, so a cohort costs a handoff, not a thread start."""
     global _HELPER
-    if _blas_thread_setter() is None:
+    if _openblas_call("openblas_get_num_threads", ctypes.c_int) != 1:
         return None
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     if (cores or 1) < 2:

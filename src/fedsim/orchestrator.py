@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field, fields, replace as dc_replace
 
 import numpy as np
 
@@ -154,16 +154,13 @@ class RoundLog:
     zero_update: bool = False
 
     def as_dict(self) -> dict:
-        return {
-            "round": self.round,
-            "selected": list(self.selected),
-            "malicious_selected": self.malicious_selected,
-            "val_loss": self.val_loss,
-            "s2": self.s2,
-            "scores": {str(k): v for k, v in self.scores.items()} if self.scores else None,
-            "weights": {str(k): v for k, v in self.weights.items()} if self.weights else None,
-            "zero_update": self.zero_update,
-        }
+        """Every field, with client ids as string keys, which
+        `json.dumps(sort_keys=True)` orders as text, not as numbers."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["selected"] = list(self.selected)
+        for name in ("scores", "weights"):
+            out[name] = {str(k): v for k, v in out[name].items()} if out[name] else None
+        return out
 
 
 @dataclass
@@ -473,10 +470,6 @@ def run_experiments(
     (`setup_experiment(configs[0])` by default), which is left as it was,
     and gives bit for bit the result of running it alone. An error in any
     strategy stops them all.
-
-    The calling thread runs on one OpenBLAS thread for the whole run (see
-    `model.one_blas_thread`), and its previous thread count is put back
-    when the run returns or raises.
     """
     if not configs:
         raise ConfigurationError("run_experiments: no configs")
@@ -496,23 +489,22 @@ def run_experiments(
 
     records: list[list[MetricRecord]] = [[] for _ in configs]
     logs: list[list[RoundLog]] = [[] for _ in configs]
-    with model.one_blas_thread():
-        for r in range(first.rounds):
-            for s, own_records, own_logs, log in zip(
-                states, records, logs, _lockstep_round(states, configs)
-            ):
-                own_logs.append(log)
-                if (r + 1) % first.metrics_every == 0 or r == first.rounds - 1:
-                    own_records.append(
-                        metrics.evaluate(
-                            s.global_params,
-                            first.model,
-                            s.test,
-                            backdoor=backdoor,
-                            round_index=r,
-                            validation_loss=log.val_loss,
-                        )
+    for r in range(first.rounds):
+        for s, own_records, own_logs, log in zip(
+            states, records, logs, _lockstep_round(states, configs)
+        ):
+            own_logs.append(log)
+            if (r + 1) % first.metrics_every == 0 or r == first.rounds - 1:
+                own_records.append(
+                    metrics.evaluate(
+                        s.global_params,
+                        first.model,
+                        s.test,
+                        backdoor=backdoor,
+                        round_index=r,
+                        validation_loss=log.val_loss,
                     )
+                )
     return [
         ExperimentResult(
             records=own_records,

@@ -1,8 +1,17 @@
+import logging
+
 import numpy as np
 import pytest
 
 from fedsim import model
-from fedsim.adversary import AttackSpec, gradient_ascent, pga_update, place_malicious, poison_dataset
+from fedsim.adversary import (
+    AttackSpec,
+    gradient_ascent,
+    pga_combine,
+    pga_update,
+    place_malicious,
+    poison_dataset,
+)
 from fedsim.data import build_validation, gen_synthetic
 from fedsim.errors import ConfigurationError
 from fedsim.model import MlpSpec, TrainSpec
@@ -85,6 +94,21 @@ class TestPgaUpdate:
         a = pga_update(self.global_params, self.spec, self.data, self.train, 2.0, 2)
         b = pga_update(self.global_params, self.spec, self.data, self.train, 2.0, 2)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("zero, message", [
+        ("ascent", "pga_combine: degenerate zero ascent delta, returning global model"),
+        ("benign", "pga_combine: benign reference delta is zero, returning global model"),
+    ])
+    def test_zero_delta_returns_a_copy_of_the_global_model(self, caplog, zero, message):
+        moved = self.global_params + 0.5
+        unmoved = self.global_params.copy()
+        ascended, benign = (unmoved, moved) if zero == "ascent" else (moved, unmoved)
+        with caplog.at_level(logging.WARNING, logger="fedsim.adversary"):
+            out = pga_combine(self.global_params, ascended, benign, 2.0)
+        assert np.array_equal(out, self.global_params)
+        assert not np.shares_memory(out, self.global_params)
+        logged = [(r.levelno, r.getMessage()) for r in caplog.records]
+        assert logged == [(logging.WARNING, message)]
 
 
 class TestPlaceMalicious:

@@ -191,6 +191,16 @@ class TestOpenBlasStart:
         value, _ = self.after_import("fedsim.orchestrator")
         assert value is None
 
+    @pytest.mark.skipif(model._openblas() is None, reason="numpy bundles no OpenBLAS")
+    @pytest.mark.skipif(
+        (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()) < 2,
+        reason="one core: the cohorts run as one lane")
+    def test_cli_process_splits_cohorts_unless_openblas_starts_wider(self):
+        code = ("import fedsim.cli; from fedsim import model; "
+                "print(model._helper_lane() is not None)")
+        assert fresh_python(["-c", code]).stdout.split() == ["True"]
+        assert fresh_python(["-c", code], OPENBLAS_NUM_THREADS="2").stdout.split() == ["False"]
+
 
 class TestImportFootprint:
     def test_grouped_csv_setup_leaves_numpy_ma_unloaded(self, tmp_path):

@@ -1,3 +1,4 @@
+import ctypes
 import math
 import sys
 import threading
@@ -515,35 +516,43 @@ class TestClassMajorTail:
         assert np.array_equal(got, x.argmax(axis=1))
 
 
-class FakeBlasThreads:
-    """Stands in for OpenBLAS's `openblas_set_num_threads_local`: it sets the
-    thread count and returns the previous one."""
+def blas_thread_count() -> int | None:
+    """OpenBLAS's thread count as the lane gate reads it."""
+    return model._openblas_call("openblas_get_num_threads", ctypes.c_int)
 
-    def __init__(self, threads):
-        self.threads = threads
 
-    def __call__(self, threads):
-        previous, self.threads = self.threads, threads
-        return previous
+def set_blas_thread_count(count: int) -> None:
+    """Set the thread count of the OpenBLAS that numpy bundles, as starting
+    Python with OPENBLAS_NUM_THREADS=count would."""
+    lib = model._openblas()
+    setter = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    (setter or lib.openblas_set_num_threads)(count)
 
 
 @pytest.fixture
-def lanes(monkeypatch):
-    """Two evaluation lanes, on numpy's OpenBLAS setter or, without one, on
-    a stand-in; skipped where only one core is available."""
-    if model._blas_thread_setter() is None:
-        fake = FakeBlasThreads(1)
-        monkeypatch.setattr(model, "_blas_thread_setter", lambda: fake)
+def blas_threads(monkeypatch):
+    """A setter of OpenBLAS's thread count for one test, with the count put
+    back afterwards; where numpy bundles no OpenBLAS, it sets the count
+    that the lane gate reads instead."""
+    if model._openblas() is None:
+        def stand_in(count):
+            monkeypatch.setattr(model, "_openblas_call", lambda name, restype: (
+                count if name == "openblas_get_num_threads" else None))
+
+        yield stand_in
+        return
+    before = blas_thread_count()
+    yield set_blas_thread_count
+    set_blas_thread_count(before)
+
+
+@pytest.fixture
+def lanes(blas_threads):
+    """Two evaluation lanes, with OpenBLAS on one thread; skipped where only
+    one core is available."""
+    blas_threads(1)
     if model._helper_lane() is None:
         pytest.skip("one core: the cohort runs as one lane")
-
-
-def blas_threads():
-    """The OpenBLAS thread count that the setter holds now."""
-    setter = model._blas_thread_setter()
-    now = setter(1)
-    setter(now)
-    return now
 
 
 def lane_threads(monkeypatch):
@@ -610,17 +619,6 @@ class TestEvalCohort:
         model.eval_cohort(models, spec, data)
         assert np.array_equal(start, before[0]) and np.array_equal(delta, before[1])
 
-    def test_without_the_blas_setter_outputs_match(self, monkeypatch):
-        spec, data, models = cohort_case("wide", 7)
-        split = model.eval_cohort(models, spec, data, predict=True)
-        monkeypatch.setattr(model, "_blas_thread_setter", lambda: None)
-        threads = lane_threads(monkeypatch)
-        alone = model.eval_cohort(models, spec, data, predict=True)
-        assert len(set(threads)) == 1
-        for (a_losses, a_preds), (b_losses, b_preds) in zip(split, alone):
-            assert np.array_equal(a_losses, b_losses)
-            assert np.array_equal(a_preds, b_preds)
-
     def test_helper_lane_error_reaches_the_caller(self, lanes):
         spec, data, models = cohort_case("wide", 4)
         models[1] = np.zeros(spec.param_count + 1)  # evaluated by the helper lane
@@ -649,11 +647,11 @@ class TestEvalCohort:
             helper_done.append(id(args[0]))
 
         monkeypatch.setattr(model, "_eval_into", spy)
-        before = blas_threads()
+        before = blas_thread_count()
         with pytest.raises(ConfigurationError, match="parameter vector has length"):
             model.eval_cohort(models, spec, data)
         assert helper_done == [id(models[1]), id(models[3])]
-        assert blas_threads() == before
+        assert blas_thread_count() == before
         models[0] = models[2]
         losses = [l for l, _ in model.eval_cohort(models, spec, data)]
         assert np.array_equal(losses[0], losses[2])
@@ -678,7 +676,7 @@ class TestEvalCohort:
                 got[i].append([l for l, _ in model.eval_cohort(models, spec, data)])
 
         threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cases))]
-        before = blas_threads()
+        before = blas_thread_count()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -689,25 +687,21 @@ class TestEvalCohort:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        # The pins overlapped across threads; the count is back all the same.
-        assert blas_threads() == before
+        assert blas_thread_count() == before
         for runs, expected in zip(got, want):
             assert len(runs) == 3
             for losses in runs:
                 assert all(np.array_equal(a, b) for a, b in zip(losses, expected))
 
-    def test_split_cohort_runs_on_one_blas_thread(self, monkeypatch, lanes):
-        fake = FakeBlasThreads(3)
-        monkeypatch.setattr(model, "_blas_thread_setter", lambda: fake)
-        seen = []
-        honest = model._eval_into
-
-        def spy(*args):
-            seen.append(fake.threads)
-            return honest(*args)
-
-        monkeypatch.setattr(model, "_eval_into", spy)
-        spec, data, models = cohort_case("wide", 4)
-        model.eval_cohort(models, spec, data)
-        assert seen == [1] * 4
-        assert fake.threads == 3
+    def test_at_two_blas_threads_the_caller_runs_alone(self, monkeypatch, lanes, blas_threads):
+        spec, data, models = cohort_case("wide", 7)
+        threads = lane_threads(monkeypatch)
+        split = model.eval_cohort(models, spec, data, predict=True)
+        assert len(set(threads)) == 2
+        threads.clear()
+        blas_threads(2)
+        alone = model.eval_cohort(models, spec, data, predict=True)
+        assert set(threads) == {threading.get_ident()}
+        for (a_losses, a_preds), (b_losses, b_preds) in zip(split, alone):
+            assert np.array_equal(a_losses, b_losses)
+            assert np.array_equal(a_preds, b_preds)

@@ -26,7 +26,7 @@ from fedsim.orchestrator import (
     setup_experiment,
 )
 from fedsim.privacy import DpState
-from test_model import FakeBlasThreads, reference_sgd
+from test_model import blas_thread_count, reference_sgd, set_blas_thread_count
 
 def small_config(**overrides) -> ExperimentConfig:
     base = dict(
@@ -486,39 +486,35 @@ class TestRunExperiments:
         with pytest.raises(ConfigurationError, match="clients_per_round"):
             setup_experiment(small_config(clients_per_round=99))
 
+    @pytest.mark.skipif(model._openblas() is None, reason="numpy bundles no OpenBLAS")
     @pytest.mark.parametrize("fails", [False, True])
-    def test_blas_thread_count_restored(self, monkeypatch, fails):
-        fake = FakeBlasThreads(3)
-        monkeypatch.setattr(model, "_blas_thread_setter", lambda: fake)
+    def test_run_leaves_the_blas_thread_count_alone(self, monkeypatch, fails):
+        # A program that embeds fedsim keeps its own OpenBLAS thread count,
+        # on its other threads too, since numpy's OpenBLAS holds one count
+        # for the whole process.
         during = []
         honest = orchestrator._lockstep_round
 
         def lockstep_round(states, configs):
-            during.append(fake.threads)
+            during.append(blas_thread_count())
             if fails:
                 raise RuntimeError("round failed")
             return honest(states, configs)
 
         monkeypatch.setattr(orchestrator, "_lockstep_round", lockstep_round)
         config = small_config(rounds=2)
-        if fails:
-            with pytest.raises(RuntimeError, match="round failed"):
-                orchestrator.run_experiments([config])
-        else:
-            orchestrator.run_experiments([config])
-        assert during == ([1] if fails else [1, 1])
-        assert fake.threads == 3
-
-    @pytest.mark.skipif(model._blas_thread_setter() is None,
-                        reason="numpy's OpenBLAS exports no per-thread setter")
-    def test_openblas_thread_count_restored(self):
-        setter = model._blas_thread_setter()
-        before = setter(2)
+        before = blas_thread_count()
+        set_blas_thread_count(2)
         try:
-            orchestrator.run_experiments([small_config(rounds=1)])
-            assert setter(2) == 2
+            if fails:
+                with pytest.raises(RuntimeError, match="round failed"):
+                    orchestrator.run_experiments([config])
+            else:
+                orchestrator.run_experiments([config])
+            assert during == ([2] if fails else [2, 2])
+            assert blas_thread_count() == 2
         finally:
-            setter(before)
+            set_blas_thread_count(before)
 
     def test_state_left_as_it_was(self):
         config = small_config(
