@@ -693,6 +693,36 @@ class TestEvalCohort:
             for losses in runs:
                 assert all(np.array_equal(a, b) for a, b in zip(losses, expected))
 
+    def test_split_cohort_runs_on_one_blas_thread(self, monkeypatch, lanes):
+        seen = []
+        honest = model._eval_into
+
+        def spy(*args):
+            seen.append((threading.get_ident(), blas_thread_count()))
+            return honest(*args)
+
+        monkeypatch.setattr(model, "_eval_into", spy)
+        spec, data, models = cohort_case("wide", 4)
+        model.eval_cohort(models, spec, data)
+        assert len({thread for thread, _ in seen}) == 2
+        assert [count for _, count in seen] == [1] * 4
+        assert blas_thread_count() == 1
+
+    def test_without_the_blas_setter_outputs_match(self, monkeypatch, lanes):
+        spec, data, models = cohort_case("wide", 7)
+        threads = lane_threads(monkeypatch)
+        split = model.eval_cohort(models, spec, data, predict=True)
+        assert len(set(threads)) == 2
+        threads.clear()
+        # A numpy on another BLAS, or an OpenBLAS that exports no thread
+        # count, gives the gate nothing to read.
+        monkeypatch.setattr(model, "_openblas_call", lambda name, restype: None)
+        alone = model.eval_cohort(models, spec, data, predict=True)
+        assert set(threads) == {threading.get_ident()}
+        for (a_losses, a_preds), (b_losses, b_preds) in zip(split, alone):
+            assert np.array_equal(a_losses, b_losses)
+            assert np.array_equal(a_preds, b_preds)
+
     def test_at_two_blas_threads_the_caller_runs_alone(self, monkeypatch, lanes, blas_threads):
         spec, data, models = cohort_case("wide", 7)
         threads = lane_threads(monkeypatch)

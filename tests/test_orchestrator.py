@@ -488,7 +488,7 @@ class TestRunExperiments:
 
     @pytest.mark.skipif(model._openblas() is None, reason="numpy bundles no OpenBLAS")
     @pytest.mark.parametrize("fails", [False, True])
-    def test_run_leaves_the_blas_thread_count_alone(self, monkeypatch, fails):
+    def test_blas_thread_count_restored(self, monkeypatch, fails):
         # A program that embeds fedsim keeps its own OpenBLAS thread count,
         # on its other threads too, since numpy's OpenBLAS holds one count
         # for the whole process.
@@ -513,6 +513,17 @@ class TestRunExperiments:
                 orchestrator.run_experiments([config])
             assert during == ([2] if fails else [2, 2])
             assert blas_thread_count() == 2
+        finally:
+            set_blas_thread_count(before)
+
+    @pytest.mark.skipif(model._openblas() is None, reason="numpy bundles no OpenBLAS")
+    def test_openblas_thread_count_restored(self):
+        # The CLI's start-up count, under which cohorts split into lanes.
+        before = blas_thread_count()
+        set_blas_thread_count(1)
+        try:
+            orchestrator.run_experiments([small_config(rounds=1, strategy=Strategy("fedval"))])
+            assert blas_thread_count() == 1
         finally:
             set_blas_thread_count(before)
 
