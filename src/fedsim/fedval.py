@@ -198,7 +198,8 @@ def score(report: ValidationReport, params: ScoreParams) -> ScoreTable:
     too when the report has them (`compute_report(recall_dim=True)`). Raw
     scores below params.clamp_floor clamp to the floor; when every
     clamped score is zero the weights are all zero and the caller applies a
-    zero aggregate update for the round.
+    zero aggregate update for the round. Nothing is logged: `adapt_s2`
+    warns once when the table it picks is all zero.
     """
     n = report.num_clients
     raw = np.zeros(n)
@@ -228,11 +229,7 @@ def score(report: ValidationReport, params: ScoreParams) -> ScoreTable:
 
     clamped = np.maximum(raw, params.clamp_floor)
     total = clamped.sum()
-    if total > 0:
-        weights = clamped / total
-    else:
-        log.warning("all client scores clamped to zero; round becomes a no-op")
-        weights = np.zeros(n)
+    weights = clamped / total if total > 0 else np.zeros(n)
     return ScoreTable(raw=raw, clamped=clamped, weights=weights, s2=params.s2)
 
 
@@ -289,7 +286,8 @@ def adapt_s2(
     toward the smaller value. Candidates are clamped to >= S2_MIN and
     deduplicated; scoring reuses the one validation report since only the
     exponent changes. Every candidate model is built first and then
-    evaluated in one `model.eval_cohort`.
+    evaluated in one `model.eval_cohort`. When the chosen table is all
+    zero, the round is a no-op, and that is logged once.
     """
     current = params.s2
     candidates = s2_candidates(current)
@@ -303,5 +301,7 @@ def adapt_s2(
     # The first candidate with the smallest key, as a strict `<` scan finds.
     best = min(range(len(candidates)),
                key=lambda i: (losses[i], abs(candidates[i] - current), candidates[i]))
+    if tables[best].all_zero:
+        log.warning("all client scores clamped to zero; round becomes a no-op")
     return S2Choice(s2=candidates[best], table=tables[best],
                     global_params=models[best], val_loss=losses[best])

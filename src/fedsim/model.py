@@ -29,12 +29,9 @@ order, and `class_sums` adds each column in numpy's own order for a
 length-K row. Argmax predictions are computed only for the callers that
 read them.
 
-A cohort of large evaluations runs on two lanes, the calling thread and
-one persistent helper thread, when OpenBLAS runs one thread, as the CLI
-starts it. The library never sets OpenBLAS's thread count: that belongs to
-the process that starts Python. Every model is still evaluated whole by one
-lane, and OpenBLAS's bits do not depend on its thread count, so the split
-changes no output.
+Everything runs on the calling thread; the library starts no thread and
+never sets OpenBLAS's thread count, which belongs to the process that
+starts Python.
 """
 
 from __future__ import annotations
@@ -42,7 +39,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +47,8 @@ from fedsim.errors import ConfigurationError
 
 ACTIVATIONS = ("relu", "tanh")
 
-# Probabilities are floored before log so poisoned models with extreme
-# logits yield large finite losses instead of inf.
+# Probabilities are floored before log so poisoned models with large but
+# finite logits yield large finite losses instead of inf.
 PROB_FLOOR = 1e-12
 
 
@@ -535,15 +531,6 @@ def eval_losses(
     return result
 
 
-# A cohort is split over two lanes when one evaluation's widest activation,
-# rows x widest layer, holds more float64s than this. On two cores, lanes
-# on one OpenBLAS thread were no faster at 64,000 elements (500 x 128,
-# 2000 x 32), and faster from 128,000 up: 2000 x 128 took 590-680 us per
-# evaluation against 960-1020 on one lane. A 100 x 32 evaluation (about
-# 40 us) lost to the handoff.
-_LANE_ELEMENTS = 65536
-
-
 def eval_cohort(
     models: list[np.ndarray | tuple[np.ndarray, np.ndarray]],
     spec: MlpSpec,
@@ -559,15 +546,8 @@ def eval_cohort(
     and division per element as the row-wise `_softmax`, and column sums in
     numpy's row order, so losses and predictions are bit for bit the
     row-wise ones. Only the picked probabilities are divided unless the
-    predictions need them all.
-
-    When the cohort has several models, each evaluation is large
-    (`_LANE_ELEMENTS`), and `_helper_lane` gives a lane, the calling thread
-    evaluates the even models and the helper lane the odd ones; otherwise
-    the calling thread evaluates them all. The helper lane runs under the
-    caller's numpy error state, writes only into buffers allocated here,
-    and its error is raised here once it is done. Either way every model is
-    evaluated whole, so the results are the same bits.
+    predictions need them all. Every model is evaluated in turn into one
+    workspace.
     """
     n = len(data.labels)
     if n == 0:
@@ -578,30 +558,15 @@ def eval_cohort(
     losses = np.empty((len(models), n))
     preds = np.empty((len(models), n), dtype=np.intp) if predict else None
 
-    errstate = np.geterr()
-
-    def lane(first: int, step: int, work: tuple) -> None:
-        with np.errstate(**errstate):  # the caller's, on the helper thread too
-            for i in range(first, len(models), step):
-                _eval_into(models[i], spec, x, picks, work, losses[i],
-                           None if preds is None else preds[i])
-
-    split = len(models) > 1 and n * max(spec.layer_sizes) > _LANE_ELEMENTS
-    helper = _helper_lane() if split else None
-    if helper is None:
-        lane(0, 1, _workspace(spec, n))
-    else:
-        odd = helper.submit(lane, 1, 2, _workspace(spec, n))
-        try:
-            lane(0, 2, _workspace(spec, n))
-        finally:
-            odd.exception()  # waits for the helper, also when this lane fails
-        odd.result()
-    return [(losses[i], None if preds is None else preds[i]) for i in range(len(models))]
+    results = [(losses[i], None if preds is None else preds[i]) for i in range(len(models))]
+    work = _workspace(spec, n)
+    for m, (model_losses, model_preds) in zip(models, results):
+        _eval_into(m, spec, x, picks, work, model_losses, model_preds)
+    return results
 
 
 def _workspace(spec: MlpSpec, n: int) -> tuple:
-    """One lane's buffers for evaluations over `n` rows: each layer's output,
+    """A cohort's buffers for evaluations over `n` rows: each layer's output,
     the class-major logits (K, n), their column maxima and one parameter
     vector for `(start, delta)` models."""
     return (
@@ -622,7 +587,7 @@ def _eval_into(
     preds: np.ndarray | None,
 ) -> None:
     """Evaluate one cohort model into `losses` (n,) and, when given, `preds`
-    (n,), using the lane's `work` buffers."""
+    (n,), using the cohort's `work` buffers."""
     layers, t, top, summed = work
     if isinstance(params, tuple):
         params = np.add(*params, out=summed)
@@ -643,8 +608,7 @@ def _eval_into(
 @functools.cache
 def _openblas() -> ctypes.CDLL | None:
     """The OpenBLAS library that numpy bundles, opened once, or None when
-    numpy brings none. `_helper_lane` and `blas_fingerprint` both read
-    it."""
+    numpy brings none. `blas_fingerprint` reads it."""
     root = os.path.dirname(np.__file__)
     for folder in (root + ".libs", os.path.join(root, ".dylibs")):
         try:
@@ -689,29 +653,3 @@ def blas_fingerprint() -> dict[str, str | int | None]:
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         "OPENBLAS_CORETYPE": os.environ.get("OPENBLAS_CORETYPE"),
     }
-
-
-_HELPER = None  # the helper lane, once started
-_HELPER_LOCK = threading.Lock()
-
-
-def _helper_lane():
-    """The one-worker executor that runs the odd lane of each split cohort,
-    started at first use; None unless numpy's OpenBLAS reports one thread
-    and two cores are available, so that lanes never share a core or spin
-    OpenBLAS's threads. The count is read, never set: a process that wants
-    the lanes starts Python with OPENBLAS_NUM_THREADS=1, as the CLI does.
-    Its queue runs one cohort's lane at a time, and it lives as long as the
-    process, so a cohort costs a handoff, not a thread start."""
-    global _HELPER
-    if _openblas_call("openblas_get_num_threads", ctypes.c_int) != 1:
-        return None
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    if (cores or 1) < 2:
-        return None
-    with _HELPER_LOCK:
-        if _HELPER is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _HELPER = ThreadPoolExecutor(1, thread_name_prefix="fedsim-eval-lane")
-        return _HELPER

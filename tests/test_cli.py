@@ -191,15 +191,17 @@ class TestOpenBlasStart:
         value, _ = self.after_import("fedsim.orchestrator")
         assert value is None
 
-    @pytest.mark.skipif(model._openblas() is None, reason="numpy bundles no OpenBLAS")
-    @pytest.mark.skipif(
-        (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()) < 2,
-        reason="one core: the cohorts run as one lane")
-    def test_cli_process_splits_cohorts_unless_openblas_starts_wider(self):
-        code = ("import fedsim.cli; from fedsim import model; "
-                "print(model._helper_lane() is not None)")
-        assert fresh_python(["-c", code]).stdout.split() == ["True"]
-        assert fresh_python(["-c", code], OPENBLAS_NUM_THREADS="2").stdout.split() == ["False"]
+    @pytest.mark.skipif(sys.platform != "linux", reason="counts threads in /proc/self/task")
+    def test_cli_process_evaluates_cohorts_on_one_thread(self):
+        # The benchmark's wide validation cohort: 2000 rows through 16-128-10.
+        code = ("import os, fedsim.cli; from fedsim import model; "
+                "from fedsim.data import gen_synthetic; "
+                "spec = model.MlpSpec((16, 128, 10)); "
+                "data = gen_synthetic(10, 16, 2000, 4.0, seed=0); "
+                "start = model.init_params(spec); "
+                "model.eval_cohort([start * (1 + i / 10) for i in range(6)], spec, data); "
+                "print(len(os.listdir('/proc/self/task')))")
+        assert fresh_python(["-c", code]).stdout.split() == ["1"]
 
 
 class TestImportFootprint:

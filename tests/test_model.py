@@ -517,7 +517,7 @@ class TestClassMajorTail:
 
 
 def blas_thread_count() -> int | None:
-    """OpenBLAS's thread count as the lane gate reads it."""
+    """OpenBLAS's thread count as `blas_fingerprint` reads it."""
     return model._openblas_call("openblas_get_num_threads", ctypes.c_int)
 
 
@@ -529,33 +529,7 @@ def set_blas_thread_count(count: int) -> None:
     (setter or lib.openblas_set_num_threads)(count)
 
 
-@pytest.fixture
-def blas_threads(monkeypatch):
-    """A setter of OpenBLAS's thread count for one test, with the count put
-    back afterwards; where numpy bundles no OpenBLAS, it sets the count
-    that the lane gate reads instead."""
-    if model._openblas() is None:
-        def stand_in(count):
-            monkeypatch.setattr(model, "_openblas_call", lambda name, restype: (
-                count if name == "openblas_get_num_threads" else None))
-
-        yield stand_in
-        return
-    before = blas_thread_count()
-    yield set_blas_thread_count
-    set_blas_thread_count(before)
-
-
-@pytest.fixture
-def lanes(blas_threads):
-    """Two evaluation lanes, with OpenBLAS on one thread; skipped where only
-    one core is available."""
-    blas_threads(1)
-    if model._helper_lane() is None:
-        pytest.skip("one core: the cohort runs as one lane")
-
-
-def lane_threads(monkeypatch):
+def eval_threads(monkeypatch):
     """Record the thread of every model evaluation."""
     threads = []
     honest = model._eval_into
@@ -568,8 +542,8 @@ def lane_threads(monkeypatch):
     return threads
 
 
-# The benchmark's wide validation set (2000 rows through 16-128-10, over the
-# lane budget) and its narrow one (100 rows through 16-32-10, under it).
+# The benchmark's wide validation set (2000 rows through 16-128-10) and its
+# narrow one (100 rows through 16-32-10).
 COHORT_SHAPES = {"wide": ((16, 128, 10), 2000), "narrow": ((16, 32, 10), 100)}
 
 
@@ -598,10 +572,9 @@ class TestEvalCohort:
     @pytest.mark.parametrize("shape", ["wide", "narrow"])
     def test_matches_a_sequential_loop(self, monkeypatch, shape, count, predict):
         spec, data, models = cohort_case(shape, count, seed=count)
-        threads = lane_threads(monkeypatch)
+        threads = eval_threads(monkeypatch)
         got = model.eval_cohort(models, spec, data, predict=predict)
-        split = shape == "wide" and count > 1 and model._helper_lane() is not None
-        assert len(set(threads)) == (2 if split else 1)
+        assert set(threads) == {threading.get_ident()}
         assert len(got) == count
         for m, (losses, preds) in zip(models, got):
             want_losses, want_preds = model.eval_losses(as_array(m), spec, data, predict=predict)
@@ -619,52 +592,26 @@ class TestEvalCohort:
         model.eval_cohort(models, spec, data)
         assert np.array_equal(start, before[0]) and np.array_equal(delta, before[1])
 
-    def test_helper_lane_error_reaches_the_caller(self, lanes):
+    def test_model_error_reaches_the_caller(self):
+        # An error in one model of a cohort reaches the caller, and the next
+        # cohort evaluates.
         spec, data, models = cohort_case("wide", 4)
-        models[1] = np.zeros(spec.param_count + 1)  # evaluated by the helper lane
+        models[1] = np.zeros(spec.param_count + 1)
         with pytest.raises(ConfigurationError, match="parameter vector has length"):
             model.eval_cohort(models, spec, data)
-        # The lane is free again for the next cohort.
         models[1] = models[0]
         losses = [l for l, _ in model.eval_cohort(models, spec, data)]
         assert np.array_equal(losses[1], losses[0])
 
-    def test_caller_lane_error_waits_for_the_helper(self, monkeypatch, lanes):
-        spec, data, models = cohort_case("wide", 4)
-        models[0] = np.zeros(spec.param_count + 1)  # evaluated by the calling thread
-        caller, failed, helper_done = threading.get_ident(), threading.Event(), []
-        honest = model._eval_into
-
-        def spy(*args):
-            if threading.get_ident() == caller:
-                try:
-                    return honest(*args)
-                finally:
-                    failed.set()
-            # The helper starts each model only once the caller has failed.
-            assert failed.wait(timeout=30)
-            honest(*args)
-            helper_done.append(id(args[0]))
-
-        monkeypatch.setattr(model, "_eval_into", spy)
-        before = blas_thread_count()
-        with pytest.raises(ConfigurationError, match="parameter vector has length"):
-            model.eval_cohort(models, spec, data)
-        assert helper_done == [id(models[1]), id(models[3])]
-        assert blas_thread_count() == before
-        models[0] = models[2]
-        losses = [l for l, _ in model.eval_cohort(models, spec, data)]
-        assert np.array_equal(losses[0], losses[2])
-
-    def test_helper_lane_runs_under_the_callers_error_state(self, lanes):
+    def test_runs_under_the_callers_error_state(self):
         spec, data, models = cohort_case("wide", 2)
-        models[1] = 1e200 * as_array(models[1])  # overflows in the helper lane
+        models[1] = 1e200 * as_array(models[1])  # overflows in the second evaluation
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             model.eval_cohort(models, spec, data)
 
-    def test_concurrent_callers_each_get_their_own_results(self, lanes):
-        # More calling threads than cores, switching often; they share the one
-        # helper lane, and each must get the sequential results of its cohort.
+    def test_concurrent_callers_each_get_their_own_results(self):
+        # More calling threads than cores, switching often; each must get the
+        # sequential results of its cohort.
         cases = [cohort_case("wide", 5, seed=seed) for seed in range(4)]
         want = [[model.eval_losses(as_array(m), spec, data)[0] for m in models]
                 for spec, data, models in cases]
@@ -692,46 +639,3 @@ class TestEvalCohort:
             assert len(runs) == 3
             for losses in runs:
                 assert all(np.array_equal(a, b) for a, b in zip(losses, expected))
-
-    def test_split_cohort_runs_on_one_blas_thread(self, monkeypatch, lanes):
-        seen = []
-        honest = model._eval_into
-
-        def spy(*args):
-            seen.append((threading.get_ident(), blas_thread_count()))
-            return honest(*args)
-
-        monkeypatch.setattr(model, "_eval_into", spy)
-        spec, data, models = cohort_case("wide", 4)
-        model.eval_cohort(models, spec, data)
-        assert len({thread for thread, _ in seen}) == 2
-        assert [count for _, count in seen] == [1] * 4
-        assert blas_thread_count() == 1
-
-    def test_without_the_blas_setter_outputs_match(self, monkeypatch, lanes):
-        spec, data, models = cohort_case("wide", 7)
-        threads = lane_threads(monkeypatch)
-        split = model.eval_cohort(models, spec, data, predict=True)
-        assert len(set(threads)) == 2
-        threads.clear()
-        # A numpy on another BLAS, or an OpenBLAS that exports no thread
-        # count, gives the gate nothing to read.
-        monkeypatch.setattr(model, "_openblas_call", lambda name, restype: None)
-        alone = model.eval_cohort(models, spec, data, predict=True)
-        assert set(threads) == {threading.get_ident()}
-        for (a_losses, a_preds), (b_losses, b_preds) in zip(split, alone):
-            assert np.array_equal(a_losses, b_losses)
-            assert np.array_equal(a_preds, b_preds)
-
-    def test_at_two_blas_threads_the_caller_runs_alone(self, monkeypatch, lanes, blas_threads):
-        spec, data, models = cohort_case("wide", 7)
-        threads = lane_threads(monkeypatch)
-        split = model.eval_cohort(models, spec, data, predict=True)
-        assert len(set(threads)) == 2
-        threads.clear()
-        blas_threads(2)
-        alone = model.eval_cohort(models, spec, data, predict=True)
-        assert set(threads) == {threading.get_ident()}
-        for (a_losses, a_preds), (b_losses, b_preds) in zip(split, alone):
-            assert np.array_equal(a_losses, b_losses)
-            assert np.array_equal(a_preds, b_preds)

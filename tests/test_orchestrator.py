@@ -1,4 +1,5 @@
 
+import logging
 from dataclasses import replace as dc_replace
 from fractions import Fraction
 from math import comb
@@ -105,6 +106,25 @@ class TestRunRound:
         assert log.zero_update
         losses, _ = model.eval_losses(before, config.model, state.val.data)
         assert log.val_loss == float(losses.mean())
+
+    def test_no_op_round_is_logged_once_per_round(self, monkeypatch, caplog):
+        # With a NaN client every s2 candidate's table is all zero; the round
+        # is logged as a no-op once, for the table that the search keeps.
+        config = small_config(strategy=Strategy(kind="fedval"), clients_per_round=6)
+        state = setup_experiment(config)
+        honest_updates = orchestrator._client_updates
+
+        def updates(state, config, selected, trained):
+            first, *rest = honest_updates(state, config, selected, trained)
+            nan = np.full_like(first.delta, np.nan)
+            return [ClientUpdate(first.client_id, nan, first.num_samples), *rest]
+
+        monkeypatch.setattr(orchestrator, "_client_updates", updates)
+        with np.errstate(invalid="ignore"), caplog.at_level(logging.WARNING, "fedsim.fedval"):
+            logs = [run_round(state, config) for _ in range(2)]
+        assert all(log.zero_update for log in logs)
+        assert [r.getMessage() for r in caplog.records if r.name == "fedsim.fedval"] == [
+            "all client scores clamped to zero; round becomes a no-op"] * 2
 
     @pytest.mark.parametrize("kind", ["fedval", "fedavg"])
     def test_val_loss_is_the_new_global_models(self, kind):
@@ -518,7 +538,7 @@ class TestRunExperiments:
 
     @pytest.mark.skipif(model._openblas() is None, reason="numpy bundles no OpenBLAS")
     def test_openblas_thread_count_restored(self):
-        # The CLI's start-up count, under which cohorts split into lanes.
+        # The CLI's start-up count: OpenBLAS on one thread.
         before = blas_thread_count()
         set_blas_thread_count(1)
         try:
