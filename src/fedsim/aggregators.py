@@ -14,10 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fedsim import model
-from fedsim.data import ValidationSet
 from fedsim.errors import ConfigurationError
-from fedsim.model import MlpSpec
 
 log = logging.getLogger(__name__)
 
@@ -126,17 +123,18 @@ def _squared_distances(deltas: np.ndarray) -> np.ndarray:
 def lfr(
     global_params: np.ndarray,
     updates: list[ClientUpdate],
-    spec: MlpSpec,
-    val: ValidationSet,
+    losses: np.ndarray,
     remove_fraction: float,
 ) -> np.ndarray:
-    """Drop the highest-validation-loss clients, then fedavg the rest."""
+    """Drop the clients with the highest mean validation loss, `losses` in
+    update order (`fedval.compute_report`'s `overall_loss`), then fedavg the
+    rest."""
     n = len(updates)
+    if len(losses) != n:
+        raise ConfigurationError("one validation loss per update required")
     drop = math.ceil(remove_fraction * n)
     if drop >= n:
         raise ConfigurationError(f"lfr would drop all {n} clients")
-    cohort = model.eval_cohort([(global_params, u.delta) for u in updates], spec, val.data)
-    losses = np.array([sample_losses.mean() for sample_losses, _ in cohort])
     keep_order = np.argsort(losses, kind="stable")[: n - drop]
     survivors = [updates[i] for i in sorted(int(i) for i in keep_order)]
     return fedavg(global_params, survivors)

@@ -127,6 +127,13 @@ def _cohort_recall(
     return model.class_sums(ratios.T) / np.count_nonzero(present)
 
 
+def group_recalls(holdout: ValidationSet, preds: np.ndarray, num_classes: int) -> dict:
+    """Recall of each row of `preds` (models, m) within each of `holdout`'s
+    groups, by group in sorted order; None where a group has no positive."""
+    return {g: _cohort_recall(holdout.labels[idx], preds[:, idx], num_classes)
+            for g, idx in sorted(holdout.group_indices.items())}
+
+
 def compute_report(
     client_models: list[np.ndarray | tuple[np.ndarray, np.ndarray]],
     spec: MlpSpec,
@@ -145,13 +152,9 @@ def compute_report(
     if not client_models:
         raise ConfigurationError("need at least one client model")
     k = spec.num_classes
-    n = len(client_models)
-    per_label = np.empty((n, k))
-    overall = np.empty(n)
     results = model.eval_cohort(client_models, spec, val.data, predict=recall_dim)
-    for i, (losses, _) in enumerate(results):
-        overall[i] = losses.mean()
-        per_label[i] = val.label_means(losses)
+    overall = np.array([losses.mean() for losses, _ in results])
+    per_label = np.array([val.label_means(losses) for losses, _ in results])
 
     report = ValidationReport(
         per_label_loss=per_label,
@@ -163,17 +166,13 @@ def compute_report(
     )
 
     if recall_dim:
-        labels = val.labels
         preds = np.stack([client_preds for _, client_preds in results])
         # Defined, because `val` holds every label.
-        overall_recall = _cohort_recall(labels, preds, k)
-        columns: dict[int, np.ndarray] = {}
-        for g, idx in sorted(val.group_indices.items()):
-            recalls = _cohort_recall(labels[idx], preds[:, idx], k)
-            if recalls is None:
-                log.warning("recall undefined for group %s; dimension dropped", g)
-                continue
-            columns[g] = recalls
+        overall_recall = _cohort_recall(val.labels, preds, k)
+        columns = group_recalls(val, preds, k)
+        for g in [g for g, recalls in columns.items() if recalls is None]:
+            log.warning("recall undefined for group %s; dimension dropped", g)
+            del columns[g]
         if columns:
             matrix = np.stack(list(columns.values()), axis=1)
             report.group_recall = matrix

@@ -49,8 +49,7 @@ def evaluate(
     source-label samples predicted as the target label.
     """
     _, preds = model.eval_losses(params, spec, test.data, predict=True)
-    labels = test.labels
-    hits = preds == labels
+    hits = preds == test.labels
     per_label = test.label_means(hits).tolist()
 
     backdoor_accuracy = None
@@ -59,11 +58,8 @@ def evaluate(
         backdoor_accuracy = float((preds[test.label_indices[source]] == target).mean())
 
     # Groups whose recall is undefined (no positive sample) are left out.
-    recall = {}
-    for g, rows in sorted(test.group_indices.items()):
-        value = fedval._cohort_recall(labels[rows], preds[None, rows], spec.num_classes)
-        if value is not None:
-            recall[g] = float(value[0])
+    recalls = fedval.group_recalls(test, preds[None], spec.num_classes)
+    recall = {g: float(r[0]) for g, r in recalls.items() if r is not None}
 
     return MetricRecord(
         round=round_index,

@@ -17,17 +17,17 @@ object with the same seed draw the same permutations: they share one
 generator and one permuted copy of the shard per epoch, from which each
 step gathers its batches.
 
-Evaluation (`eval_cohort`, and `eval_losses`, its one-model case) runs
-each model over all of the rows at once, never in chunks: OpenBLAS rounds a
-matmul over fewer rows differently. Each layer writes its matmul result
-into a buffer that the cohort reuses and applies the bias and the
-activation to it in place, which gives the same bits as the out-of-place
-formula. The softmax tail then runs on one class-major copy of the logits,
-(K, n), so that every reduction over the classes is a handful of length-n
-vector operations instead of n tiny length-K ones: the max is exact in any
-order, and `class_sums` adds each column in numpy's own order for a
-length-K row. Argmax predictions are computed only for the callers that
-read them.
+Evaluation (`eval_cohort`, and `eval_losses`, its one-model case) runs each
+model in turn over all of the rows at once, never in chunks: OpenBLAS
+rounds a matmul over fewer rows differently. Each layer writes its matmul
+result into a buffer that the whole cohort reuses and applies the bias and
+the activation to it in place, which gives the same bits as the
+out-of-place formula. The softmax tail then runs on one class-major copy of
+the logits, (K, n), so that every reduction over the classes is a handful
+of length-n vector operations instead of n tiny length-K ones: the max is
+exact in any order, and `class_sums` adds each column in numpy's own order
+for a length-K row. Argmax predictions are computed only for the callers
+that read them.
 
 Everything runs on the calling thread; the library starts no thread and
 never sets OpenBLAS's thread count, which belongs to the process that
@@ -546,8 +546,8 @@ def eval_cohort(
     and division per element as the row-wise `_softmax`, and column sums in
     numpy's row order, so losses and predictions are bit for bit the
     row-wise ones. Only the picked probabilities are divided unless the
-    predictions need them all. Every model is evaluated in turn into one
-    workspace.
+    predictions need them all. Every model is evaluated in turn into one set
+    of buffers.
     """
     n = len(data.labels)
     if n == 0:
@@ -558,51 +558,24 @@ def eval_cohort(
     losses = np.empty((len(models), n))
     preds = np.empty((len(models), n), dtype=np.intp) if predict else None
 
-    results = [(losses[i], None if preds is None else preds[i]) for i in range(len(models))]
-    work = _workspace(spec, n)
-    for m, (model_losses, model_preds) in zip(models, results):
-        _eval_into(m, spec, x, picks, work, model_losses, model_preds)
-    return results
-
-
-def _workspace(spec: MlpSpec, n: int) -> tuple:
-    """A cohort's buffers for evaluations over `n` rows: each layer's output,
-    the class-major logits (K, n), their column maxima and one parameter
-    vector for `(start, delta)` models."""
-    return (
-        [np.empty((n, width)) for width in spec.layer_sizes[1:]],
-        np.empty((spec.num_classes, n)),
-        np.empty(n),
-        np.empty(spec.param_count),
-    )
-
-
-def _eval_into(
-    params: np.ndarray | tuple[np.ndarray, np.ndarray],
-    spec: MlpSpec,
-    x: np.ndarray,
-    picks: np.ndarray,
-    work: tuple,
-    losses: np.ndarray,
-    preds: np.ndarray | None,
-) -> None:
-    """Evaluate one cohort model into `losses` (n,) and, when given, `preds`
-    (n,), using the cohort's `work` buffers."""
-    layers, t, top, summed = work
-    if isinstance(params, tuple):
-        params = np.add(*params, out=summed)
-    np.copyto(t, _logits(params, spec, x, layers).T)
-    t -= np.max(t, axis=0, out=top)
-    np.exp(t, out=t)
-    sums = class_sums(t)
-    np.take(t, picks, out=losses)
-    losses /= sums
-    np.maximum(losses, PROB_FLOOR, out=losses)
-    np.log(losses, out=losses)
-    np.negative(losses, out=losses)
-    if preds is not None:
-        t /= sums
-        _first_argmax(t, preds)
+    layers = [np.empty((n, width)) for width in spec.layer_sizes[1:]]
+    t, top, summed = np.empty((spec.num_classes, n)), np.empty(n), np.empty(spec.param_count)
+    for i, (params, row) in enumerate(zip(models, losses)):
+        if isinstance(params, tuple):
+            params = np.add(*params, out=summed)
+        np.copyto(t, _logits(params, spec, x, layers).T)
+        t -= np.max(t, axis=0, out=top)
+        np.exp(t, out=t)
+        sums = class_sums(t)
+        np.take(t, picks, out=row)
+        row /= sums
+        np.maximum(row, PROB_FLOOR, out=row)
+        np.log(row, out=row)
+        np.negative(row, out=row)
+        if preds is not None:
+            t /= sums
+            _first_argmax(t, preds[i])
+    return [(losses[i], None if preds is None else preds[i]) for i in range(len(models))]
 
 
 @functools.cache

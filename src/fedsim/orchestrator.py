@@ -108,6 +108,12 @@ def validate_config(config: ExperimentConfig) -> None:
             "clients_per_round: exceeds partition.client_count "
             f"({config.clients_per_round} > {config.partition.client_count})"
         )
+    # The aggregators refuse these too, but only once a round has trained.
+    strategy, cpr = config.strategy, config.clients_per_round
+    if strategy.kind == "lfr" and math.ceil(strategy.remove_fraction * cpr) >= cpr:
+        raise ConfigurationError(f"strategy.remove_fraction: lfr would drop all {cpr} clients")
+    if strategy.kind == "trimmed_mean" and 2 * math.floor(strategy.trim_fraction * cpr) >= cpr:
+        raise ConfigurationError(f"strategy.trim_fraction: would over-trim {cpr} updates")
     if config.strategy.pre_transforms and config.dp is None:
         raise ConfigurationError("strategy.pre_transforms: requires a dp section")
     k = config.model.num_classes
@@ -369,6 +375,11 @@ def _finish_round(
         val_loss=float("nan"),
     )
 
+    if strategy.kind in ("fedval", "lfr"):  # one cohort evaluation serves both
+        report = fedval.compute_report(
+            [(state.global_params, u.delta) for u in updates], config.model, state.val,
+            recall_dim=config.recall_dim and strategy.kind == "fedval",  # lfr reads no recall
+        )
     if strategy.kind == "fedavg":
         new_global = aggregators.fedavg(state.global_params, updates)
     elif strategy.kind == "multi_krum":
@@ -379,17 +390,13 @@ def _finish_round(
         )
     elif strategy.kind == "lfr":
         new_global = aggregators.lfr(
-            state.global_params, updates, config.model, state.val, strategy.remove_fraction
+            state.global_params, updates, report.overall_loss, strategy.remove_fraction
         )
     elif strategy.kind == "trimmed_mean":
         new_global = aggregators.trimmed_mean(
             state.global_params, updates, strategy.trim_fraction
         )
     else:  # fedval
-        client_models = [(state.global_params, u.delta) for u in updates]
-        report = fedval.compute_report(
-            client_models, config.model, state.val, recall_dim=config.recall_dim
-        )
         choice = fedval.adapt_s2(
             state.global_params,
             updates,
@@ -439,16 +446,13 @@ def _lockstep_round(
     seeds = [derive_seed(first.train.seed, _TRAIN_STREAM, round_index, c) for c in selected]
     spec, batch_size = first.model, first.train.batch_size
     pairs = list(zip(states, configs))
-    if model.rows_per_step(spec, batch_size) >= len(pairs):
-        rows = [row for s, c in pairs for row in _client_rows(s, c, selected, seeds)]
-        trained = iter(model.train_rows(spec, rows, batch_size))
-        return [_finish_round(s, c, selected, trained) for s, c in pairs]
+    together = model.rows_per_step(spec, batch_size) >= len(pairs)
     logs = []
-    for s, c in pairs:
-        rows = _client_rows(s, c, selected, seeds)
+    for group in [pairs] if together else [[pair] for pair in pairs]:
+        rows = [row for s, c in group for row in _client_rows(s, c, selected, seeds)]
         trained = iter(model.train_rows(spec, rows, batch_size))
-        logs.append(_finish_round(s, c, selected, trained))
-        # Drop this cohort before the next strategy trains its own.
+        logs += [_finish_round(s, c, selected, trained) for s, c in group]
+        # Drop this cohort before the next group trains its own.
         del trained
     return logs
 

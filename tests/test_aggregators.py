@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fedsim import aggregators, model
+from fedsim import aggregators, fedval, model
 from fedsim.aggregators import ClientUpdate, Strategy
 from fedsim.data import build_validation, gen_synthetic
 from fedsim.errors import ConfigurationError
@@ -63,6 +63,22 @@ def delta_stacks(draw):
         st.floats(-1e6, 1e6, allow_nan=False), st.sampled_from([0.0, 1.0, -2.5])
     )
     return draw(hnp.arrays(np.float64, (n, dim), elements=elements))
+
+
+@st.composite
+def permuted_cohorts(draw):
+    """(global model, deltas (n, P), sample counts, distinct validation
+    losses, a permutation of the n clients), every float finite and no zero
+    negative."""
+    n = draw(st.integers(1, 10))
+    dim = draw(st.integers(1, 8))
+    values = st.floats(-1e3, 1e3, allow_nan=False).map(lambda v: v + 0.0)
+    g = draw(hnp.arrays(np.float64, dim, elements=values))
+    deltas = draw(hnp.arrays(np.float64, (n, dim), elements=values))
+    samples = draw(st.lists(st.integers(1, 500), min_size=n, max_size=n))
+    losses = draw(st.lists(st.floats(0.0, 30.0), min_size=n, max_size=n, unique=True))
+    perm = np.array(draw(st.permutations(range(n))), dtype=np.intp)
+    return g, deltas, samples, np.array(losses), perm
 
 
 class TestFedavg:
@@ -141,6 +157,11 @@ class TestLfr:
         )
         self.corrupted = weak * 100.0
 
+    def losses(self, updates):
+        """Each update's mean validation loss, as the round computes it."""
+        models = [(self.global_params, u.delta) for u in updates]
+        return fedval.compute_report(models, self.spec, self.val).overall_loss
+
     def test_corrupted_model_always_dropped(self):
         good_delta = self.good - self.global_params
         updates = make_updates(
@@ -159,26 +180,31 @@ class TestLfr:
         survivors = sorted(order[:3])
         assert 4 not in survivors  # the corrupted client is always among the dropped
         expected = aggregators.fedavg(self.global_params, [updates[i] for i in survivors])
-        out = aggregators.lfr(self.global_params, updates, self.spec, self.val, 0.4)
+        out = aggregators.lfr(self.global_params, updates, self.losses(updates), 0.4)
         assert np.allclose(out, expected, atol=1e-12)
 
     def test_zero_removal_is_fedavg(self):
         rng = np.random.default_rng(2)
         updates = make_updates(rng.normal(0, 0.1, size=(4, self.spec.param_count)),
                                samples=[10, 20, 30, 40])
-        out = aggregators.lfr(self.global_params, updates, self.spec, self.val, 0.0)
+        out = aggregators.lfr(self.global_params, updates, self.losses(updates), 0.0)
         assert np.array_equal(out, aggregators.fedavg(self.global_params, updates))
 
     def test_identical_models_tie_break_keeps_aggregate(self):
         delta = self.good - self.global_params
         updates = make_updates([delta] * 5, samples=[10] * 5)
-        out = aggregators.lfr(self.global_params, updates, self.spec, self.val, 0.4)
+        out = aggregators.lfr(self.global_params, updates, self.losses(updates), 0.4)
         assert np.allclose(out, self.global_params + delta, atol=1e-12)
 
     def test_dropping_everyone_rejected(self):
         updates = make_updates([np.zeros(self.spec.param_count)], samples=[10])
         with pytest.raises(ConfigurationError):
-            aggregators.lfr(self.global_params, updates, self.spec, self.val, 0.99)
+            aggregators.lfr(self.global_params, updates, self.losses(updates), 0.99)
+
+    def test_one_loss_per_update_required(self):
+        updates = make_updates([np.zeros(self.spec.param_count)] * 3, samples=[10] * 3)
+        with pytest.raises(ConfigurationError, match="one validation loss per update"):
+            aggregators.lfr(self.global_params, updates, self.losses(updates)[:2], 0.0)
 
 
 class TestTrimmedMean:
@@ -232,6 +258,47 @@ class TestPermutationInvariance:
         t1 = aggregators.trimmed_mean(g, make_updates(deltas), 0.2)
         t2 = aggregators.trimmed_mean(g, make_updates(deltas[perm]), 0.2)
         assert np.allclose(t1, t2, atol=1e-12)
+
+    # Properties over drawn cohorts: `perm` reorders the clients, and every
+    # client carries its delta, sample count and validation loss along.
+
+    @given(permuted_cohorts(), st.floats(0.0, 0.49))
+    def test_trimmed_mean_is_bit_identical(self, cohort, trim_fraction):
+        g, deltas, _, _, perm = cohort
+        assume(2 * math.floor(trim_fraction * len(deltas)) < len(deltas))
+        a = aggregators.trimmed_mean(g, make_updates(deltas), trim_fraction)
+        b = aggregators.trimmed_mean(g, make_updates(deltas[perm]), trim_fraction)
+        assert a.tobytes() == b.tobytes()
+
+    @given(permuted_cohorts(), st.floats(0.0, 0.99))
+    def test_fedavg_and_lfr_move_by_rounding_only(self, cohort, remove_fraction):
+        g, deltas, samples, losses, perm = cohort
+        n = len(deltas)
+        updates = make_updates(deltas, samples)
+        permuted = make_updates(deltas[perm], [samples[i] for i in perm])
+        # Reordering a weighted sum of deltas moves it by rounding alone.
+        bound = 1e-12 * (np.abs(g) + np.abs(deltas).max(axis=0))
+        a = aggregators.fedavg(g, updates)
+        assert np.all(np.abs(a - aggregators.fedavg(g, permuted)) <= bound)
+        assume(math.ceil(remove_fraction * n) < n)
+        a = aggregators.lfr(g, updates, losses, remove_fraction)
+        b = aggregators.lfr(g, permuted, losses[perm], remove_fraction)
+        assert np.all(np.abs(a - b) <= bound)
+
+    @given(permuted_cohorts(), st.sampled_from([0.0, 0.1, 0.25, 0.4, 0.5, 0.75, 0.9]))
+    def test_multi_krum_permutes_its_kept_set(self, cohort, remove_fraction):
+        _, deltas, _, _, perm = cohort
+        n = len(deltas)
+        # The Krum scores, which must have no ties for the kept set to follow
+        # the clients (a tie goes to the lower index).
+        neighbors = max(n - math.floor(remove_fraction * n) - 2, 1)
+        sq = aggregators._squared_distances(deltas)
+        np.fill_diagonal(sq, np.inf)
+        scores = np.sort(sq, axis=1)[:, :neighbors].sum(axis=1)
+        assume(len(set(scores.tolist())) == n)
+        kept = aggregators.multi_krum(make_updates(deltas), remove_fraction)
+        permuted_kept = aggregators.multi_krum(make_updates(deltas[perm]), remove_fraction)
+        assert sorted(int(perm[i]) for i in permuted_kept) == kept
 
 
 class TestStrategyValidation:

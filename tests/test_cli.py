@@ -441,6 +441,48 @@ class TestHoldoutCoverage:
         assert not out.exists()
 
 
+class TestInfeasibleFractions:
+    """A strategy fraction that leaves no update to aggregate is refused at
+    set-up, with exit 1 and no output directory, before any client trains,
+    also for the strategies that `compare` fills in."""
+
+    @pytest.mark.parametrize(
+        "strategy, clients, command, named",
+        [({"kind": "lfr", "remove_fraction": 0.6}, 2, ["run"],
+          "strategy.remove_fraction: lfr would drop all 2 clients"),
+         ({"kind": "fedval"}, 1, ["compare", "--strategies", "fedavg,lfr"],
+          "strategy.remove_fraction: lfr would drop all 1 clients"),
+         ({"kind": "trimmed_mean", "trim_fraction": 0.5}, 2, ["run"],
+          "strategy.trim_fraction: would over-trim 2 updates"),
+         ({"kind": "trimmed_mean", "trim_fraction": 0.5}, 2,
+          ["compare", "--strategies", "fedavg,trimmed_mean"],
+          "strategy.trim_fraction: would over-trim 2 updates")],
+    )
+    def test_refused_before_training(self, tmp_path, capsys, monkeypatch, strategy, clients,
+                                     command, named):
+        calls = []
+        honest = orchestrator.model.train_rows
+
+        def train_rows(*args, **kwargs):
+            calls.append(args)
+            return honest(*args, **kwargs)
+
+        monkeypatch.setattr(orchestrator.model, "train_rows", train_rows)
+        path = write_config(tmp_path, minimal_config(strategy=strategy, clients_per_round=clients))
+        out = tmp_path / "out"
+        assert cli.main([*command, path, "--out", str(out)]) == 1
+        assert f"error: {named}" in capsys.readouterr().err
+        assert not out.exists()
+        assert calls == []
+
+    @pytest.mark.parametrize("strategy", [{"kind": "lfr", "remove_fraction": 0.5},
+                                          {"kind": "trimmed_mean", "trim_fraction": 0.4}])
+    def test_feasible_fraction_runs(self, tmp_path, strategy):
+        # Three clients: lfr drops two, and trimmed_mean trims one from each end.
+        path = write_config(tmp_path, minimal_config(strategy=strategy, rounds=1))
+        assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == 0
+
+
 class TestCompare:
     def test_two_strategies_share_selection(self, tmp_path):
         path = write_config(tmp_path, minimal_config())

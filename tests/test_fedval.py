@@ -33,6 +33,44 @@ def make_updates(deltas, samples=None):
             for i, (d, s) in enumerate(zip(deltas, samples))]
 
 
+@st.composite
+def finite_reports(draw):
+    """A validation report as `compute_report` derives it from finite
+    per-label losses in the range a floored cross-entropy can take, each
+    client's overall loss the mean of its labels', with recall columns for
+    up to three groups or none."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 6))
+    losses = st.floats(0.0, -np.log(model.PROB_FLOOR))
+    per_label = np.array(draw(st.lists(st.lists(losses, min_size=k, max_size=k),
+                                       min_size=n, max_size=n)))
+    report = report_from_losses(per_label, per_label.mean(axis=1))
+    groups = draw(st.integers(0, 3))
+    if groups:
+        recall = np.array(draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=groups,
+                                                 max_size=groups), min_size=n, max_size=n)))
+        report.group_recall = recall
+        report.group_keys = tuple(range(groups))
+        report.group_mean = recall.mean(axis=0)
+        report.group_mad = np.abs(recall - recall.mean(axis=0)).mean(axis=0)
+        report.overall_recall_mean = draw(st.floats(0.0, 1.0))
+    return report
+
+
+def score_params():
+    """Scoring hyperparameters that `ScoreParams` accepts, with a
+    non-negative clamp floor."""
+    return st.builds(
+        ScoreParams,
+        s1_label=st.floats(1e-3, 10.0),
+        s1_avg=st.floats(0.0, 10.0),
+        s2=st.floats(fedval.S2_MIN, 10.0),
+        s2_recall=st.floats(0.0, 30.0),
+        baseline_c=st.floats(0.0, 10.0),
+        clamp_floor=st.floats(0.0, 10.0),
+    )
+
+
 class TestMad:
     def test_constant(self):
         assert fedval.mad([4.2, 4.2, 4.2]) == 0.0
@@ -206,6 +244,16 @@ class TestScore:
         active = fedval.score(report, params)
         # reducer (0.6/0.3)^2 = 4; slope 4*3*(+-0.1)/0.1 = +-12; baseline 9
         assert np.allclose(active.raw, [24.0 + 9.0 - 12.0, 24.0 + 9.0 + 12.0], atol=1e-9)
+
+    @given(finite_reports(), score_params())
+    def test_weights_are_a_distribution_or_all_zero(self, report, params):
+        table = fedval.score(report, params)
+        assert np.all(np.isfinite(table.weights))
+        if table.all_zero:
+            assert np.all(table.weights == 0.0)
+        else:
+            assert np.all(table.weights >= 0.0)
+            assert abs(table.weights.sum() - 1.0) <= 1e-12
 
 
 class TestAggregate:

@@ -530,15 +530,16 @@ def set_blas_thread_count(count: int) -> None:
 
 
 def eval_threads(monkeypatch):
-    """Record the thread of every model evaluation."""
+    """Record the thread of every model evaluation: `_logits` runs once per
+    evaluated model."""
     threads = []
-    honest = model._eval_into
+    honest = model._logits
 
     def spy(*args):
         threads.append(threading.get_ident())
         return honest(*args)
 
-    monkeypatch.setattr(model, "_eval_into", spy)
+    monkeypatch.setattr(model, "_logits", spy)
     return threads
 
 

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fedsim import model, orchestrator
+from fedsim import fedval, model, orchestrator
 from fedsim.adversary import AttackSpec
 from fedsim.aggregators import ClientUpdate, Strategy
 from fedsim.data import Dataset, PartitionSpec
@@ -136,6 +136,38 @@ class TestRunRound:
             log = run_round(state, config)
             losses, _ = model.eval_losses(state.global_params, config.model, state.val.data)
             assert log.val_loss == float(losses.mean())
+
+    @pytest.mark.parametrize("kind, recall_dim", [("lfr", False), ("fedval", True)])
+    def test_cohort_evaluated_once_through_the_report(self, monkeypatch, kind, recall_dim):
+        # lfr ranks its clients by the validation report that fedval scores:
+        # the round evaluates its cohort once, inside `compute_report`, which
+        # computes recall for fedval alone.
+        config = small_config(strategy=Strategy(kind=kind, remove_fraction=0.4),
+                              recall_dim=True)
+        state = setup_experiment(config)
+        honest_report, honest_eval = fedval.compute_report, model.eval_cohort
+        reports, inside, cohorts = [], [], []
+
+        def report_spy(*args, recall_dim=False):
+            reports.append(recall_dim)
+            inside.append(True)
+            try:
+                return honest_report(*args, recall_dim=recall_dim)
+            finally:
+                inside.pop()
+
+        def eval_spy(models, *args, **kwargs):
+            cohorts.append((bool(inside), len(models)))
+            return honest_eval(models, *args, **kwargs)
+
+        monkeypatch.setattr(fedval, "compute_report", report_spy)
+        monkeypatch.setattr(model, "eval_cohort", eval_spy)
+        run_round(state, config)
+        assert reports == [recall_dim]
+        # One evaluation inside the report, of the whole cohort.
+        assert [c for c in cohorts if c[0]] == [(True, config.clients_per_round)]
+        if kind == "lfr":  # and one of the new global model alone
+            assert cohorts == [(True, config.clients_per_round), (False, 1)]
 
     def test_weights_sum_to_one_or_zero_update(self):
         config = small_config(strategy=Strategy(kind="fedval"))
