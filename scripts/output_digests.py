@@ -41,6 +41,18 @@ def run_compare(src: Path, config: Path, out: Path) -> None:
     subprocess.run(argv, check=True, env=env, cwd=config.parent, stdout=subprocess.DEVNULL)
 
 
+def write_workload(name: str, seed: int, work: Path, rounds: int | None = None) -> Path:
+    """`workloads.write_workload` with the CSV path in the config made
+    relative, so that the canonical config does not name `work`; run the
+    config from its own directory."""
+    config = workloads.write_workload(name, seed, work, rounds)
+    raw = json.loads(config.read_text(encoding="utf-8"))
+    if raw["task"]["type"] == "csv":
+        raw["task"]["path"] = Path(raw["task"]["path"]).name
+        config.write_text(json.dumps(raw, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return config
+
+
 def digests(name: str, out: Path) -> list[str]:
     return [
         f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}/{path.relative_to(out)}"
@@ -64,13 +76,7 @@ def main(argv: list[str] | None = None) -> int:
             for seed in seeds:
                 inputs = work / f"{name}-{seed}"
                 inputs.mkdir()
-                config = workloads.write_workload(name, seed, inputs)
-                raw = json.loads(config.read_text(encoding="utf-8"))
-                if raw["task"]["type"] == "csv":
-                    raw["task"]["path"] = Path(raw["task"]["path"]).name
-                    config.write_text(json.dumps(raw, indent=2, sort_keys=True) + "\n",
-                                      encoding="utf-8")
-                runs.append((f"{name}-{seed}", config))
+                runs.append((f"{name}-{seed}", write_workload(name, seed, inputs)))
         for name, config in runs:
             out = work / "out" / name
             run_compare(args.src.resolve(), config, out)

@@ -90,6 +90,16 @@ class PartitionSpec:
         object.__setattr__(self, "missing", tuple(sorted(int(m) for m in self.missing)))
 
 
+@dataclass(frozen=True)
+class CsvTask:
+    """Tabular task loaded from a CSV file."""
+
+    path: str
+    feature_columns: tuple[str, ...]
+    label_column: str
+    group_column: str | None = None
+
+
 @dataclass
 class ValidationSet:
     """A holdout dataset with per-label and per-group index lists: the
@@ -290,17 +300,8 @@ def build_validation(
     return ValidationSet(data.subset(chosen)), data.subset(remainder_idx)
 
 
-@dataclass(frozen=True)
-class CsvSchema:
-    """Column roles for load_csv."""
-
-    feature_columns: tuple[str, ...]
-    label_column: str
-    group_column: str | None = None
-
-
-def load_csv(path: str, schema: CsvSchema) -> Dataset:
-    """Read a headered CSV into a Dataset.
+def load_csv(task: CsvTask) -> Dataset:
+    """Read the headered CSV of `task` into a Dataset.
 
     The header is read with the csv module and the rows with numpy's C
     reader. Features are standardized per column (zero mean, unit variance,
@@ -308,23 +309,23 @@ def load_csv(path: str, schema: CsvSchema) -> Dataset:
     from 0; group values are mapped to contiguous ids in sorted order. A bad
     row is reported by its number, the header being row 1.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(task.path, encoding="utf-8") as fh:
         header = next(csv.reader(fh), None)
         if header is None:
-            raise ConfigurationError(f"{path}: missing header row")
+            raise ConfigurationError(f"{task.path}: missing header row")
         # A repeated name means its last column, as in csv.DictReader.
         columns = {name: i for i, name in enumerate(header)}
-        needed = set(schema.feature_columns) | {schema.label_column}
-        if schema.group_column:
-            needed.add(schema.group_column)
+        needed = set(task.feature_columns) | {task.label_column}
+        if task.group_column:
+            needed.add(task.group_column)
         missing_cols = needed - set(columns)
         if missing_cols:
-            raise ConfigurationError(f"{path}: missing columns {sorted(missing_cols)}")
-        fields = [("x", np.float64, (len(schema.feature_columns),)), ("y", np.int64)]
-        usecols = [columns[c] for c in schema.feature_columns] + [columns[schema.label_column]]
-        if schema.group_column:
+            raise ConfigurationError(f"{task.path}: missing columns {sorted(missing_cols)}")
+        fields = [("x", np.float64, (len(task.feature_columns),)), ("y", np.int64)]
+        usecols = [columns[c] for c in task.feature_columns] + [columns[task.label_column]]
+        if task.group_column:
             fields.append(("g", object))
-            usecols.append(columns[schema.group_column])
+            usecols.append(columns[task.group_column])
         try:
             with warnings.catch_warnings():
                 # A file without data rows is reported below.
@@ -340,14 +341,14 @@ def load_csv(path: str, schema: CsvSchema) -> Dataset:
                 )
         except ValueError as exc:
             fh.seek(0)
-            message = _first_bad_row(fh, schema) or str(exc)
-            raise ConfigurationError(f"{path}: {message}") from exc
+            message = _first_bad_row(fh, task) or str(exc)
+            raise ConfigurationError(f"{task.path}: {message}") from exc
     if len(table) == 0:
-        raise ConfigurationError(f"{path}: no data rows")
+        raise ConfigurationError(f"{task.path}: no data rows")
     labels = table["y"].copy()
     negative = np.flatnonzero(labels < 0)
     if len(negative):
-        raise ConfigurationError(f"{path}: negative label on row {negative[0] + 2}")
+        raise ConfigurationError(f"{task.path}: negative label on row {negative[0] + 2}")
 
     features = table["x"].copy()
     mean = features.mean(axis=0)
@@ -356,23 +357,23 @@ def load_csv(path: str, schema: CsvSchema) -> Dataset:
     features = (features - mean) / std
 
     group_ids = None
-    if schema.group_column:
+    if task.group_column:
         _, group_ids = np.unique(table["g"], return_inverse=True)
     return Dataset(features, labels, int(labels.max()) + 1, group_ids)
 
 
-def _first_bad_row(fh: TextIO, schema: CsvSchema) -> str | None:
+def _first_bad_row(fh: TextIO, task: CsvTask) -> str | None:
     """The message for the first data row of `fh` that `float` or `int`
     rejects or whose label is negative, numbered with the header as row 1;
     None when every row passes. It names the row behind a failed numpy
     parse and builds no data."""
     for line_no, row in enumerate(csv.DictReader(fh), start=2):
         try:
-            for c in schema.feature_columns:
+            for c in task.feature_columns:
                 float(row[c])
         except (TypeError, ValueError):
             return f"malformed feature on row {line_no}"
-        raw_label = row[schema.label_column]
+        raw_label = row[task.label_column]
         try:
             label = int(raw_label)
         except (TypeError, ValueError):

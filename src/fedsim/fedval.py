@@ -40,7 +40,7 @@ class ScoreParams:
     s1_label / s1_avg scale the per-label and overall slope terms, s2 is the
     (adaptive) bias-reducer exponent, s2_recall its static counterpart for
     recall dimensions, and baseline_c sets the constant score every client
-    collects per dimension.
+    collects per dimension. s1_label must be positive, and the rest >= 0.
     """
 
     s1_label: float = 3.0
@@ -53,8 +53,9 @@ class ScoreParams:
     def __post_init__(self):
         if self.s1_label <= 0:
             raise ConfigurationError("s1_label must be positive")
-        if self.baseline_c < 0:
-            raise ConfigurationError("baseline_c must be >= 0")
+        for name in ("s1_avg", "s2", "s2_recall", "baseline_c", "clamp_floor"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(f"{name} must be >= 0")
 
 
 @dataclass
@@ -86,7 +87,6 @@ class ScoreTable:
     raw: np.ndarray
     clamped: np.ndarray
     weights: np.ndarray
-    s2: float
 
     @property
     def all_zero(self) -> bool:
@@ -229,7 +229,7 @@ def score(report: ValidationReport, params: ScoreParams) -> ScoreTable:
     clamped = np.maximum(raw, params.clamp_floor)
     total = clamped.sum()
     weights = clamped / total if total > 0 else np.zeros(n)
-    return ScoreTable(raw=raw, clamped=clamped, weights=weights, s2=params.s2)
+    return ScoreTable(raw=raw, clamped=clamped, weights=weights)
 
 
 def aggregate(

@@ -217,20 +217,6 @@ def class_sums(t: np.ndarray) -> np.ndarray:
     return class_sums(t[:half]) + class_sums(t[half:])
 
 
-def _first_argmax(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """`t.argmax(axis=0)` of a class-major (K, n) array, into `out` (n,) when
-    given, by numpy's rule: the first maximum wins, and NaN counts as the
-    maximum."""
-    hit = t == t.max(axis=0)
-    hit |= np.isnan(t)
-    if out is None:
-        out = np.empty(t.shape[1], dtype=np.intp)
-    # Every column has a hit; the lowest class assigned last wins.
-    for k in range(len(t) - 1, -1, -1):
-        out[hit[k]] = k
-    return out
-
-
 def _backprop(
     layers: list[tuple[np.ndarray, np.ndarray]],
     grads: list[tuple[np.ndarray, np.ndarray]],
@@ -574,7 +560,7 @@ def eval_cohort(
         np.negative(row, out=row)
         if preds is not None:
             t /= sums
-            _first_argmax(t, preds[i])
+            np.argmax(t, axis=0, out=preds[i])
     return [(losses[i], None if preds is None else preds[i]) for i in range(len(models))]
 
 

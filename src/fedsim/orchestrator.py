@@ -18,7 +18,7 @@ from fedsim import adversary, aggregators, fedval, metrics, model, privacy
 from fedsim.adversary import AttackSpec
 from fedsim.aggregators import ClientUpdate, Strategy
 from fedsim.data import (
-    CsvSchema,
+    CsvTask,
     Dataset,
     PartitionSpec,
     ValidationSet,
@@ -52,16 +52,6 @@ class SyntheticTask:
     samples: int = 4000
     separation: float = 6.0
     seed: int = 0
-
-
-@dataclass(frozen=True)
-class CsvTask:
-    """Tabular task loaded from a CSV file."""
-
-    path: str
-    feature_columns: tuple[str, ...]
-    label_column: str
-    group_column: str | None = None
 
 
 @dataclass(frozen=True)
@@ -108,6 +98,13 @@ def validate_config(config: ExperimentConfig) -> None:
             "clients_per_round: exceeds partition.client_count "
             f"({config.clients_per_round} > {config.partition.client_count})"
         )
+    # numpy refuses a negative seed only once set-up draws from it. A csv
+    # task has no seed.
+    for key in ("task.seed", "partition.seed", "model.seed", "train.seed",
+                "attack.placement_seed", "validation.seed", "test.seed", "selection_seed"):
+        section, _, name = key.rpartition(".")
+        if getattr(getattr(config, section) if section else config, name, 0) < 0:
+            raise ConfigurationError(f"{key}: must be >= 0")
     # The aggregators refuse these too, but only once a round has trained.
     strategy, cpr = config.strategy, config.clients_per_round
     if strategy.kind == "lfr" and math.ceil(strategy.remove_fraction * cpr) >= cpr:
@@ -197,7 +194,6 @@ class ExperimentResult:
     records: list[MetricRecord]
     round_logs: list[RoundLog]
     final_params: np.ndarray
-    final_s2: float
 
 
 def select_clients(
@@ -227,12 +223,7 @@ def setup_experiment(config: ExperimentConfig) -> ExperimentState:
         t = config.task
         source = gen_synthetic(t.classes, t.features, t.samples, t.separation, t.seed)
     else:
-        schema = CsvSchema(
-            tuple(config.task.feature_columns),
-            config.task.label_column,
-            config.task.group_column,
-        )
-        source = load_csv(config.task.path, schema)
+        source = load_csv(config.task)
         if source.num_classes != config.model.num_classes:
             raise ConfigurationError(
                 f"model.layer_sizes: output dim {config.model.num_classes} "
@@ -491,15 +482,13 @@ def run_experiments(
     if backdoor is None and first.attack.kind == "label_flip":
         backdoor = (first.attack.source_label, first.attack.target_label)
 
-    records: list[list[MetricRecord]] = [[] for _ in configs]
-    logs: list[list[RoundLog]] = [[] for _ in configs]
+    results = [ExperimentResult([], [], s.global_params) for s in states]
     for r in range(first.rounds):
-        for s, own_records, own_logs, log in zip(
-            states, records, logs, _lockstep_round(states, configs)
-        ):
-            own_logs.append(log)
+        for s, result, log in zip(states, results, _lockstep_round(states, configs)):
+            result.round_logs.append(log)
+            result.final_params = s.global_params
             if (r + 1) % first.metrics_every == 0 or r == first.rounds - 1:
-                own_records.append(
+                result.records.append(
                     metrics.evaluate(
                         s.global_params,
                         first.model,
@@ -509,15 +498,7 @@ def run_experiments(
                         validation_loss=log.val_loss,
                     )
                 )
-    return [
-        ExperimentResult(
-            records=own_records,
-            round_logs=own_logs,
-            final_params=s.global_params,
-            final_s2=s.s2,
-        )
-        for s, own_records, own_logs in zip(states, records, logs)
-    ]
+    return results
 
 
 def run_experiment(

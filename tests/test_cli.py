@@ -110,7 +110,7 @@ class TestRun:
         assert all(math.isnan(s) for s in logs[0].scores.values())
         assert math.isnan(logs[1].val_loss)
 
-        result = ExperimentResult([], logs, state.global_params, state.s2)
+        result = ExperimentResult([], logs, state.global_params)
         out = tmp_path / "out"
         out.mkdir()
         cli._write_run(out, config, result, 0.0)
@@ -441,6 +441,20 @@ class TestHoldoutCoverage:
         assert not out.exists()
 
 
+@pytest.fixture
+def train_calls(monkeypatch) -> list:
+    """The arguments of every `train_rows` call that the test makes."""
+    calls = []
+    honest = orchestrator.model.train_rows
+
+    def train_rows(*args, **kwargs):
+        calls.append(args)
+        return honest(*args, **kwargs)
+
+    monkeypatch.setattr(orchestrator.model, "train_rows", train_rows)
+    return calls
+
+
 class TestInfeasibleFractions:
     """A strategy fraction that leaves no update to aggregate is refused at
     set-up, with exit 1 and no output directory, before any client trains,
@@ -458,22 +472,14 @@ class TestInfeasibleFractions:
           ["compare", "--strategies", "fedavg,trimmed_mean"],
           "strategy.trim_fraction: would over-trim 2 updates")],
     )
-    def test_refused_before_training(self, tmp_path, capsys, monkeypatch, strategy, clients,
+    def test_refused_before_training(self, tmp_path, capsys, train_calls, strategy, clients,
                                      command, named):
-        calls = []
-        honest = orchestrator.model.train_rows
-
-        def train_rows(*args, **kwargs):
-            calls.append(args)
-            return honest(*args, **kwargs)
-
-        monkeypatch.setattr(orchestrator.model, "train_rows", train_rows)
         path = write_config(tmp_path, minimal_config(strategy=strategy, clients_per_round=clients))
         out = tmp_path / "out"
         assert cli.main([*command, path, "--out", str(out)]) == 1
         assert f"error: {named}" in capsys.readouterr().err
         assert not out.exists()
-        assert calls == []
+        assert train_calls == []
 
     @pytest.mark.parametrize("strategy", [{"kind": "lfr", "remove_fraction": 0.5},
                                           {"kind": "trimmed_mean", "trim_fraction": 0.4}])
@@ -481,6 +487,42 @@ class TestInfeasibleFractions:
         # Three clients: lfr drops two, and trimmed_mean trims one from each end.
         path = write_config(tmp_path, minimal_config(strategy=strategy, rounds=1))
         assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == 0
+
+
+class TestNegativeScoreParams:
+    """A negative score parameter would give negative weights or reward a
+    higher loss; it is refused by the config, before any client trains."""
+
+    @pytest.mark.parametrize("name", ["s1_avg", "s2", "s2_recall", "baseline_c", "clamp_floor"])
+    def test_refused_before_training(self, tmp_path, capsys, train_calls, name):
+        assert_refused(tmp_path, capsys, minimal_config(score_params={name: -1.0}),
+                       f"error: score_params: {name} must be >= 0")
+        assert train_calls == []
+
+    def test_zero_is_accepted(self, tmp_path):
+        zeros = dict.fromkeys(["s1_avg", "s2", "s2_recall", "baseline_c", "clamp_floor"], 0)
+        path = write_config(tmp_path, minimal_config(score_params=zeros, rounds=1))
+        assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == 0
+
+
+class TestNegativeSeeds:
+    """Every seed of a config is refused below 0 by its dotted key, before
+    set-up builds any data."""
+
+    @pytest.mark.parametrize(
+        "key",
+        ["task.seed", "partition.seed", "model.seed", "train.seed", "attack.placement_seed",
+         "validation.seed", "test.seed", "selection_seed"],
+    )
+    def test_refused_before_setup(self, tmp_path, capsys, monkeypatch, key):
+        calls = []
+        monkeypatch.setattr(orchestrator, "gen_synthetic", lambda *a, **k: calls.append(a))
+        quickstart = Path(__file__).resolve().parents[1] / "configs" / "quickstart.json"
+        raw = json.loads(quickstart.read_text(encoding="utf-8"))
+        section, _, name = key.rpartition(".")
+        (raw.setdefault(section, {}) if section else raw)[name] = -1
+        assert_refused(tmp_path, capsys, raw, f"error: {key}: must be >= 0")
+        assert calls == []
 
 
 class TestCompare:

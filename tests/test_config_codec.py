@@ -232,10 +232,10 @@ raw_configs = section(
     },
     {
         "selection_seed": seeds,
-        "score_params": section({}, {"s1_label": number(0.001, 100.0), "s1_avg": number(),
-                                     "s2": number(), "s2_recall": number(),
+        "score_params": section({}, {"s1_label": number(0.001, 100.0), "s1_avg": number(0.0),
+                                     "s2": number(0.0), "s2_recall": number(0.0),
                                      "baseline_c": number(0.0, 100.0),
-                                     "clamp_floor": number()}),
+                                     "clamp_floor": number(0.0)}),
         "attack": attacks(),
         "dp": st.one_of(st.none(), section({}, {
             "clip_bound": number(0.001, 100.0),

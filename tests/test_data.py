@@ -6,7 +6,7 @@ import pytest
 from fedsim import data as data_module
 from fedsim import model
 from fedsim.data import (
-    CsvSchema,
+    CsvTask,
     Dataset,
     PartitionSpec,
     build_validation,
@@ -275,7 +275,7 @@ class TestLoadCsv:
 
     def test_small_file(self, tmp_path):
         path = self.write(tmp_path, "a,b,y\n1,2,0\n3,4,1\n5,6,1\n")
-        data = load_csv(path, CsvSchema(("a", "b"), "y"))
+        data = load_csv(CsvTask(path, ("a", "b"), "y"))
         assert len(data) == 3
         assert data.num_classes == 2
         # standardized columns: zero mean, unit variance
@@ -284,45 +284,46 @@ class TestLoadCsv:
 
     def test_group_mapping(self, tmp_path):
         path = self.write(tmp_path, "a,y,g\n1,0,B\n2,1,A\n3,0,B\n")
-        data = load_csv(path, CsvSchema(("a",), "y", "g"))
+        data = load_csv(CsvTask(path, ("a",), "y", "g"))
         assert data.group_ids.tolist() == [1, 0, 1]
 
     def test_constant_column_zeroed(self, tmp_path):
         path = self.write(tmp_path, "a,b,y\n2,1,0\n2,2,1\n2,3,1\n")
-        data = load_csv(path, CsvSchema(("a", "b"), "y"))
+        data = load_csv(CsvTask(path, ("a", "b"), "y"))
         assert np.all(data.features[:, 0] == 0.0)
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = self.write(tmp_path, "a,y\n1,0\nnope,1\n")
         with pytest.raises(ConfigurationError, match="row 3"):
-            load_csv(path, CsvSchema(("a",), "y"))
+            load_csv(CsvTask(path, ("a",), "y"))
 
     def test_unknown_label_rejected(self, tmp_path):
         path = self.write(tmp_path, "a,y\n1,zero\n")
         with pytest.raises(ConfigurationError, match="label"):
-            load_csv(path, CsvSchema(("a",), "y"))
+            load_csv(CsvTask(path, ("a",), "y"))
 
 
-def reference_load_csv(path, schema):
+def reference_load_csv(task):
     """`load_csv` as a `csv.DictReader` loop, one Python conversion per
     field; the C-parsed loader must give its arrays and its errors."""
+    path = task.path
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ConfigurationError(f"{path}: missing header row")
-        needed = set(schema.feature_columns) | {schema.label_column}
-        if schema.group_column:
-            needed.add(schema.group_column)
+        needed = set(task.feature_columns) | {task.label_column}
+        if task.group_column:
+            needed.add(task.group_column)
         missing_cols = needed - set(reader.fieldnames)
         if missing_cols:
             raise ConfigurationError(f"{path}: missing columns {sorted(missing_cols)}")
         rows_x, rows_y, rows_g = [], [], []
         for line_no, row in enumerate(reader, start=2):
             try:
-                rows_x.append([float(row[c]) for c in schema.feature_columns])
+                rows_x.append([float(row[c]) for c in task.feature_columns])
             except (TypeError, ValueError):
                 raise ConfigurationError(f"{path}: malformed feature on row {line_no}")
-            raw_label = row[schema.label_column]
+            raw_label = row[task.label_column]
             try:
                 label = int(raw_label)
             except (TypeError, ValueError):
@@ -332,8 +333,8 @@ def reference_load_csv(path, schema):
             if label < 0:
                 raise ConfigurationError(f"{path}: negative label on row {line_no}")
             rows_y.append(label)
-            if schema.group_column:
-                rows_g.append(row[schema.group_column])
+            if task.group_column:
+                rows_g.append(row[task.group_column])
     if not rows_y:
         raise ConfigurationError(f"{path}: no data rows")
     features = np.asarray(rows_x, dtype=np.float64)
@@ -343,13 +344,14 @@ def reference_load_csv(path, schema):
     features = (features - mean) / std
     labels = np.asarray(rows_y, dtype=np.int64)
     group_ids = None
-    if schema.group_column:
+    if task.group_column:
         mapping = {v: i for i, v in enumerate(sorted(set(rows_g)))}
         group_ids = np.asarray([mapping[v] for v in rows_g], dtype=np.int64)
     return Dataset(features, labels, int(labels.max()) + 1, group_ids)
 
 
-GROUPED = CsvSchema(("a", "b"), "y", "g")
+def grouped(path) -> CsvTask:
+    return CsvTask(str(path), ("a", "b"), "y", "g")
 
 PARITY_CASES = {
     "plain": "a,b,y,g\n1,2,0,x\n3,4,1,y\n5,6.5,2,x\n",
@@ -389,14 +391,14 @@ class TestLoadCsvParity:
         path.write_bytes(PARITY_CASES[case].encode("utf-8"))
         try:
             with np.errstate(invalid="ignore"):
-                want = reference_load_csv(str(path), GROUPED)
+                want = reference_load_csv(grouped(path))
         except ConfigurationError as exc:
             with pytest.raises(ConfigurationError) as got:
-                load_csv(str(path), GROUPED)
+                load_csv(grouped(path))
             assert str(got.value) == str(exc)
             return
         with np.errstate(invalid="ignore"):
-            got = load_csv(str(path), GROUPED)
+            got = load_csv(grouped(path))
         assert np.array_equal(got.features, want.features, equal_nan=True)
         assert np.array_equal(got.labels, want.labels)
         assert np.array_equal(got.group_ids, want.group_ids)
@@ -408,7 +410,7 @@ class TestLoadCsvParity:
         path = tmp_path / "data.csv"
         path.write_text("a,b,y,g\n1_0,2,0,x\n", encoding="utf-8")
         with pytest.raises(ConfigurationError, match="could not convert string '1_0'"):
-            load_csv(str(path), GROUPED)
+            load_csv(grouped(path))
 
     def test_wide_file_matches(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -422,8 +424,8 @@ class TestLoadCsvParity:
                   for row, label, grp in zip(x, y, g)]
         path = tmp_path / "wide.csv"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        schema = CsvSchema(tuple(header[:d]), "label", "region")
-        got, want = load_csv(str(path), schema), reference_load_csv(str(path), schema)
+        task = CsvTask(str(path), tuple(header[:d]), "label", "region")
+        got, want = load_csv(task), reference_load_csv(task)
         assert np.array_equal(got.features, want.features)
         assert np.array_equal(got.labels, want.labels)
         assert np.array_equal(got.group_ids, want.group_ids)

@@ -504,17 +504,6 @@ class TestClassMajorTail:
                   np.exp(rng.normal(size=(257, k)) * 30.0)):
             assert np.array_equal(model.class_sums(np.ascontiguousarray(x.T)), x.sum(axis=-1))
 
-    @pytest.mark.parametrize("k", TAIL_CLASSES)
-    def test_first_argmax_matches_numpy(self, k):
-        rng = np.random.default_rng(k)
-        # Few distinct values, so that ties are common, plus NaN, infinities
-        # and both zeros.
-        values = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, 2.0])
-        x = rng.choice(values, size=(500, k), p=[0.02, 0.05, 0.05, 0.2, 0.2, 0.28, 0.2])
-        x[:3] = values[3]
-        got = model._first_argmax(np.ascontiguousarray(x.T))
-        assert np.array_equal(got, x.argmax(axis=1))
-
 
 def blas_thread_count() -> int | None:
     """OpenBLAS's thread count as `blas_fingerprint` reads it."""
