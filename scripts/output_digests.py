@@ -28,10 +28,17 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "bench"))
-sys.dont_write_bytecode = True  # leave bench/ as it is
 
-import workloads  # noqa: E402
+# bench/workloads.py, imported without writing bytecode into bench/; the
+# importing process keeps its own path and bytecode setting.
+_dont_write = sys.dont_write_bytecode
+sys.path.insert(0, str(ROOT / "bench"))
+sys.dont_write_bytecode = True
+try:
+    import workloads
+finally:
+    sys.path.remove(str(ROOT / "bench"))
+    sys.dont_write_bytecode = _dont_write
 
 
 def run_compare(src: Path, config: Path, out: Path) -> None:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import hashlib
 import json
 import math
 import os
@@ -31,9 +30,18 @@ import types
 import typing
 from pathlib import Path
 
-# The CLI owns its process: start numpy's OpenBLAS on one thread, so that no
-# worker thread spins while numpy and fedsim load. An explicit setting wins.
+# The CLI owns its process, and sets two things before numpy loads. It starts
+# numpy's OpenBLAS on one thread, so that no worker thread spins while numpy
+# and fedsim load; an explicit setting wins. And it keeps OpenSSL's libcrypto
+# (about 3 MB of resident memory) out: no fedsim code needs it, yet it loads
+# because numpy.random imports `secrets`, whose `hmac` imports `_hashlib`.
+# Without `_hashlib`, `hmac` and `hashlib` use CPython's built-in code, whose
+# sha256 gives `config_hash` the same digest. A process that has already
+# loaded OpenSSL keeps it.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+sys.modules.setdefault("_hashlib", None)
+
+import hashlib
 
 import numpy as np
 

@@ -32,6 +32,10 @@ MAD_EPS = 1e-9
 # Floor for mean group recall in the bias-reducer denominator.
 RECALL_FLOOR = 1e-3
 
+# Lowest bias-reducer exponent: the config's s2 and every exponent the
+# search tries stay at or above it.
+S2_MIN = 0.5
+
 
 @dataclass(frozen=True)
 class ScoreParams:
@@ -40,7 +44,8 @@ class ScoreParams:
     s1_label / s1_avg scale the per-label and overall slope terms, s2 is the
     (adaptive) bias-reducer exponent, s2_recall its static counterpart for
     recall dimensions, and baseline_c sets the constant score every client
-    collects per dimension. s1_label must be positive, and the rest >= 0.
+    collects per dimension. s1_label must be positive, s2 at least S2_MIN
+    (the lowest exponent the search tries), and the rest >= 0.
     """
 
     s1_label: float = 3.0
@@ -53,7 +58,9 @@ class ScoreParams:
     def __post_init__(self):
         if self.s1_label <= 0:
             raise ConfigurationError("s1_label must be positive")
-        for name in ("s1_avg", "s2", "s2_recall", "baseline_c", "clamp_floor"):
+        if self.s2 < S2_MIN:
+            raise ConfigurationError(f"s2 must be >= {S2_MIN}")
+        for name in ("s1_avg", "s2_recall", "baseline_c", "clamp_floor"):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be >= 0")
 
@@ -247,7 +254,6 @@ def aggregate(
 
 # Offsets around the current exponent tried each round.
 S2_CANDIDATE_OFFSETS = (0.0, 0.5, -0.5, -5.0, 5.0)
-S2_MIN = 0.5
 
 
 def s2_candidates(current: float) -> list[float]:

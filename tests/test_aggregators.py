@@ -81,6 +81,15 @@ def permuted_cohorts(draw):
     return g, deltas, samples, np.array(losses), perm
 
 
+@st.composite
+def shifted_cohorts(draw):
+    """(global model, deltas (n, P), sample counts, a shift vector c of
+    length P), every float finite."""
+    g, deltas, samples, _, _ = draw(permuted_cohorts())
+    c = draw(hnp.arrays(np.float64, len(g), elements=st.floats(-1e3, 1e3, allow_nan=False)))
+    return g, deltas, samples, c
+
+
 class TestFedavg:
     def test_equal_sizes_average(self):
         g = np.zeros(3)
@@ -299,6 +308,54 @@ class TestPermutationInvariance:
         kept = aggregators.multi_krum(make_updates(deltas), remove_fraction)
         permuted_kept = aggregators.multi_krum(make_updates(deltas[perm]), remove_fraction)
         assert sorted(int(perm[i]) for i in permuted_kept) == kept
+
+
+class TestTranslationEquivariance:
+    """Shifting every delta by one vector c shifts fedavg's and
+    trimmed_mean's results by c and leaves multi_krum's kept set as it is,
+    up to rounding."""
+
+    # A shift moves each added term by rounding alone, a few units in the last
+    # place of the largest magnitude involved; fixed before the first run.
+    RTOL = 1e-12
+
+    def bound(self, g, deltas, c):
+        return self.RTOL * (np.abs(g) + np.abs(deltas).max(axis=0) + np.abs(c))
+
+    @given(shifted_cohorts())
+    def test_fedavg_shifts_by_c(self, cohort):
+        g, deltas, samples, c = cohort
+        a = aggregators.fedavg(g, make_updates(deltas, samples))
+        b = aggregators.fedavg(g, make_updates(deltas + c, samples))
+        assert np.all(np.abs(b - (a + c)) <= self.bound(g, deltas, c))
+
+    @given(shifted_cohorts(), st.floats(0.0, 0.49))
+    def test_trimmed_mean_shifts_by_c(self, cohort, trim_fraction):
+        g, deltas, _, c = cohort
+        assume(2 * math.floor(trim_fraction * len(deltas)) < len(deltas))
+        a = aggregators.trimmed_mean(g, make_updates(deltas), trim_fraction)
+        b = aggregators.trimmed_mean(g, make_updates(deltas + c), trim_fraction)
+        assert np.all(np.abs(b - (a + c)) <= self.bound(g, deltas, c))
+
+    @given(shifted_cohorts(), st.sampled_from([0.0, 0.1, 0.25, 0.4, 0.5, 0.75, 0.9]))
+    def test_multi_krum_keeps_the_same_clients(self, cohort, remove_fraction):
+        _, deltas, _, c = cohort
+        n = len(deltas)
+        keep = n - math.floor(remove_fraction * n)
+        neighbors = max(keep - 2, 1)
+        # Shifting moves each squared distance by rounding alone, at most
+        # RTOL times the sum of the squared coordinate scales, and each Krum
+        # score by `neighbors` times that. The kept set is the `keep` lowest
+        # scores, so it holds when the scores either side of the cut are
+        # further apart than both scores can move.
+        scale = np.abs(deltas).max(axis=0) + np.abs(c)
+        slack = neighbors * self.RTOL * float(np.sum(scale ** 2))
+        sq = aggregators._squared_distances(deltas)
+        np.fill_diagonal(sq, np.inf)
+        scores = np.sort(np.sort(sq, axis=1)[:, :neighbors].sum(axis=1))
+        assume(keep == n or scores[keep] - scores[keep - 1] > 2 * slack)
+        kept = aggregators.multi_krum(make_updates(deltas), remove_fraction)
+        assert aggregators.multi_krum(make_updates(deltas + c), remove_fraction) == kept
 
 
 class TestStrategyValidation:

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import textwrap
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 import fedsim
-from fedsim import cli, model, orchestrator
+from fedsim import cli, fedval, model, orchestrator
 from fedsim.aggregators import STRATEGY_KINDS, ClientUpdate, Strategy
 from fedsim.data import PartitionSpec
 from fedsim.errors import ConfigurationError
@@ -229,6 +231,46 @@ class TestImportFootprint:
         groups, loaded = json.loads(fresh_python(["-c", code]).stdout)
         assert groups == [0, 1]
         assert not loaded
+
+    def test_library_leaves_openssl_to_the_importer(self):
+        code = ("import json, sys, fedsim.orchestrator, numpy.random; "
+                "print(json.dumps(sys.modules.get('_hashlib', 'unloaded') is not None))")
+        assert json.loads(fresh_python(["-c", code]).stdout)
+
+    def test_compare_process_leaves_openssl_unloaded(self, tmp_path):
+        # numpy.random imports `secrets`, which would map OpenSSL's libcrypto
+        # (about 3 MB of RSS); the CLI keeps `_hashlib` out before numpy loads.
+        path = write_config(tmp_path, minimal_config(rounds=1))
+        out = tmp_path / "out"
+        argv = ["fedsim", "compare", path, "--strategies", "fedavg,fedval", "--out", str(out)]
+        code = textwrap.dedent(f"""
+            import json, runpy, sys
+            sys.argv = {argv!r}
+            try:
+                runpy.run_module("fedsim.cli", run_name="__main__")
+            except SystemExit as stop:
+                status = stop.code
+            try:
+                with open("/proc/self/maps") as maps:
+                    crypto = any("libcrypto" in line for line in maps)
+            except OSError:
+                crypto = None
+            print(json.dumps([status, sys.modules.get("_hashlib", "unloaded") is None, crypto]))
+        """)
+        proc = fresh_python(["-c", code])
+        status, hashlib_left_out, crypto = json.loads(proc.stdout.splitlines()[-1])
+        assert status == 0
+        assert proc.stderr == ""
+        assert hashlib_left_out
+        # The built-in sha256 gives the digest that this process's hashlib gives.
+        for kind in ("fedavg", "fedval"):
+            canonical = json.loads((out / kind / "config.canonical.json").read_text())
+            compact = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
+            manifest = json.loads((out / kind / "manifest.json").read_text())
+            assert manifest["config_hash"] == hashlib.sha256(compact.encode()).hexdigest()
+        if crypto is None:
+            pytest.skip("no /proc/self/maps to read the process's mappings from")
+        assert not crypto
 
 
 BLAS_KEYS = {"numpy_version", "openblas_config", "openblas_corename", "openblas_num_threads",
@@ -500,9 +542,16 @@ class TestNegativeScoreParams:
         assert train_calls == []
 
     def test_zero_is_accepted(self, tmp_path):
-        zeros = dict.fromkeys(["s1_avg", "s2", "s2_recall", "baseline_c", "clamp_floor"], 0)
-        path = write_config(tmp_path, minimal_config(score_params=zeros, rounds=1))
+        # s2 has its own floor, the lowest exponent the s2 search tries.
+        zeros = dict.fromkeys(["s1_avg", "s2_recall", "baseline_c", "clamp_floor"], 0)
+        params = dict(zeros, s2=fedval.S2_MIN)
+        path = write_config(tmp_path, minimal_config(score_params=params, rounds=1))
         assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == 0
+
+    def test_s2_below_the_search_floor_is_refused(self, tmp_path, capsys, train_calls):
+        assert_refused(tmp_path, capsys, minimal_config(score_params={"s2": 0.2}),
+                       "error: score_params: s2 must be >= 0.5")
+        assert train_calls == []
 
 
 class TestNegativeSeeds:

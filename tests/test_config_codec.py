@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fedsim import cli
+from fedsim import cli, fedval
 from fedsim.errors import ConfigurationError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -233,7 +233,7 @@ raw_configs = section(
     {
         "selection_seed": seeds,
         "score_params": section({}, {"s1_label": number(0.001, 100.0), "s1_avg": number(0.0),
-                                     "s2": number(0.0), "s2_recall": number(0.0),
+                                     "s2": number(fedval.S2_MIN), "s2_recall": number(0.0),
                                      "baseline_c": number(0.0, 100.0),
                                      "clamp_floor": number(0.0)}),
         "attack": attacks(),

@@ -36,17 +36,11 @@ KERNELS = {"SkylakeX": "avx512f", "Haswell": "avx2", "Prescott": None}
 
 
 def load_output_digests():
-    """scripts/output_digests.py as a module. Loading it puts bench/ on the
-    path and turns bytecode writing off, to leave bench/ as it is; both are
-    restored."""
-    path, dont_write = list(sys.path), sys.dont_write_bytecode
-    try:
-        spec = importlib.util.spec_from_file_location(
-            "output_digests", ROOT / "scripts" / "output_digests.py")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    finally:
-        sys.path[:], sys.dont_write_bytecode = path, dont_write
+    """scripts/output_digests.py as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "output_digests", ROOT / "scripts" / "output_digests.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
     return module
 
 
@@ -73,6 +67,17 @@ def run_input(script, name: str, work: Path) -> tuple[str, list[str]]:
     manifest = json.loads((out / "fedavg" / "manifest.json").read_text(encoding="utf-8"))
     blas = manifest["blas"]
     return f"{blas['numpy_version']}-{blas['openblas_corename']}", script.digests(name, out)
+
+
+def test_loading_the_script_leaves_path_and_bytecode_setting_alone(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", False)
+    path = list(sys.path)
+    load_output_digests()
+    assert sys.path == path
+    assert sys.dont_write_bytecode is False
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    load_output_digests()
+    assert sys.dont_write_bytecode is True
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
