@@ -150,5 +150,4 @@ def trimmed_mean(
     if 2 * t >= n:
         raise ConfigurationError(f"trim_fraction {trim_fraction} over-trims {n} updates")
     ordered = np.sort(deltas, axis=0)
-    kept = ordered[t : n - t] if t > 0 else ordered
-    return global_params + kept.mean(axis=0)
+    return global_params + ordered[t : n - t].mean(axis=0)

@@ -63,12 +63,6 @@ from fedsim.orchestrator import (
 TASK_TYPES = {"synthetic": SyntheticTask, "csv": CsvTask}
 
 
-def _check_keys(section: str, given: dict, allowed: set[str]) -> None:
-    unknown = set(given) - allowed
-    if unknown:
-        raise ConfigurationError(f"{section}: unknown keys {sorted(unknown)}")
-
-
 def _decode_value(hint, value, key: str, default):
     """`value` read as type `hint`, refused with `key` if it is not one.
 
@@ -115,7 +109,9 @@ def _decode(cls, raw, section: str, base=None):
     if not isinstance(raw, dict):
         raise ConfigurationError(f"{section}: expected an object, got {raw!r}")
     fields = dataclasses.fields(cls)
-    _check_keys(section, raw, {f.name for f in fields})
+    unknown = set(raw) - {f.name for f in fields}
+    if unknown:
+        raise ConfigurationError(f"{section}: unknown keys {sorted(unknown)}")
     hints = typing.get_type_hints(cls)
     values = {}
     for f in fields:
@@ -225,8 +221,6 @@ def _finite_or_null(value):
         return value if math.isfinite(value) else None
     if isinstance(value, dict):
         return {k: _finite_or_null(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_finite_or_null(v) for v in value]
     return value
 
 
@@ -323,18 +317,6 @@ def cmd_compare(config_path: str, strategies: list[str], out_dir: str) -> dict[s
     return manifests
 
 
-def cmd_prob(
-    n: int, p: float, threshold: float | None, k0: int | None, rounds: list[int]
-) -> list[tuple[int, float, float]]:
-    table = []
-    for r in rounds:
-        per_round, at_least_once = malicious_round_probability(
-            n, p, threshold_fraction=threshold, rounds=r, k0=k0
-        )
-        table.append((r, per_round, at_least_once))
-    return table
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fedsim", description="Deterministic federated-learning simulator."
@@ -381,9 +363,10 @@ def main(argv: list[str] | None = None) -> int:
             for r in rounds:
                 if r < 0:
                     raise ConfigurationError(f"prob: --rounds: {str(r)!r} must be >= 0")
-            table = cmd_prob(args.n, args.p, args.threshold, args.k0, rounds)
+            table = [malicious_round_probability(args.n, args.p, threshold_fraction=args.threshold,
+                                                 rounds=r, k0=args.k0) for r in rounds]
             print(f"{'rounds':>10}  {'per_round_p':>14}  {'at_least_once_p':>16}")
-            for r, per_round, at_least_once in table:
+            for r, (per_round, at_least_once) in zip(rounds, table):
                 print(f"{r:>10}  {per_round:>14.6e}  {at_least_once:>16.6e}")
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -82,10 +82,6 @@ class ValidationReport:
     group_mad: np.ndarray | None = None
     overall_recall_mean: float = 0.0
 
-    @property
-    def num_clients(self) -> int:
-        return self.per_label_loss.shape[0]
-
 
 @dataclass
 class ScoreTable:
@@ -207,7 +203,7 @@ def score(report: ValidationReport, params: ScoreParams) -> ScoreTable:
     zero aggregate update for the round. Nothing is logged: `adapt_s2`
     warns once when the table it picks is all zero.
     """
-    n = report.num_clients
+    n = len(report.overall_loss)
     raw = np.zeros(n)
 
     for k in range(report.per_label_loss.shape[1]):

@@ -334,6 +334,8 @@ def rows_per_step(spec: MlpSpec, batch_len: int) -> int:
     return max(1, _STEP_ELEMENTS // (batch_len * max(spec.layer_sizes)))
 
 
+# A diverging row overflows quietly; the caller refuses non-finite results.
+@np.errstate(over="ignore", invalid="ignore")
 def train_rows(spec: MlpSpec, rows: list[SgdRow], batch_size: int) -> list[np.ndarray]:
     """Run every row's mini-batch SGD from its start; return the trained
     parameters in row order.
@@ -347,12 +349,6 @@ def train_rows(spec: MlpSpec, rows: list[SgdRow], batch_size: int) -> list[np.nd
     """
     if not rows:
         return []
-    # A diverging row overflows quietly; the caller refuses non-finite results.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _train_rows(spec, rows, batch_size)
-
-
-def _train_rows(spec: MlpSpec, rows: list[SgdRow], batch_size: int) -> list[np.ndarray]:
     # One key per (shard object, seed): its features, labels and generator.
     keys: dict[tuple[int, int], int] = {}
     row_keys, features, labels, rngs = [], [], [], []
@@ -448,11 +444,9 @@ def _run_epochs(
         # one whose rows share a key gathers its batches.
         if np.all(np.diff(picked) == 1):
             picked = slice(picked[0], picked[0] + k)
-        # Rows with a proximal term; a slice when it is all of them.
+        # Rows with a proximal term, or None when no row has one.
         prox = np.flatnonzero(mus[first:last, 0] > 0.0)
-        if len(prox) == k:
-            prox = slice(None)
-        elif len(prox) == 0:
+        if len(prox) == 0:
             prox = None
         plan.append((
             [(w[first:last], b[first:last]) for w, b in layers],

@@ -90,6 +90,25 @@ def shifted_cohorts(draw):
     return g, deltas, samples, c
 
 
+@st.composite
+def poisoned_stacks(draw, fractions, min_finite):
+    """(a fraction drawn from `fractions`, deltas (n, P), the indices of the
+    non-finite rows). Finite entries lie in [-1e6, 1e6], so no sum of them
+    overflows; at most floor(fraction * n) rows, leaving at least
+    `min_finite` rows finite, hold NaN or +-inf in at least one coordinate."""
+    fraction = draw(fractions)
+    n = draw(st.integers(min_finite, 12))
+    dim = draw(st.integers(1, 16))
+    deltas = draw(hnp.arrays(np.float64, (n, dim), elements=st.floats(-1e6, 1e6)))
+    limit = min(math.floor(fraction * n), n - min_finite)
+    bad = draw(st.lists(st.integers(0, n - 1), max_size=limit, unique=True))
+    for i in bad:
+        cols = draw(st.lists(st.integers(0, dim - 1), min_size=1, unique=True))
+        for j in cols:
+            deltas[i, j] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return fraction, deltas, sorted(bad)
+
+
 class TestFedavg:
     def test_equal_sizes_average(self):
         g = np.zeros(3)
@@ -149,6 +168,17 @@ class TestMultiKrum:
     def test_keeps_at_least_one(self):
         updates = make_updates([np.ones(2)])
         assert aggregators.multi_krum(updates, 0.0) == [0]
+
+    # Two +-inf rows of one sign in a coordinate subtract to NaN there.
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
+    @given(poisoned_stacks(st.sampled_from([0.0, 0.1, 0.25, 0.4, 0.5, 0.75, 0.9]), 2))
+    def test_keeps_only_finite_updates_when_few_are_not(self, stack):
+        # Every finite row has a finite score and every other row an inf or
+        # NaN one, which sorts after it; n - f rows are kept and at least as
+        # many are finite.
+        remove_fraction, deltas, bad = stack
+        kept = aggregators.multi_krum(make_updates(deltas), remove_fraction)
+        assert not set(kept) & set(bad)
 
 
 class TestLfr:
@@ -252,6 +282,15 @@ class TestTrimmedMean:
     def test_over_trimming_rejected(self):
         with pytest.raises(ConfigurationError):
             aggregators.trimmed_mean(np.zeros(2), make_updates([[1, 1], [2, 2]]), 0.5)
+
+    @given(poisoned_stacks(st.floats(0.0, 0.49), 1))
+    def test_finite_when_at_most_the_trimmed_count_are_not(self, stack):
+        # A coordinate holds at most t non-finite values: -inf sorts into the
+        # t trimmed from the bottom, +inf and NaN into the t from the top.
+        trim_fraction, deltas, _ = stack
+        g = np.zeros(deltas.shape[1])
+        out = aggregators.trimmed_mean(g, make_updates(deltas), trim_fraction)
+        assert np.all(np.isfinite(out))
 
 
 class TestPermutationInvariance:

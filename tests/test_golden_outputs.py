@@ -30,7 +30,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 REGENERATE = "python3 tests/test_golden_outputs.py"
-INPUTS = ("quickstart", "server_wide-1")
+INPUTS = ("quickstart", "server_wide-1", "pga_iid-1", "backdoor_lda-1")
 # Each kernel OPENBLAS_CORETYPE can force, with the CPU flag it needs.
 KERNELS = {"SkylakeX": "avx512f", "Haswell": "avx2", "Prescott": None}
 
