@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from fedsim import privacy
 from fedsim.errors import ConfigurationError
 
 log = logging.getLogger(__name__)
@@ -27,7 +28,6 @@ STRATEGY_KINDS = {
     "lfr": {"remove_fraction": 0.4},
     "trimmed_mean": {"trim_fraction": 0.2},
 }
-PRE_TRANSFORMS = ("norm_bound", "dp_noise")
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class Strategy:
         if not 0.0 <= self.trim_fraction < 1.0:
             raise ConfigurationError("trim_fraction must lie in [0, 1)")
         for t in self.pre_transforms:
-            if t not in PRE_TRANSFORMS:
+            if t not in privacy.PRE_TRANSFORMS:
                 raise ConfigurationError(f"unknown pre-transform {t!r}")
 
 

@@ -207,21 +207,10 @@ def _format_cell(value) -> str:
 
 
 def write_metrics_csv(path: Path, records: list[MetricRecord]) -> None:
+    names = [f.name for f in dataclasses.fields(MetricRecord)]
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MetricRecord.FIELDS)
-        for r in records:
-            writer.writerow([_format_cell(getattr(r, f)) for f in MetricRecord.FIELDS])
-
-
-def _finite_or_null(value):
-    """`value` with every non-finite float (a NaN score or loss) replaced by
-    None, so that the round log stays strict JSON."""
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, dict):
-        return {k: _finite_or_null(v) for k, v in value.items()}
-    return value
+        rows = [[_format_cell(getattr(r, name)) for name in names] for r in records]
+        csv.writer(fh).writerows([names, *rows])
 
 
 def _write_run(
@@ -235,7 +224,7 @@ def _write_run(
     write_metrics_csv(metrics_path, result.records)
     with rounds_path.open("w", encoding="utf-8") as fh:
         for log in result.round_logs:
-            line = json.dumps(_finite_or_null(log.as_dict()), sort_keys=True, allow_nan=False)
+            line = json.dumps(log.as_dict(), sort_keys=True, allow_nan=False)
             fh.write(line + "\n")
     np.savez(
         model_path,

@@ -193,6 +193,15 @@ def _bias_reducer(ratio: float, exponent: float) -> float:
     return float(np.exp(min(exponent * np.log(ratio), 700.0)))
 
 
+def _add_dimension(raw, params: ScoreParams, scale: float, reducer: float, div, mad) -> None:
+    """Add one dimension's baseline `baseline_c * scale` to `raw`, then its slope
+    `reducer * scale * div / mad` unless `mad` < MAD_EPS (a NaN `mad` adds NaN)."""
+    raw += params.baseline_c * scale
+    if not mad < MAD_EPS:
+        raw += reducer * scale * div / mad
+
+
+@np.errstate(invalid="ignore")  # an all-zero-loss cohort's label ratio is an unused 0/0
 def score(report: ValidationReport, params: ScoreParams) -> ScoreTable:
     """Score every client and derive normalized aggregation weights.
 
@@ -205,29 +214,18 @@ def score(report: ValidationReport, params: ScoreParams) -> ScoreTable:
     """
     n = len(report.overall_loss)
     raw = np.zeros(n)
-
     for k in range(report.per_label_loss.shape[1]):
-        raw += params.baseline_c * params.s1_label
-        if report.label_mad[k] < MAD_EPS:
-            continue
         reducer = _bias_reducer(report.label_mean[k] / report.overall_mean, params.s2)
         div = report.label_mean[k] - report.per_label_loss[:, k]
-        raw += reducer * params.s1_label * div / report.label_mad[k]
-
-    raw += params.baseline_c * params.s1_avg
-    if report.overall_mad >= MAD_EPS:
-        div = report.overall_mean - report.overall_loss
-        raw += params.s1_avg * div / report.overall_mad
-
+        _add_dimension(raw, params, params.s1_label, reducer, div, report.label_mad[k])
+    div = report.overall_mean - report.overall_loss
+    _add_dimension(raw, params, params.s1_avg, 1.0, div, report.overall_mad)
     if report.group_recall is not None:
         for j in range(report.group_recall.shape[1]):
-            raw += params.baseline_c * params.s1_label
-            if report.group_mad[j] < MAD_EPS:
-                continue
             ratio = report.overall_recall_mean / max(report.group_mean[j], RECALL_FLOOR)
             reducer = _bias_reducer(ratio, params.s2_recall)
             div = report.group_recall[:, j] - report.group_mean[j]
-            raw += reducer * params.s1_label * div / report.group_mad[j]
+            _add_dimension(raw, params, params.s1_label, reducer, div, report.group_mad[j])
 
     clamped = np.maximum(raw, params.clamp_floor)
     total = clamped.sum()

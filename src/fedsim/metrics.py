@@ -3,8 +3,7 @@ group recall, and backdoor success rate."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import ClassVar
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,11 +24,6 @@ class MetricRecord:
     mean_validation_loss: float
     per_group_recall: dict[int, float] | None = None
     backdoor_accuracy: float | None = None
-
-    FIELDS: ClassVar[tuple[str, ...]]  # the field names in order: metrics.csv's columns
-
-
-MetricRecord.FIELDS = tuple(f.name for f in fields(MetricRecord))
 
 
 def evaluate(

@@ -157,12 +157,15 @@ class RoundLog:
     zero_update: bool = False
 
     def as_dict(self) -> dict:
-        """Every field, with client ids as string keys, which
+        """Every field in strict JSON form: a non-finite float (a NaN score
+        or loss) as None, and client ids as string keys, which
         `json.dumps(sort_keys=True)` orders as text, not as numbers."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        def finite(v):
+            return None if isinstance(v, float) and not math.isfinite(v) else v
+        out = {f.name: finite(getattr(self, f.name)) for f in fields(self)}
         out["selected"] = list(self.selected)
         for name in ("scores", "weights"):
-            out[name] = {str(k): v for k, v in out[name].items()} if out[name] else None
+            out[name] = {str(k): finite(v) for k, v in out[name].items()} if out[name] else None
         return out
 
 
@@ -313,39 +316,6 @@ def _client_updates(
     return updates
 
 
-def _apply_pre_transforms(
-    updates: list[ClientUpdate], state: ExperimentState, config: ExperimentConfig
-) -> list[ClientUpdate]:
-    for transform in config.strategy.pre_transforms:
-        if transform == "norm_bound":
-            flags = []
-            clipped = []
-            for u in updates:
-                delta, was_clipped = privacy.clip(u.delta, state.dp.clip_bound)
-                flags.append(was_clipped)
-                clipped.append(dc_replace(u, delta=delta))
-            new_bound = privacy.adapt_bound(state.dp, flags)
-            updates = clipped
-            state.dp.clip_bound = new_bound
-        else:  # dp_noise
-            updates = [
-                dc_replace(
-                    u,
-                    delta=privacy.add_noise(
-                        u.delta,
-                        state.dp.noise_multiplier,
-                        state.dp.clip_bound,
-                        derive_seed(
-                            config.train.seed, _NOISE_STREAM, state.round_index, u.client_id
-                        ),
-                        participants=len(updates),
-                    ),
-                )
-                for u in updates
-            ]
-    return updates
-
-
 def _finish_round(
     state: ExperimentState,
     config: ExperimentConfig,
@@ -355,10 +325,13 @@ def _finish_round(
     """Aggregate one strategy's round from its trained rows, advancing the
     state in place."""
     updates = _client_updates(state, config, selected, trained)
-
-    updates = _apply_pre_transforms(updates, state, config)
-
     strategy = config.strategy
+    if strategy.pre_transforms:
+        seeds = [derive_seed(config.train.seed, _NOISE_STREAM, state.round_index, c)
+                 for c in selected]
+        deltas = privacy.apply_pre_transforms(
+            strategy.pre_transforms, [u.delta for u in updates], state.dp, seeds)
+        updates = [dc_replace(u, delta=d) for u, d in zip(updates, deltas)]
     log = RoundLog(
         round=state.round_index,
         selected=selected,

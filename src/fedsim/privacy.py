@@ -1,5 +1,6 @@
 """Differential-privacy mechanics for client deltas: L2 norm clipping with
-a quantile-targeted adaptive bound, and Gaussian noise addition.
+a quantile-targeted adaptive bound, Gaussian noise addition, and the
+pipeline that runs a strategy's `pre_transforms` over a round's deltas.
 
 No privacy accounting is performed; the noise multiplier is a plain
 simulation knob."""
@@ -11,6 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from fedsim.errors import ConfigurationError
+
+PRE_TRANSFORMS = ("norm_bound", "dp_noise")
 
 
 @dataclass
@@ -72,3 +75,22 @@ def add_noise(
     rng = np.random.default_rng(round_seed)
     std = z * bound / participants
     return delta + rng.normal(0.0, std, size=delta.shape)
+
+
+def apply_pre_transforms(
+    transforms: tuple[str, ...], deltas: list[np.ndarray], state: DpState, seeds: list[int]
+) -> list[np.ndarray]:
+    """The round's `deltas` after each of `transforms` in order. "norm_bound"
+    clips every delta to `state.clip_bound`, then adapts that bound in place
+    from the clip flags; "dp_noise" adds to each delta, on its seed in
+    `seeds`, noise of std noise_multiplier * bound / len(deltas), with the
+    bound as it stands."""
+    for transform in transforms:
+        if transform == "norm_bound":
+            clipped = [clip(delta, state.clip_bound) for delta in deltas]
+            deltas = [delta for delta, _ in clipped]
+            state.clip_bound = adapt_bound(state, [flag for _, flag in clipped])
+        else:  # dp_noise
+            z, bound, n = state.noise_multiplier, state.clip_bound, len(deltas)
+            deltas = [add_noise(d, z, bound, seed, n) for d, seed in zip(deltas, seeds)]
+    return deltas

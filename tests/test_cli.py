@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -85,7 +85,7 @@ class TestRun:
         out = tmp_path / "out"
         cli.main(["run", path, "--out", str(out)])
         header = (out / "metrics.csv").read_text().splitlines()[0]
-        assert header == ",".join(MetricRecord.FIELDS)
+        assert header == ",".join(f.name for f in fields(MetricRecord))
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = cli.main(["run", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
