@@ -591,15 +591,22 @@ def _openblas_call(name: str, restype):
     return None
 
 
-def blas_fingerprint() -> dict[str, str | int | None]:
+def blas_fingerprint() -> dict[str, str | int | list[str] | None]:
     """The numpy and OpenBLAS that a run's bits depend on, for its manifest:
-    the numpy version, OpenBLAS's build string, the kernel it runs and its
-    thread count, and the two variables that choose them. The OpenBLAS
-    fields are None where numpy bundles no OpenBLAS."""
+    the numpy version and the SIMD targets its loops run on (the enabled
+    ones, else its baseline; None where numpy does not report them),
+    OpenBLAS's build string, the kernel it runs and its thread count, and
+    the two variables that choose them. The OpenBLAS fields are None where
+    numpy bundles no OpenBLAS."""
+    try:
+        simd = np.show_config(mode="dicts").get("SIMD Extensions", {})
+    except TypeError:  # numpy before 1.25 has no "dicts" mode
+        simd = {}
     config = _openblas_call("openblas_get_config", ctypes.c_char_p)
     corename = _openblas_call("openblas_get_corename", ctypes.c_char_p)
     return {
         "numpy_version": np.__version__,
+        "numpy_simd": simd.get("found") or simd.get("baseline") or None,
         "openblas_config": None if config is None else config.decode(),
         "openblas_corename": None if corename is None else corename.decode(),
         "openblas_num_threads": _openblas_call("openblas_get_num_threads", ctypes.c_int),

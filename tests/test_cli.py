@@ -273,8 +273,16 @@ class TestImportFootprint:
         assert not crypto
 
 
-BLAS_KEYS = {"numpy_version", "openblas_config", "openblas_corename", "openblas_num_threads",
-             "OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE"}
+BLAS_KEYS = {"numpy_version", "numpy_simd", "openblas_config", "openblas_corename",
+             "openblas_num_threads", "OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE"}
+
+
+def numpy_simd() -> dict:
+    """numpy's own SIMD report: its baseline and the targets found above it."""
+    try:
+        return np.show_config(mode="dicts").get("SIMD Extensions", {})
+    except TypeError:  # numpy before 1.25 gives no report
+        return {}
 
 
 class TestBlasFingerprint:
@@ -285,6 +293,8 @@ class TestBlasFingerprint:
         blas = json.loads((out / "manifest.json").read_text())["blas"]
         assert set(blas) == BLAS_KEYS
         assert blas["numpy_version"] == np.__version__
+        simd = numpy_simd()
+        assert blas["numpy_simd"] == (simd.get("found") or simd.get("baseline"))
         if model._openblas() is not None:
             assert blas["openblas_config"].startswith("OpenBLAS")
             assert blas["openblas_corename"]
@@ -302,6 +312,15 @@ class TestBlasFingerprint:
         assert blas["OPENBLAS_CORETYPE"] == "Haswell"
         assert blas["OPENBLAS_NUM_THREADS"] == "1"
         assert blas["openblas_num_threads"] == 1
+
+    @pytest.mark.skipif(not numpy_simd().get("found"), reason="numpy runs its baseline loops")
+    def test_numpy_cap_is_recorded(self):
+        # Each capped target leaves the record; with none left, it is the baseline.
+        found, baseline = numpy_simd()["found"], numpy_simd()["baseline"]
+        code = "import json; from fedsim import model; print(json.dumps(model.blas_fingerprint()))"
+        for keep in range(len(found)):
+            capped = fresh_python(["-c", code], NPY_DISABLE_CPU_FEATURES=" ".join(found[keep:]))
+            assert json.loads(capped.stdout)["numpy_simd"] == (found[:keep] or baseline)
 
 
 def assert_refused(tmp_path, capsys, config, named):

@@ -1,15 +1,18 @@
 """Byte-identity of `fedsim compare` outputs, checked against committed
-digests for one numpy build and one OpenBLAS kernel.
+digests for one numpy build, one OpenBLAS kernel and one numpy SIMD level.
 
 Each input runs through `compare` with all five strategies in a fresh
-process, with OPENBLAS_CORETYPE forcing one kernel that the CPU can run,
-and is digested as `scripts/output_digests.py` digests it: the sha256 of
-every artifact except `manifest.json` (which holds a wall time, absolute
-paths and the BLAS fingerprint). The digests must equal their lines in
-`tests/golden/<numpy version>-<corename>.txt`. The key is read from the
-run's own manifest, since OpenBLAS may run a forced kernel under another
-name. A missing golden file skips. To write the golden files of every
-kernel this CPU can run:
+process, with OPENBLAS_CORETYPE forcing one kernel that the CPU can run and
+NPY_DISABLE_CPU_FEATURES capping numpy's own loops at the highest target a
+CPU of that kernel's generation has (SkylakeX at X86_V4, Haswell at X86_V3,
+Prescott at numpy's baseline), so each golden pairs the two as a real CPU
+does. Each input is digested as `scripts/output_digests.py` digests it: the
+sha256 of every artifact except `manifest.json` (which holds a wall time,
+absolute paths and the BLAS fingerprint). The digests must equal their
+lines in `tests/golden/<numpy version>-<corename>-<numpy target>.txt`. The
+key is read from the run's own manifest, since OpenBLAS may run a forced
+kernel under another name. A missing golden file skips. To write the golden
+files of every kernel this CPU can run:
 
     python3 tests/test_golden_outputs.py
 
@@ -25,14 +28,17 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 REGENERATE = "python3 tests/test_golden_outputs.py"
 INPUTS = ("quickstart", "server_wide-1", "pga_iid-1", "backdoor_lda-1")
-# Each kernel OPENBLAS_CORETYPE can force, with the CPU flag it needs.
-KERNELS = {"SkylakeX": "avx512f", "Haswell": "avx2", "Prescott": None}
+# Each kernel OPENBLAS_CORETYPE can force, with the CPU flag it needs and
+# the highest numpy SIMD target of its CPU generation (None: the baseline).
+KERNELS = {"SkylakeX": ("avx512f", "X86_V4"), "Haswell": ("avx2", "X86_V3"),
+           "Prescott": (None, None)}
 
 
 def load_output_digests():
@@ -53,9 +59,18 @@ def cpu_flags() -> set[str]:
             for flag in line.partition(":")[2].split()}
 
 
+def kernel_env(kernel: str) -> dict[str, str]:
+    """The variables that force `kernel` and cap numpy at its target, by
+    disabling only the targets this numpy finds above it."""
+    found = np.show_config(mode="dicts")["SIMD Extensions"].get("found", [])
+    cap = KERNELS[kernel][1]
+    above = found[found.index(cap) + 1:] if cap in found else found
+    return {"OPENBLAS_CORETYPE": kernel, "NPY_DISABLE_CPU_FEATURES": " ".join(above)}
+
+
 def run_input(script, name: str, work: Path) -> tuple[str, list[str]]:
     """The golden key and the digest lines of input `name`, run under the
-    kernel that OPENBLAS_CORETYPE names."""
+    kernel and numpy cap that `kernel_env` sets."""
     work.mkdir(parents=True, exist_ok=True)
     if name == "quickstart":
         config = ROOT / "configs" / "quickstart.json"
@@ -66,7 +81,9 @@ def run_input(script, name: str, work: Path) -> tuple[str, list[str]]:
     script.run_compare(ROOT / "src", config, out)
     manifest = json.loads((out / "fedavg" / "manifest.json").read_text(encoding="utf-8"))
     blas = manifest["blas"]
-    return f"{blas['numpy_version']}-{blas['openblas_corename']}", script.digests(name, out)
+    simd = blas["numpy_simd"][-1] if blas["numpy_simd"] else None
+    key = f"{blas['numpy_version']}-{blas['openblas_corename']}-{simd}"
+    return key, script.digests(name, out)
 
 
 def test_loading_the_script_leaves_path_and_bytecode_setting_alone(monkeypatch):
@@ -83,10 +100,11 @@ def test_loading_the_script_leaves_path_and_bytecode_setting_alone(monkeypatch):
 @pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("name", INPUTS)
 def test_outputs_match_golden(name, kernel, tmp_path, monkeypatch):
-    flag = KERNELS[kernel]
+    flag = KERNELS[kernel][0]
     if flag is not None and flag not in cpu_flags():
         pytest.skip(f"the CPU lacks {flag}, which the {kernel} kernel needs")
-    monkeypatch.setenv("OPENBLAS_CORETYPE", kernel)
+    for variable, value in kernel_env(kernel).items():
+        monkeypatch.setenv(variable, value)
     key, lines = run_input(load_output_digests(), name, tmp_path)
     golden = GOLDEN / f"{key}.txt"
     if not golden.exists():
@@ -100,10 +118,10 @@ def main() -> int:
     script, flags = load_output_digests(), cpu_flags()
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for kernel, flag in KERNELS.items():
+        for kernel, (flag, _) in KERNELS.items():
             if flag is not None and flag not in flags:
                 continue
-            os.environ["OPENBLAS_CORETYPE"] = kernel
+            os.environ.update(kernel_env(kernel))
             runs = [run_input(script, name, Path(tmp) / kernel / name) for name in INPUTS]
             (key,) = {key for key, _ in runs}
             lines = [line for _, digests in runs for line in digests]
