@@ -80,12 +80,11 @@ def fedavg(global_params: np.ndarray, updates: list[ClientUpdate]) -> np.ndarray
 
 
 def multi_krum(updates: list[ClientUpdate], remove_fraction: float) -> list[int]:
-    """Indices of the n - f clients with the lowest Krum scores.
-
-    A client's score is the sum of squared distances to its n - f - 2
-    nearest other updates; when that neighbor count is infeasible the single
-    nearest neighbor is used instead.
-    """
+    """Indices of the n - f clients with the lowest Krum scores, an update
+    with a non-finite coordinate ranked after every finite one. A client's
+    score is the sum of squared distances to its n - f - 2 nearest other
+    updates; when that neighbor count is infeasible the single nearest
+    neighbor is used instead."""
     deltas = _stack_deltas(updates)
     n = len(updates)
     f = math.floor(remove_fraction * n)
@@ -99,7 +98,7 @@ def multi_krum(updates: list[ClientUpdate], remove_fraction: float) -> list[int]
     sq = _squared_distances(deltas)
     np.fill_diagonal(sq, np.inf)
     scores = np.sort(sq, axis=1)[:, :neighbors].sum(axis=1)
-    selected = np.argsort(scores, kind="stable")[:keep]
+    selected = np.lexsort((scores, ~np.isfinite(deltas).all(axis=1)))[:keep]
     return sorted(int(i) for i in selected)
 
 
@@ -126,16 +125,17 @@ def lfr(
     losses: np.ndarray,
     remove_fraction: float,
 ) -> np.ndarray:
-    """Drop the clients with the highest mean validation loss, `losses` in
-    update order (`fedval.compute_report`'s `overall_loss`), then fedavg the
-    rest."""
+    """Fedavg the clients left after dropping the worst ranked: any with a
+    non-finite delta, then the highest mean validation loss (`losses`, in
+    update order: `fedval.compute_report`'s `overall_loss`)."""
     n = len(updates)
     if len(losses) != n:
         raise ConfigurationError("one validation loss per update required")
     drop = math.ceil(remove_fraction * n)
     if drop >= n:
         raise ConfigurationError(f"lfr would drop all {n} clients")
-    keep_order = np.argsort(losses, kind="stable")[: n - drop]
+    finite = np.array([np.isfinite(u.delta).all() for u in updates])
+    keep_order = np.lexsort((losses, ~finite))[: n - drop]
     survivors = [updates[i] for i in sorted(int(i) for i in keep_order)]
     return fedavg(global_params, survivors)
 

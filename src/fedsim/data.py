@@ -304,10 +304,10 @@ def load_csv(task: CsvTask) -> Dataset:
     """Read the headered CSV of `task` into a Dataset.
 
     The header is read with the csv module and the rows with numpy's C
-    reader. Features are standardized per column (zero mean, unit variance,
-    sigma forced to 1 for constant columns). Labels must be integer-coded
-    from 0; group values are mapped to contiguous ids in sorted order. A bad
-    row is reported by its number, the header being row 1.
+    reader. Features must be finite; each column is standardized (zero
+    mean, unit variance, sigma forced to 1 for constant columns). Labels
+    must be integer-coded from 0; group values are mapped to contiguous ids
+    in sorted order. A bad row is reported by its number; the header is row 1.
     """
     with open(task.path, encoding="utf-8") as fh:
         header = next(csv.reader(fh), None)
@@ -345,12 +345,13 @@ def load_csv(task: CsvTask) -> Dataset:
             raise ConfigurationError(f"{task.path}: {message}") from exc
     if len(table) == 0:
         raise ConfigurationError(f"{task.path}: no data rows")
-    labels = table["y"].copy()
-    negative = np.flatnonzero(labels < 0)
-    if len(negative):
-        raise ConfigurationError(f"{task.path}: negative label on row {negative[0] + 2}")
+    labels, features = table["y"].copy(), table["x"].copy()
+    finite = np.isfinite(features).all(axis=1)
+    bad = np.flatnonzero(~finite | (labels < 0))
+    if len(bad):  # the first bad row, its features before its label
+        problem = "negative label" if finite[bad[0]] else "non-finite feature"
+        raise ConfigurationError(f"{task.path}: {problem} on row {bad[0] + 2}")
 
-    features = table["x"].copy()
     mean = features.mean(axis=0)
     std = features.std(axis=0)
     std[std == 0.0] = 1.0
@@ -364,15 +365,16 @@ def load_csv(task: CsvTask) -> Dataset:
 
 def _first_bad_row(fh: TextIO, task: CsvTask) -> str | None:
     """The message for the first data row of `fh` that `float` or `int`
-    rejects or whose label is negative, numbered with the header as row 1;
-    None when every row passes. It names the row behind a failed numpy
-    parse and builds no data."""
+    rejects or whose features are not finite or label is negative, numbered
+    with the header as row 1; None when every row passes. It names the row
+    behind a failed numpy parse and builds no data."""
     for line_no, row in enumerate(csv.DictReader(fh), start=2):
         try:
-            for c in task.feature_columns:
-                float(row[c])
+            features = [float(row[c]) for c in task.feature_columns]
         except (TypeError, ValueError):
             return f"malformed feature on row {line_no}"
+        if not np.isfinite(features).all():
+            return f"non-finite feature on row {line_no}"
         raw_label = row[task.label_column]
         try:
             label = int(raw_label)

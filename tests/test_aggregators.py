@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fedsim import aggregators, fedval, model
@@ -91,16 +91,16 @@ def shifted_cohorts(draw):
 
 
 @st.composite
-def poisoned_stacks(draw, fractions, min_finite):
+def poisoned_stacks(draw, fractions, min_finite, rounding=math.floor):
     """(a fraction drawn from `fractions`, deltas (n, P), the indices of the
     non-finite rows). Finite entries lie in [-1e6, 1e6], so no sum of them
-    overflows; at most floor(fraction * n) rows, leaving at least
+    overflows; at most rounding(fraction * n) rows, leaving at least
     `min_finite` rows finite, hold NaN or +-inf in at least one coordinate."""
     fraction = draw(fractions)
     n = draw(st.integers(min_finite, 12))
     dim = draw(st.integers(1, 16))
     deltas = draw(hnp.arrays(np.float64, (n, dim), elements=st.floats(-1e6, 1e6)))
-    limit = min(math.floor(fraction * n), n - min_finite)
+    limit = min(rounding(fraction * n), n - min_finite)
     bad = draw(st.lists(st.integers(0, n - 1), max_size=limit, unique=True))
     for i in bad:
         cols = draw(st.lists(st.integers(0, dim - 1), min_size=1, unique=True))
@@ -171,11 +171,12 @@ class TestMultiKrum:
 
     # Two +-inf rows of one sign in a coordinate subtract to NaN there.
     @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
-    @given(poisoned_stacks(st.sampled_from([0.0, 0.1, 0.25, 0.4, 0.5, 0.75, 0.9]), 2))
+    @given(poisoned_stacks(st.sampled_from([0.0, 0.1, 0.25, 0.4, 0.5, 0.75, 0.9]), 1))
+    # One finite row: every Krum score is inf, and a stable sort would keep row 0.
+    @example((0.7, np.array([[np.nan], [-np.inf], [0.165]]), [0, 1]))
     def test_keeps_only_finite_updates_when_few_are_not(self, stack):
-        # Every finite row has a finite score and every other row an inf or
-        # NaN one, which sorts after it; n - f rows are kept and at least as
-        # many are finite.
+        # A non-finite row ranks after every finite one, whatever the scores;
+        # n - f rows are kept and at least as many are finite.
         remove_fraction, deltas, bad = stack
         kept = aggregators.multi_krum(make_updates(deltas), remove_fraction)
         assert not set(kept) & set(bad)
@@ -244,6 +245,20 @@ class TestLfr:
         updates = make_updates([np.zeros(self.spec.param_count)] * 3, samples=[10] * 3)
         with pytest.raises(ConfigurationError, match="one validation loss per update"):
             aggregators.lfr(self.global_params, updates, self.losses(updates)[:2], 0.0)
+
+    @given(poisoned_stacks(st.sampled_from([0.0, 0.1, 0.25, 0.4, 0.5, 0.75, 0.9]), 1, math.ceil),
+           st.data())
+    def test_finite_when_at_most_the_dropped_count_are_not(self, stack, data):
+        # A non-finite update ranks after every finite one, whatever its loss
+        # (a ReLU can mask a -inf bias, so its loss may be the best), and the
+        # ceil(fraction * n) dropped take every such update.
+        remove_fraction, deltas, _ = stack
+        n = len(deltas)
+        assume(math.ceil(remove_fraction * n) < n)
+        losses = data.draw(hnp.arrays(np.float64, n, elements=st.floats()))
+        g = np.zeros(deltas.shape[1])
+        out = aggregators.lfr(g, make_updates(deltas), losses, remove_fraction)
+        assert np.all(np.isfinite(out))
 
 
 class TestTrimmedMean:

@@ -302,6 +302,17 @@ class TestLoadCsv:
         with pytest.raises(ConfigurationError, match="label"):
             load_csv(CsvTask(path, ("a",), "y"))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_feature_refused_by_row(self, tmp_path, value):
+        # One such cell would make its column's standardization NaN, and
+        # every run on the file diverge.
+        rows = [f"{i},{i % 2}" for i in range(10)]
+        rows[4] = f"{value},0"
+        path = self.write(tmp_path, "a,y\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ConfigurationError) as exc:
+            load_csv(CsvTask(path, ("a",), "y"))
+        assert str(exc.value) == f"{path}: non-finite feature on row 6"
+
 
 def reference_load_csv(task):
     """`load_csv` as a `csv.DictReader` loop, one Python conversion per
@@ -323,6 +334,8 @@ def reference_load_csv(task):
                 rows_x.append([float(row[c]) for c in task.feature_columns])
             except (TypeError, ValueError):
                 raise ConfigurationError(f"{path}: malformed feature on row {line_no}")
+            if not np.isfinite(rows_x[-1]).all():
+                raise ConfigurationError(f"{path}: non-finite feature on row {line_no}")
             raw_label = row[task.label_column]
             try:
                 label = int(raw_label)
@@ -378,6 +391,10 @@ PARITY_CASES = {
     "long row": "a,b,y,g\n1,2,0,x,extra\n3,4,1,y\n",
     "reordered columns": "g,y,b,a\nx,0,2,1\ny,1,4,3\n",
     "nan and inf features": "a,b,y,g\nnan,2,0,x\n3,inf,1,y\n",
+    "inf feature after a negative label": "a,b,y,g\n1,2,-1,x\n3,inf,1,y\n",
+    "nan feature and negative label on one row": "a,b,y,g\n1,2,0,x\n3,nan,-1,y\n",
+    "nan feature before a bad feature": "a,b,y,g\nnan,2,0,x\n3,oops,1,y\n",
+    "feature past the float range": "a,b,y,g\n1,2,0,x\n3,-1e999,1,y\n",
     "exponent features": "a,b,y,g\n1e3,-2.5E-2,0,x\n+3,4.,1,y\n",
     "missing column": "a,y,g\n1,0,x\n",
     "empty file": "",

@@ -222,6 +222,28 @@ class TestScore:
             if table.clamped.sum() > 0:
                 assert table.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("dimension", ["label", "overall", "group"])
+    def test_nan_spread_yields_nan_raw_scores(self, dimension):
+        # A NaN spread (a NaN client) is not below MAD_EPS: the dimension
+        # adds its NaN slope, so every raw score is NaN and no weight is set.
+        per_label = np.array([[1.0, 2.0], [3.0, 1.0], [2.0, 2.0]])
+        overall = per_label.mean(axis=1)
+        if dimension == "label":
+            per_label[1, 0] = np.nan
+        elif dimension == "overall":
+            overall[1] = np.nan
+        report = report_from_losses(per_label, overall)
+        report.group_recall = np.array([[0.2], [0.4], [0.3]])
+        if dimension == "group":
+            report.group_recall[1, 0] = np.nan
+        report.group_keys = (0,)
+        report.group_mean = report.group_recall.mean(axis=0)
+        report.group_mad = np.abs(report.group_recall - report.group_mean).mean(axis=0)
+        report.overall_recall_mean = 0.3
+        table = fedval.score(report, ScoreParams())
+        assert np.all(np.isnan(table.raw))
+        assert table.all_zero and np.all(table.weights == 0.0)
+
     def test_all_zero_scores_yield_zero_weights(self):
         # no baseline and zero deviation: every raw score is exactly zero
         report = report_from_losses(np.full((3, 2), 1.0), np.full(3, 1.0))

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from fedsim import privacy
 from fedsim.errors import ConfigurationError
-from fedsim.privacy import DpState, adapt_bound, add_noise, clip
+from fedsim.privacy import DpState, adapt_bound, add_noise, apply_pre_transforms, clip
 
 
 class TestClip:
@@ -101,6 +102,50 @@ class TestPipeline:
             out = add_noise(clipped, 0.0, math.inf, round_seed=1)
             assert not flag
             assert np.array_equal(out, delta)
+
+    @staticmethod
+    def round_deltas():
+        rng = np.random.default_rng(23)
+        return [rng.normal(0, scale, size=6) for scale in (0.1, 0.5, 2.0, 4.0)]
+
+    def test_noise_uses_the_bound_adapted_that_round(self):
+        deltas, seeds = self.round_deltas(), [11, 12, 13, 14]
+        state = DpState(clip_bound=1.0, target_quantile=0.9, noise_multiplier=0.7)
+        got = apply_pre_transforms(("norm_bound", "dp_noise"), deltas, state, seeds)
+        clipped = [clip(d, 1.0) for d in deltas]
+        bound = adapt_bound(DpState(clip_bound=1.0, target_quantile=0.9),
+                            [flag for _, flag in clipped])
+        assert bound != 1.0 and state.clip_bound == bound
+        want = [add_noise(d, 0.7, bound, seed, participants=4)
+                for (d, _), seed in zip(clipped, seeds)]
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("transforms, moves", [
+        (("norm_bound",), 1), (("dp_noise",), 0), (("norm_bound", "norm_bound"), 2),
+        (("norm_bound", "dp_noise", "norm_bound"), 2),
+    ])
+    def test_bound_moves_once_per_norm_bound(self, transforms, moves, monkeypatch):
+        # Each adaptation starts from the bound the one before it left.
+        steps = []
+
+        def recording_adapt_bound(state, flags):
+            steps.append((state.clip_bound, adapt_bound(state, flags)))
+            return steps[-1][1]
+
+        monkeypatch.setattr(privacy, "adapt_bound", recording_adapt_bound)
+        state = DpState(clip_bound=1.0, noise_multiplier=0.5)
+        apply_pre_transforms(transforms, self.round_deltas(), state, [1, 2, 3, 4])
+        assert len(steps) == moves
+        bounds = [1.0] + [after for _, after in steps]
+        assert [before for before, _ in steps] == bounds[:-1]
+        assert state.clip_bound == bounds[-1]
+
+    def test_no_transforms_return_the_deltas_as_given(self):
+        deltas = self.round_deltas()
+        state = DpState(clip_bound=0.5, noise_multiplier=1.0)
+        got = apply_pre_transforms((), deltas, state, [1, 2, 3, 4])
+        assert all(g is d for g, d in zip(got, deltas)) and len(got) == len(deltas)
+        assert state == DpState(clip_bound=0.5, noise_multiplier=1.0)
 
 
 class TestDpState:
