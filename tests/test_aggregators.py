@@ -172,7 +172,7 @@ class TestMultiKrum:
     # Two +-inf rows of one sign in a coordinate subtract to NaN there.
     @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
     @given(poisoned_stacks(st.sampled_from([0.0, 0.1, 0.25, 0.4, 0.5, 0.75, 0.9]), 1))
-    # One finite row: every Krum score is inf, and a stable sort would keep row 0.
+    # One finite row: every Krum score is inf, so only the finiteness key keeps row 2.
     @example((0.7, np.array([[np.nan], [-np.inf], [0.165]]), [0, 1]))
     def test_keeps_only_finite_updates_when_few_are_not(self, stack):
         # A non-finite row ranks after every finite one, whatever the scores;
