@@ -141,7 +141,5 @@ def place_malicious(client_count: int, fraction: float, seed: int) -> frozenset[
     if not 0.0 <= fraction <= 1.0:
         raise ConfigurationError("fraction must lie in [0, 1]")
     count = int(fraction * client_count)
-    if count == 0:
-        return frozenset()
     rng = np.random.default_rng(seed)
     return frozenset(int(i) for i in rng.choice(client_count, size=count, replace=False))

@@ -185,15 +185,6 @@ def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(compact.encode("utf-8")).hexdigest()
 
 
-@dataclasses.dataclass
-class RunManifest:
-    config_hash: str
-    artifacts: dict[str, str]
-    tool_version: str
-    duration_seconds: float
-    blas: dict[str, str | int | None]
-
-
 def _format_cell(value) -> str:
     if value is None:
         return ""
@@ -215,8 +206,8 @@ def write_metrics_csv(path: Path, records: list[MetricRecord]) -> None:
 
 def _write_run(
     out: Path, config: ExperimentConfig, result: ExperimentResult, duration: float
-) -> RunManifest:
-    """Write one run's artifacts and manifest into `out`, creating it."""
+) -> dict:
+    """Write one run's artifacts and manifest into `out`; return the manifest."""
     out.mkdir(parents=True, exist_ok=True)
     metrics_path = out / "metrics.csv"
     rounds_path = out / "rounds.jsonl"
@@ -232,26 +223,25 @@ def _write_run(
         layer_sizes=np.asarray(config.model.layer_sizes),
     )
 
-    manifest = RunManifest(
-        config_hash=config_hash(config),
-        artifacts={
+    manifest = {
+        "config_hash": config_hash(config),
+        "artifacts": {
             "metrics_csv": str(metrics_path),
             "rounds_jsonl": str(rounds_path),
             "final_model": str(model_path),
         },
-        tool_version=fedsim.__version__,
-        duration_seconds=duration,
-        blas=model.blas_fingerprint(),
-    )
+        "tool_version": fedsim.__version__,
+        "duration_seconds": duration,
+        "blas": model.blas_fingerprint(),
+    }
     (out / "manifest.json").write_text(
-        json.dumps(dataclasses.asdict(manifest), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
+        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
     (out / "config.canonical.json").write_text(canonical_json(config), encoding="utf-8")
     return manifest
 
 
-def cmd_run(config_path: str, out_dir: str) -> RunManifest:
+def cmd_run(config_path: str, out_dir: str) -> dict:
     config = load_config(config_path)
     started = time.perf_counter()
     result = run_experiment(config)
@@ -266,7 +256,7 @@ def _strategy_override(config: ExperimentConfig, kind: str) -> ExperimentConfig:
     return dataclasses.replace(config, strategy=Strategy(kind=kind, **STRATEGY_KINDS[kind]))
 
 
-def cmd_compare(config_path: str, strategies: list[str], out_dir: str) -> dict[str, RunManifest]:
+def cmd_compare(config_path: str, strategies: list[str], out_dir: str) -> dict[str, dict]:
     if not strategies:
         raise ConfigurationError("compare: strategy list is empty")
     base = load_config(config_path)
@@ -280,7 +270,7 @@ def cmd_compare(config_path: str, strategies: list[str], out_dir: str) -> dict[s
     duration = time.perf_counter() - started
 
     out = Path(out_dir)
-    manifests: dict[str, RunManifest] = {}
+    manifests: dict[str, dict] = {}
     rows: list[tuple[str, int, str, float]] = []
     for kind, config, result in zip(strategies, configs, results):
         manifests[kind] = _write_run(out / kind, config, result, duration)
@@ -337,7 +327,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "run":
             manifest = cmd_run(args.config, args.out)
-            print(f"run complete: {manifest.artifacts['metrics_csv']}")
+            print(f"run complete: {manifest['artifacts']['metrics_csv']}")
         elif args.command == "compare":
             strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
             manifests = cmd_compare(args.config, strategies, args.out)

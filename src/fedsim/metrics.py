@@ -65,27 +65,3 @@ def evaluate(
         backdoor_accuracy=backdoor_accuracy,
     )
 
-
-def summarize(records: list[MetricRecord], window: int) -> dict[str, object]:
-    """Arithmetic means of each metric over the trailing `window` records."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    if window > len(records):
-        raise ValueError(f"window {window} exceeds {len(records)} records")
-    tail = records[-window:]
-    out: dict[str, object] = {
-        "overall_accuracy": float(np.mean([r.overall_accuracy for r in tail])),
-        "per_label_accuracy": np.mean([r.per_label_accuracy for r in tail], axis=0).tolist(),
-        "label_accuracy_mad": float(np.mean([r.label_accuracy_mad for r in tail])),
-        "mean_validation_loss": float(np.mean([r.mean_validation_loss for r in tail])),
-    }
-    if all(r.backdoor_accuracy is not None for r in tail):
-        out["backdoor_accuracy"] = float(np.mean([r.backdoor_accuracy for r in tail]))
-    if all(r.per_group_recall for r in tail):
-        keys = set(tail[0].per_group_recall)
-        for r in tail:
-            keys &= set(r.per_group_recall)
-        out["per_group_recall"] = {
-            g: float(np.mean([r.per_group_recall[g] for r in tail])) for g in sorted(keys)
-        }
-    return out

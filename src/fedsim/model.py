@@ -473,11 +473,9 @@ def _run_epochs(
             p -= step * g
 
 
-def check_trained(params: np.ndarray, epochs: int = 1) -> np.ndarray:
-    """Return `params`, or raise if `epochs` of local training left them
-    non-finite. With zero epochs no step ran, and the global model passes
-    through as is."""
-    if epochs and not np.all(np.isfinite(params)):
+def check_trained(params: np.ndarray) -> np.ndarray:
+    """Return `params`, or raise if local training left them non-finite."""
+    if not np.all(np.isfinite(params)):
         raise ValueError("training diverged: non-finite parameters (learning rate too high?)")
     return params
 
@@ -498,7 +496,7 @@ def local_train(
     `data` is any object with `features` (n, d) and `labels` (n,) arrays.
     """
     (params,) = train_rows(spec, [local_row(global_params, data, train)], train.batch_size)
-    return check_trained(params, train.epochs)
+    return check_trained(params)
 
 
 def eval_losses(

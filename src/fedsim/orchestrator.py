@@ -304,7 +304,7 @@ def _client_updates(
     updates = []
     for client in selected:
         if client not in attackers:
-            params = model.check_trained(next(trained), config.train.epochs)
+            params = model.check_trained(next(trained))
             # The row becomes the delta in place, so the round holds one copy
             # of the cohort's parameters, not two.
             delta = np.subtract(params, g, out=params)

@@ -18,7 +18,6 @@ from fedsim.adversary import AttackSpec
 from fedsim.aggregators import ClientUpdate, Strategy
 from fedsim.data import PartitionSpec
 from fedsim.fedval import ScoreParams, ValidationReport
-from fedsim.metrics import summarize
 from fedsim.model import MlpSpec, TrainSpec
 from fedsim.orchestrator import (
     CsvTask,
@@ -39,7 +38,16 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 
 def final5(result) -> dict:
-    return summarize(result.records, 5)
+    """Means over the last 5 records of the fields the criteria read."""
+    tail = result.records[-5:]
+    assert len(tail) == 5, f"{len(tail)} records, need 5"
+    out = {
+        "overall_accuracy": float(np.mean([r.overall_accuracy for r in tail])),
+        "per_label_accuracy": np.mean([r.per_label_accuracy for r in tail], axis=0).tolist(),
+    }
+    if all(r.backdoor_accuracy is not None for r in tail):
+        out["backdoor_accuracy"] = float(np.mean([r.backdoor_accuracy for r in tail]))
+    return out
 
 
 # ---------------------------------------------------------------- criteria 5+8b

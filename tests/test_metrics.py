@@ -3,7 +3,7 @@ import pytest
 
 from fedsim.data import Dataset, ValidationSet, gen_synthetic
 from fedsim.fedval import mad
-from fedsim.metrics import MetricRecord, evaluate, summarize
+from fedsim.metrics import evaluate
 from fedsim.model import MlpSpec
 
 def one_hot_classifier():
@@ -71,33 +71,3 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             data = ValidationSet(Dataset(np.array([[1.0, 0.0]]), np.array([0]), 2))
             evaluate(params, spec, data)
-
-class TestSummarize:
-    def records(self, values):
-        return [
-            MetricRecord(
-                round=i,
-                overall_accuracy=v,
-                per_label_accuracy=[v, v],
-                label_accuracy_mad=0.0,
-                mean_validation_loss=1.0 - v,
-            )
-            for i, v in enumerate(values)
-        ]
-
-    def test_window_one_is_last_record(self):
-        out = summarize(self.records([0.2, 0.9]), window=1)
-        assert out["overall_accuracy"] == 0.9
-
-    def test_constant_series(self):
-        out = summarize(self.records([0.7] * 5), window=5)
-        assert out["overall_accuracy"] == pytest.approx(0.7, abs=1e-12)
-
-    def test_three_point_mean(self):
-        out = summarize(self.records([0.2, 0.4, 0.6]), window=3)
-        assert out["overall_accuracy"] == pytest.approx(0.4, abs=1e-12)
-        assert out["mean_validation_loss"] == pytest.approx(0.6, abs=1e-12)
-
-    def test_window_validation(self):
-        with pytest.raises(ValueError):
-            summarize(self.records([0.5]), window=2)
