@@ -99,6 +99,11 @@ class CsvTask:
     label_column: str
     group_column: str | None = None
 
+    @property
+    def features(self) -> int:
+        """The input width, as `SyntheticTask.features`; not a config key."""
+        return len(self.feature_columns)
+
 
 @dataclass
 class ValidationSet:
@@ -305,7 +310,8 @@ def load_csv(task: CsvTask) -> Dataset:
 
     The header is read with the csv module and the rows with numpy's C
     reader. Features must be finite; each column is standardized (zero
-    mean, unit variance, sigma forced to 1 for constant columns). Labels
+    mean, unit variance, sigma forced to 1 for constant columns), and a
+    column whose mean or sigma overflows is refused. Labels
     must be integer-coded from 0; group values are mapped to contiguous ids
     in sorted order. A bad row is reported by its number; the header is row 1.
     """
@@ -352,8 +358,14 @@ def load_csv(task: CsvTask) -> Dataset:
         problem = "negative label" if finite[bad[0]] else "non-finite feature"
         raise ConfigurationError(f"{task.path}: {problem} on row {bad[0] + 2}")
 
-    mean = features.mean(axis=0)
-    std = features.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = features.mean(axis=0)
+        std = features.std(axis=0)
+    too_large = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+    if len(too_large):
+        name = task.feature_columns[too_large[0]]
+        raise ConfigurationError(f"{task.path}: feature column {name!r} is too large to "
+                                 "standardize")
     std[std == 0.0] = 1.0
     features = (features - mean) / std
 

@@ -114,16 +114,15 @@ def validate_config(config: ExperimentConfig) -> None:
     if config.strategy.pre_transforms and config.dp is None:
         raise ConfigurationError("strategy.pre_transforms: requires a dp section")
     k = config.model.num_classes
-    if isinstance(config.task, SyntheticTask):
-        if k != config.task.classes:
-            raise ConfigurationError(
-                f"model.layer_sizes: output dim {k} != task classes {config.task.classes}"
-            )
-        if config.model.input_dim != config.task.features:
-            raise ConfigurationError(
-                f"model.layer_sizes: input dim {config.model.input_dim} "
-                f"!= task features {config.task.features}"
-            )
+    if isinstance(config.task, SyntheticTask) and k != config.task.classes:
+        raise ConfigurationError(
+            f"model.layer_sizes: output dim {k} != task classes {config.task.classes}"
+        )
+    if config.model.input_dim != config.task.features:
+        raise ConfigurationError(
+            f"model.layer_sizes: input dim {config.model.input_dim} "
+            f"!= task features {config.task.features}"
+        )
     # The model's classes are the task's: checked above for a synthetic task,
     # and when the file is read for a CSV one.
     labels = []

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -427,6 +428,49 @@ class TestLabelChecks:
         )
         assert_refused(tmp_path, capsys, config,
                        "attack.source_label: label 7 outside the model's 3 classes")
+
+
+def csv_task_config(tmp_path, b_column, layer_sizes=(2, 8, 2)) -> dict:
+    """A 200-row, two-feature, two-class CSV task whose row i holds
+    `b_column(i)` in column `b`."""
+    rows = ["a,b,y"] + [f"{i % 7}.5,{b_column(i)},{i % 2}" for i in range(200)]
+    (tmp_path / "data.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return minimal_config(
+        task={"type": "csv", "path": str(tmp_path / "data.csv"),
+              "feature_columns": ["a", "b"], "label_column": "y"},
+        model={"layer_sizes": list(layer_sizes), "seed": 0},
+        strategy={"kind": "fedavg"},
+    )
+
+
+class TestCsvRefusals:
+    def test_feature_count_must_match_the_input_width(self, tmp_path, capsys):
+        config = csv_task_config(tmp_path, lambda i: f"{i}.25", layer_sizes=(3, 8, 2))
+        assert_refused(tmp_path, capsys, config,
+                       "error: model.layer_sizes: input dim 3 != task features 2")
+        # The width is derived from the columns; it is not a config key.
+        assert "features" not in cli.canonical_dict(cli.config_from_dict(config))["task"]
+
+    def test_width_is_checked_before_the_file_is_read(self, tmp_path, capsys):
+        config = csv_task_config(tmp_path, lambda i: f"{i}.25", layer_sizes=(3, 8, 2))
+        (tmp_path / "data.csv").unlink()
+        assert_refused(tmp_path, capsys, config,
+                       "error: model.layer_sizes: input dim 3 != task features 2")
+
+    # Values near 1e307: a one-signed column overflows its mean; a mixed-sign
+    # one keeps a finite mean, but the squares of its spread overflow.
+    @pytest.mark.parametrize(
+        "b_column",
+        [lambda i: f"{1 + i % 5}e307", lambda i: f"{(-1) ** i * (1 + i % 5)}e307"],
+        ids=["one-signed", "mixed-sign"],
+    )
+    def test_column_too_large_to_standardize(self, tmp_path, capsys, b_column):
+        config = csv_task_config(tmp_path, b_column)
+        path = config["task"]["path"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would end the run with exit 2
+            assert_refused(tmp_path, capsys, config,
+                           f"error: {path}: feature column 'b' is too large to standardize")
 
 
 def holdout_config(section, seed):

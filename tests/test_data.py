@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -351,8 +352,13 @@ def reference_load_csv(task):
     if not rows_y:
         raise ConfigurationError(f"{path}: no data rows")
     features = np.asarray(rows_x, dtype=np.float64)
-    mean = features.mean(axis=0)
-    std = features.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = features.mean(axis=0)
+        std = features.std(axis=0)
+    for name, m, s in zip(task.feature_columns, mean, std):
+        if not (math.isfinite(m) and math.isfinite(s)):
+            raise ConfigurationError(f"{path}: feature column {name!r} is too large to "
+                                     "standardize")
     std[std == 0.0] = 1.0
     features = (features - mean) / std
     labels = np.asarray(rows_y, dtype=np.int64)
@@ -395,6 +401,9 @@ PARITY_CASES = {
     "nan feature and negative label on one row": "a,b,y,g\n1,2,0,x\n3,nan,-1,y\n",
     "nan feature before a bad feature": "a,b,y,g\nnan,2,0,x\n3,oops,1,y\n",
     "feature past the float range": "a,b,y,g\n1,2,0,x\n3,-1e999,1,y\n",
+    "column whose mean overflows": "a,b,y,g\n1,1e308,0,x\n3,1.5e308,1,y\n",
+    "column whose spread overflows": "a,b,y,g\n1,1.5e308,0,x\n3,-1.5e308,1,y\n",
+    "both columns too large": "a,b,y,g\n1e308,-1e308,0,x\n1e308,1e308,1,y\n",
     "exponent features": "a,b,y,g\n1e3,-2.5E-2,0,x\n+3,4.,1,y\n",
     "missing column": "a,y,g\n1,0,x\n",
     "empty file": "",

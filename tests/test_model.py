@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fedsim import adversary, model
-from fedsim.data import gen_synthetic
+from fedsim.data import Dataset, gen_synthetic
 from fedsim.errors import ConfigurationError
 from fedsim.model import MlpSpec, TrainSpec
 
@@ -188,6 +188,17 @@ class TestLocalTrain:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="diverged"):
                 model.local_train(self.start, self.spec, self.data, train)
+
+
+class TestCheckTrained:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_any_non_finite_coordinate_raises(self, bad):
+        with pytest.raises(ValueError, match="training diverged"):
+            model.check_trained(np.array([0.5, bad, 0.5]))
+
+    def test_finite_params_pass_through(self):
+        params = np.array([0.5, -2.0])
+        assert model.check_trained(params) is params
 
 
 def reference_sgd(global_params, spec, data, train, epochs, ascent=False):
@@ -389,6 +400,17 @@ class TestEvalLosses:
         losses, _ = model.eval_losses(params, spec, data)
         loss, _ = model.loss_and_grad(params, spec, (data.features, data.labels))
         assert losses.mean() == pytest.approx(loss, abs=1e-9)
+
+    def test_saturated_wrong_prediction_costs_the_floor(self):
+        # Logits 1000 apart give the true label a probability of exp(-1000),
+        # which is 0.0; the floor makes the loss -log(PROB_FLOOR), not inf.
+        spec = MlpSpec((2, 2))
+        params = np.array([500.0, -500.0, -500.0, 500.0, 0.0, 0.0])
+        data = Dataset(np.array([[1.0, 0.0]]), np.array([1]), 2)
+        losses, _ = model.eval_losses(params, spec, data)
+        loss, _ = model.loss_and_grad(params, spec, (data.features, data.labels))
+        assert losses[0] == pytest.approx(-math.log(1e-12), rel=1e-12)
+        assert loss == pytest.approx(-math.log(1e-12), rel=1e-12)
 
 
 def reference_probs(params, spec, x):
