@@ -1,7 +1,6 @@
 """Run the tier-1 suite against one-line source mutants and print which it kills.
 
-    python3 scripts/mutants.py                        # every mutant
-    python3 scripts/mutants.py lfr_ceil noise_divisor # the named ones
+    python3 scripts/mutants.py
 
 Each mutant is an exact `(file, old, new)` edit whose `old` occurs exactly
 once in its file. The checkout is copied once to a temporary directory; for
@@ -16,7 +15,6 @@ Uses only the standard library. A survivor costs one full tier-1 run.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -93,15 +91,7 @@ def run_tier1(copy: Path) -> tuple[bool, str]:
     return done.returncode == 0, (failed[0] if failed else done.stdout.strip()[-200:])
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    args = parser.parse_args(argv)
-    known = {m.name for m in MUTANTS}
-    unknown = sorted(set(args.names) - known)
-    if unknown:
-        raise SystemExit(f"unknown mutants {unknown}; known: {sorted(known)}")
-    chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
+def main() -> int:
     for mutant in MUTANTS:
         check(mutant, ROOT)
 
@@ -113,7 +103,7 @@ def main(argv: list[str] | None = None) -> int:
         passed, detail = run_tier1(copy)
         if not passed:
             raise SystemExit(f"tier-1 fails on the unmutated checkout: {detail}")
-        for mutant in chosen:
+        for mutant in MUTANTS:
             path = copy / mutant.file
             original = check(mutant, copy)
             path.write_text(original.replace(mutant.old, mutant.new), encoding="utf-8")

@@ -64,4 +64,3 @@ def evaluate(
         per_group_recall=recall or None,
         backdoor_accuracy=backdoor_accuracy,
     )
-

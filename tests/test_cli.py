@@ -444,18 +444,15 @@ def csv_task_config(tmp_path, b_column, layer_sizes=(2, 8, 2)) -> dict:
 
 
 class TestCsvRefusals:
-    def test_feature_count_must_match_the_input_width(self, tmp_path, capsys):
+    @pytest.mark.parametrize("file_exists", [True, False])
+    def test_feature_count_must_match_the_input_width(self, tmp_path, capsys, file_exists):
         config = csv_task_config(tmp_path, lambda i: f"{i}.25", layer_sizes=(3, 8, 2))
+        if not file_exists:  # the width is checked before the file is read
+            (tmp_path / "data.csv").unlink()
         assert_refused(tmp_path, capsys, config,
                        "error: model.layer_sizes: input dim 3 != task features 2")
         # The width is derived from the columns; it is not a config key.
         assert "features" not in cli.canonical_dict(cli.config_from_dict(config))["task"]
-
-    def test_width_is_checked_before_the_file_is_read(self, tmp_path, capsys):
-        config = csv_task_config(tmp_path, lambda i: f"{i}.25", layer_sizes=(3, 8, 2))
-        (tmp_path / "data.csv").unlink()
-        assert_refused(tmp_path, capsys, config,
-                       "error: model.layer_sizes: input dim 3 != task features 2")
 
     # Values near 1e307: a one-signed column overflows its mean; a mixed-sign
     # one keeps a finite mean, but the squares of its spread overflow.
