@@ -68,6 +68,82 @@ MUTANTS = [
     Mutant("csv_column_overflow", "src/fedsim/data.py",
            "np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))",
            "np.flatnonzero(~np.isfinite(mean))"),
+    # Aggregation rules.
+    Mutant("fedavg_weights", "src/fedsim/aggregators.py",
+           "global_params + (counts / total) @ deltas", "global_params + deltas.mean(axis=0)"),
+    Mutant("trimmed_mean_slice", "src/fedsim/aggregators.py",
+           "ordered[t : n - t].mean(axis=0)", "ordered[t : n - t + 1].mean(axis=0)"),
+    Mutant("lfr_drop", "src/fedsim/aggregators.py",
+           "np.lexsort((losses, ~finite))[: n - drop]",
+           "np.lexsort((losses, ~finite))[: n - drop + 1]"),
+    Mutant("krum_keep", "src/fedsim/aggregators.py",
+           "~np.isfinite(deltas).all(axis=1)))[:keep]",
+           "~np.isfinite(deltas).all(axis=1)))[: keep + 1]"),
+    # fedval.score's dimensions.
+    Mutant("score_label_slope", "src/fedsim/fedval.py",
+           "div = report.label_mean[k] - report.per_label_loss[:, k]",
+           "div = report.per_label_loss[:, k] - report.label_mean[k]"),
+    Mutant("score_avg_slope", "src/fedsim/fedval.py",
+           "div = report.overall_mean - report.overall_loss",
+           "div = report.overall_loss - report.overall_mean"),
+    Mutant("score_recall_slope", "src/fedsim/fedval.py",
+           "div = report.group_recall[:, j] - report.group_mean[j]",
+           "div = report.group_mean[j] - report.group_recall[:, j]"),
+    Mutant("bias_reducer_exponent", "src/fedsim/fedval.py",
+           "min(exponent * np.log(ratio), 700.0)", "min(np.log(ratio), 700.0)"),
+    Mutant("score_clamp_floor", "src/fedsim/fedval.py",
+           "np.maximum(raw, params.clamp_floor)", "np.maximum(raw, 0.0)"),
+    # validate_config's refusals, each moved past its boundary.
+    Mutant("refuse_rounds", "src/fedsim/orchestrator.py",
+           "if config.rounds < 0:", "if config.rounds < -1:"),
+    Mutant("refuse_metrics_every", "src/fedsim/orchestrator.py",
+           "if config.metrics_every < 1:", "if config.metrics_every < 0:"),
+    Mutant("refuse_clients_per_round", "src/fedsim/orchestrator.py",
+           "if config.clients_per_round < 1:", "if config.clients_per_round < 0:"),
+    Mutant("refuse_cohort_size", "src/fedsim/orchestrator.py",
+           "if config.clients_per_round > config.partition.client_count:",
+           "if config.clients_per_round > config.partition.client_count + 1:"),
+    Mutant("refuse_seed", "src/fedsim/orchestrator.py",
+           "if section else config, name, 0) < 0:", "if section else config, name, 0) < -1:"),
+    Mutant("refuse_lfr_fraction", "src/fedsim/orchestrator.py",
+           "math.ceil(strategy.remove_fraction * cpr) >= cpr:",
+           "math.ceil(strategy.remove_fraction * cpr) > cpr:"),
+    Mutant("refuse_trim_fraction", "src/fedsim/orchestrator.py",
+           "2 * math.floor(strategy.trim_fraction * cpr) >= cpr:",
+           "2 * math.floor(strategy.trim_fraction * cpr) > cpr:"),
+    Mutant("refuse_transforms_without_dp", "src/fedsim/orchestrator.py",
+           "if config.strategy.pre_transforms and config.dp is None:",
+           "if config.strategy.pre_transforms and config.dp is None and False:"),
+    Mutant("refuse_output_dim", "src/fedsim/orchestrator.py",
+           "isinstance(config.task, SyntheticTask) and k != config.task.classes:",
+           "isinstance(config.task, SyntheticTask) and k > config.task.classes:"),
+    Mutant("refuse_input_dim", "src/fedsim/orchestrator.py",
+           "    if config.model.input_dim != config.task.features:",
+           "    if config.model.input_dim > config.task.features:"),
+    Mutant("refuse_backdoor_length", "src/fedsim/orchestrator.py",
+           "if len(config.backdoor_eval) != 2 or len(set(config.backdoor_eval)) != 2:",
+           "if len(set(config.backdoor_eval)) != 2:"),
+    Mutant("refuse_backdoor_distinct", "src/fedsim/orchestrator.py",
+           "if len(config.backdoor_eval) != 2 or len(set(config.backdoor_eval)) != 2:",
+           "if len(config.backdoor_eval) != 2:"),
+    Mutant("refuse_negative_label", "src/fedsim/orchestrator.py",
+           "if not 0 <= label < k:", "if not label < k:"),
+    Mutant("refuse_label_past_classes", "src/fedsim/orchestrator.py",
+           "if not 0 <= label < k:", "if not 0 <= label <= k:"),
+    # Partition splits and compare's row order.
+    Mutant("lda_split_bounds", "src/fedsim/data.py",
+           "zip(shards, np.split(pool, np.cumsum(counts)[:-1]))",
+           "zip(shards, np.split(pool, np.cumsum(counts)[:-1] + 1))"),
+    Mutant("quantity_skew_split_bounds", "src/fedsim/data.py",
+           "part in np.split(pool, np.cumsum(counts)[:-1])]",
+           "part in np.split(pool, np.cumsum(counts)[:-1] + 1)]"),
+    Mutant("quantity_skew_remainder", "src/fedsim/data.py",
+           'kind="stable")[: n - counts.sum()]] += 1', 'kind="stable")[: n - counts.sum()]] += 0'),
+    Mutant("quantity_skew_remainder_order", "src/fedsim/data.py",
+           "np.argsort(np.floor(sizes) - sizes,", "np.argsort(sizes - np.floor(sizes),"),
+    Mutant("compare_row_order", "src/fedsim/cli.py",
+           '("overall_accuracy", "label_accuracy_mad", "mean_validation_loss")',
+           '("label_accuracy_mad", "overall_accuracy", "mean_validation_loss")'),
 ]
 
 

@@ -275,11 +275,8 @@ def cmd_compare(config_path: str, strategies: list[str], out_dir: str) -> dict[s
     for kind, config, result in zip(strategies, configs, results):
         manifests[kind] = _write_run(out / kind, config, result, duration)
         for record in result.records:
-            rows.append((kind, record.round, "overall_accuracy", record.overall_accuracy))
-            rows.append((kind, record.round, "label_accuracy_mad", record.label_accuracy_mad))
-            rows.append(
-                (kind, record.round, "mean_validation_loss", record.mean_validation_loss)
-            )
+            for metric in ("overall_accuracy", "label_accuracy_mad", "mean_validation_loss"):
+                rows.append((kind, record.round, metric, getattr(record, metric)))
             for k, acc in enumerate(record.per_label_accuracy):
                 rows.append((kind, record.round, f"label_accuracy_{k}", acc))
             if record.backdoor_accuracy is not None:

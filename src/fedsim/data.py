@@ -225,10 +225,8 @@ def _partition_once(
             else:
                 weights = weights / total
             counts = rng.multinomial(len(pool), weights)
-            offset = 0
-            for c in range(n_clients):
-                shards[c].extend(pool[offset : offset + counts[c]].tolist())
-                offset += counts[c]
+            for shard, part in zip(shards, np.split(pool, np.cumsum(counts)[:-1])):
+                shard.extend(part.tolist())
         return shards
 
     if spec.scheme == "missing_labels":
@@ -253,18 +251,10 @@ def _partition_once(
     # quantity_skew: Dirichlet over client sizes, composition IID.
     sizes = rng.dirichlet(np.full(n_clients, spec.alpha)) * n
     counts = np.floor(sizes).astype(int)
-    remainder = n - counts.sum()
-    if remainder > 0:
-        fractional = sizes - np.floor(sizes)
-        for c in np.argsort(-fractional, kind="stable")[:remainder]:
-            counts[c] += 1
+    # The largest fractional parts take the remainder, one sample each.
+    counts[np.argsort(np.floor(sizes) - sizes, kind="stable")[: n - counts.sum()]] += 1
     pool = rng.permutation(n)
-    shards = []
-    offset = 0
-    for c in range(n_clients):
-        shards.append(pool[offset : offset + counts[c]].tolist())
-        offset += counts[c]
-    return shards
+    return [part.tolist() for part in np.split(pool, np.cumsum(counts)[:-1])]
 
 
 def build_validation(

@@ -439,11 +439,6 @@ def _run_epochs(
     plan = []
     for first, last, start, n in groups:
         k = last - first
-        picked = row_slots[first:last]
-        # A group of distinct consecutive slots reads a view of the buffers;
-        # one whose rows share a key gathers its batches.
-        if np.all(np.diff(picked) == 1):
-            picked = slice(picked[0], picked[0] + k)
         # Rows with a proximal term, or None when no row has one.
         prox = np.flatnonzero(mus[first:last, 0] > 0.0)
         if len(prox) == 0:
@@ -451,7 +446,7 @@ def _run_epochs(
         plan.append((
             [(w[first:last], b[first:last]) for w, b in layers],
             [(gw[:k], gb[:k]) for gw, gb in grads],
-            (picked, slice(start, start + n)),
+            (row_slots[first:last], slice(start, start + n)),
             params[first:last],
             grad[:k],
             steps[first:last],

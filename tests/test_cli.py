@@ -411,6 +411,8 @@ class TestLabelChecks:
             ([2, 2], "backdoor_eval: needs two distinct labels"),
             ([0, 7], "backdoor_eval[1]: label 7 outside the model's 3 classes"),
             ([-1, 0], "backdoor_eval[0]: label -1 outside the model's 3 classes"),
+            ([1, 1, 2], "backdoor_eval: needs two distinct labels"),
+            ([0, 3], "backdoor_eval[1]: label 3 outside the model's 3 classes"),
         ],
     )
     def test_backdoor_eval(self, tmp_path, capsys, labels, named):
@@ -634,6 +636,20 @@ class TestNegativeSeeds:
         assert calls == []
 
 
+class TestCountFloors:
+    """rounds, metrics_every and clients_per_round are refused one below the
+    lowest value they accept."""
+
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [("rounds", -1, "rounds: must be >= 0"),
+         ("metrics_every", 0, "metrics_every: must be >= 1"),
+         ("clients_per_round", 0, "clients_per_round: must be >= 1")],
+    )
+    def test_refused_below_the_floor(self, tmp_path, capsys, key, value, named):
+        assert_refused(tmp_path, capsys, minimal_config(**{key: value}), f"error: {named}")
+
+
 class TestCompare:
     def test_two_strategies_share_selection(self, tmp_path):
         path = write_config(tmp_path, minimal_config())
@@ -665,6 +681,10 @@ class TestCompare:
         assert strategies == {"fedavg", "fedval"}
         metrics_seen = {line.split(",")[2] for line in lines[1:]}
         assert "overall_accuracy" in metrics_seen
+        # One round's rows: the three scalars, then one accuracy per label.
+        assert [line.split(",")[2] for line in lines[1:7]] == [
+            "overall_accuracy", "label_accuracy_mad", "mean_validation_loss",
+            "label_accuracy_0", "label_accuracy_1", "label_accuracy_2"]
 
     ALL = ("fedavg", "fedval", "multi_krum", "lfr", "trimmed_mean")
 

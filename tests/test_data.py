@@ -166,9 +166,43 @@ class TestPartition:
 
 
 def reference_partition_once(data, spec, rng):
-    """The iid and missing_labels branches of `_partition_once` as they were
-    before both dealt their labels through `_deal_stratified`."""
+    """`_partition_once` as it was before the iid and missing_labels branches
+    dealt their labels through `_deal_stratified`, and before the lda and
+    quantity_skew branches split their pools with `np.split`."""
     n_clients = spec.client_count
+    if spec.scheme == "lda":
+        proportions = rng.dirichlet(np.full(data.num_classes, spec.alpha), size=n_clients)
+        shards = [[] for _ in range(n_clients)]
+        for k in range(data.num_classes):
+            pool = rng.permutation(np.flatnonzero(data.labels == k))
+            weights = proportions[:, k]
+            total = weights.sum()
+            if total <= 0:
+                weights = np.full(n_clients, 1.0 / n_clients)
+            else:
+                weights = weights / total
+            counts = rng.multinomial(len(pool), weights)
+            offset = 0
+            for c in range(n_clients):
+                shards[c].extend(pool[offset : offset + counts[c]].tolist())
+                offset += counts[c]
+        return shards
+    if spec.scheme == "quantity_skew":
+        n = len(data)
+        sizes = rng.dirichlet(np.full(n_clients, spec.alpha)) * n
+        counts = np.floor(sizes).astype(int)
+        remainder = n - counts.sum()
+        if remainder > 0:
+            fractional = sizes - np.floor(sizes)
+            for c in np.argsort(-fractional, kind="stable")[:remainder]:
+                counts[c] += 1
+        pool = rng.permutation(n)
+        shards = []
+        offset = 0
+        for c in range(n_clients):
+            shards.append(pool[offset : offset + counts[c]].tolist())
+            offset += counts[c]
+        return shards
     if spec.scheme == "iid":
         shards = [[] for _ in range(n_clients)]
         for k in range(data.num_classes):
@@ -208,6 +242,13 @@ class TestDealStratifiedParity:
                           affected_fraction=0.7),
             PartitionSpec("missing_labels", client_count=9, seed=2, missing=(0, 3),
                           affected_fraction=0.0),
+            # The pool splits of lda and quantity_skew.
+            PartitionSpec("lda", client_count=7, seed=11, alpha=0.4),
+            PartitionSpec("lda", client_count=40, seed=0, alpha=0.2),
+            PartitionSpec("lda", client_count=5, seed=3, alpha=20.0),
+            PartitionSpec("quantity_skew", client_count=7, seed=11, alpha=1.0),
+            PartitionSpec("quantity_skew", client_count=40, seed=5, alpha=0.5),
+            PartitionSpec("quantity_skew", client_count=3, seed=8, alpha=30.0),
         ],
     )
     def test_partition_matches_the_old_loops(self, monkeypatch, spec):

@@ -165,6 +165,14 @@ class TestScore:
         assert table.clamped[1] == 0.0
         assert table.weights.tolist() == [1.0, 0.0]
 
+    def test_clamp_floor_lifts_low_scores(self):
+        # raw scores as in the doubled-label-mean case: 53 and -5
+        report = report_from_losses([[3.0], [5.0]], [1.0, 3.0])
+        table = fedval.score(report, ScoreParams(s2=3.0, clamp_floor=2.0))
+        assert table.raw.tolist() == pytest.approx([53.0, -5.0], abs=1e-9)
+        assert table.clamped.tolist() == pytest.approx([53.0, 2.0], abs=1e-9)
+        assert table.weights.tolist() == pytest.approx([53.0 / 55.0, 2.0 / 55.0], abs=1e-12)
+
     def test_reducer_is_one_when_label_not_lagging(self):
         baseline = report_from_losses([[1.0], [3.0]], [1.0, 3.0])
         ahead = report_from_losses([[1.0], [3.0]], [2.0, 6.0])  # label mean below avg

@@ -409,6 +409,13 @@ class TestRunExperiment:
         with pytest.raises(ConfigurationError, match="output dim"):
             run_experiment(config)
 
+    @pytest.mark.parametrize("layer_sizes, named",
+                             [((5, 8, 2), "output dim 2"), ((4, 8, 3), "input dim 4")])
+    def test_too_narrow_model_rejected(self, layer_sizes, named):
+        config = small_config(model=MlpSpec(layer_sizes, seed=0))
+        with pytest.raises(ConfigurationError, match=named):
+            run_experiment(config)
+
     def test_oversubscribed_round_rejected(self):
         config = small_config(clients_per_round=9)
         with pytest.raises(ConfigurationError, match="clients_per_round"):
