@@ -74,11 +74,22 @@ MUTANTS = [
     Mutant("trimmed_mean_slice", "src/fedsim/aggregators.py",
            "ordered[t : n - t].mean(axis=0)", "ordered[t : n - t + 1].mean(axis=0)"),
     Mutant("lfr_drop", "src/fedsim/aggregators.py",
-           "np.lexsort((losses, ~finite))[: n - drop]",
-           "np.lexsort((losses, ~finite))[: n - drop + 1]"),
+           "~np.isfinite(deltas).all(axis=1)))[: n - drop])",
+           "~np.isfinite(deltas).all(axis=1)))[: n - drop + 1])"),
+    Mutant("lfr_survivor_order", "src/fedsim/aggregators.py",
+           "keep = np.sort(np.lexsort(", "keep = (np.lexsort("),
     Mutant("krum_keep", "src/fedsim/aggregators.py",
            "~np.isfinite(deltas).all(axis=1)))[:keep]",
            "~np.isfinite(deltas).all(axis=1)))[: keep + 1]"),
+    # The round's delta matrix: its zero rows and the DP write-backs.
+    Mutant("zero_scale_row", "src/fedsim/orchestrator.py",
+           "deltas = np.zeros((len(selected), len(g)))",
+           "deltas = np.ones((len(selected), len(g)))"),
+    Mutant("dp_clip_write_back", "src/fedsim/privacy.py",
+           "row[:], clipped = clip(row, state.clip_bound)",
+           "_, clipped = clip(row, state.clip_bound)"),
+    Mutant("dp_noise_write_back", "src/fedsim/privacy.py",
+           "row[:] = add_noise(row, z, bound, seed, n)", "add_noise(row, z, bound, seed, n)"),
     # fedval.score's dimensions.
     Mutant("score_label_slope", "src/fedsim/fedval.py",
            "div = report.label_mean[k] - report.per_label_loss[:, k]",

@@ -1,9 +1,10 @@
 """Baseline aggregation strategies behind a common strategy description.
 
-All strategies consume per-client deltas (local model minus the round's
-global model) and produce the next global parameter vector. Ties are broken
-by ascending client index everywhere, which keeps every strategy
-deterministic under client permutation up to that rule.
+Every strategy takes the round's deltas as one (n, P) matrix, a row per
+client (its local model minus the round's global model), and produces the
+next global parameter vector or the rows it keeps. Ties are broken by
+ascending row index everywhere, which keeps every strategy deterministic
+under client permutation up to that rule.
 """
 
 from __future__ import annotations
@@ -31,15 +32,6 @@ STRATEGY_KINDS = {
 
 
 @dataclass(frozen=True)
-class ClientUpdate:
-    """One client's round output: its delta against the global model."""
-
-    client_id: int
-    delta: np.ndarray
-    num_samples: int
-
-
-@dataclass(frozen=True)
 class Strategy:
     """Aggregation strategy selection plus optional privacy pre-transforms."""
 
@@ -60,33 +52,33 @@ class Strategy:
                 raise ConfigurationError(f"unknown pre-transform {t!r}")
 
 
-def _stack_deltas(updates: list[ClientUpdate]) -> np.ndarray:
-    if not updates:
-        raise ConfigurationError("no client updates to aggregate")
-    deltas = np.stack([u.delta for u in updates])
+def _check_deltas(deltas: np.ndarray) -> int:
+    """The number of rows of `deltas`, refused unless it is a non-empty matrix."""
     if deltas.ndim != 2:
         raise ConfigurationError("client deltas must be flat vectors")
-    return deltas
+    if not len(deltas):
+        raise ConfigurationError("no client updates to aggregate")
+    return len(deltas)
 
 
-def fedavg(global_params: np.ndarray, updates: list[ClientUpdate]) -> np.ndarray:
-    """Sample-count-weighted average of client models."""
-    deltas = _stack_deltas(updates)
-    counts = np.array([u.num_samples for u in updates], dtype=np.float64)
+def fedavg(global_params: np.ndarray, deltas: np.ndarray, counts) -> np.ndarray:
+    """Average of the rows of `deltas` weighted by the clients' sample
+    `counts`, applied to the global model."""
+    _check_deltas(deltas)
+    counts = np.asarray(counts, dtype=np.float64)
     total = counts.sum()
     if total <= 0:
         raise ConfigurationError("total sample count is zero")
     return global_params + (counts / total) @ deltas
 
 
-def multi_krum(updates: list[ClientUpdate], remove_fraction: float) -> list[int]:
-    """Indices of the n - f clients with the lowest Krum scores, an update
-    with a non-finite coordinate ranked after every finite one. A client's
+def multi_krum(deltas: np.ndarray, remove_fraction: float) -> list[int]:
+    """Indices of the n - f rows of `deltas` with the lowest Krum scores, a
+    row with a non-finite coordinate ranked after every finite one. A row's
     score is the sum of squared distances to its n - f - 2 nearest other
-    updates; when that neighbor count is infeasible the single nearest
+    rows; when that neighbor count is infeasible the single nearest
     neighbor is used instead."""
-    deltas = _stack_deltas(updates)
-    n = len(updates)
+    n = _check_deltas(deltas)
     f = math.floor(remove_fraction * n)
     keep = n - f
     if keep < 1:
@@ -121,31 +113,30 @@ def _squared_distances(deltas: np.ndarray) -> np.ndarray:
 
 def lfr(
     global_params: np.ndarray,
-    updates: list[ClientUpdate],
+    deltas: np.ndarray,
+    counts,
     losses: np.ndarray,
     remove_fraction: float,
 ) -> np.ndarray:
-    """Fedavg the clients left after dropping the worst ranked: any with a
-    non-finite delta, then the highest mean validation loss (`losses`, in
-    update order: `fedval.compute_report`'s `overall_loss`)."""
-    n = len(updates)
+    """Fedavg the rows left after dropping the worst ranked: any with a
+    non-finite coordinate, then the highest mean validation loss (`losses`,
+    in row order: `fedval.compute_report`'s `overall_loss`)."""
+    n = _check_deltas(deltas)
     if len(losses) != n:
         raise ConfigurationError("one validation loss per update required")
     drop = math.ceil(remove_fraction * n)
     if drop >= n:
         raise ConfigurationError(f"lfr would drop all {n} clients")
-    finite = np.array([np.isfinite(u.delta).all() for u in updates])
-    keep_order = np.lexsort((losses, ~finite))[: n - drop]
-    survivors = [updates[i] for i in sorted(int(i) for i in keep_order)]
-    return fedavg(global_params, survivors)
+    keep = np.sort(np.lexsort((losses, ~np.isfinite(deltas).all(axis=1)))[: n - drop])
+    return fedavg(global_params, deltas[keep], np.asarray(counts)[keep])
 
 
 def trimmed_mean(
-    global_params: np.ndarray, updates: list[ClientUpdate], trim_fraction: float
+    global_params: np.ndarray, deltas: np.ndarray, trim_fraction: float
 ) -> np.ndarray:
-    """Coordinate-wise trimmed mean of deltas, applied to the global model."""
-    deltas = _stack_deltas(updates)
-    n = len(updates)
+    """Coordinate-wise trimmed mean of the rows of `deltas`, applied to the
+    global model."""
+    n = _check_deltas(deltas)
     t = math.floor(trim_fraction * n)
     if 2 * t >= n:
         raise ConfigurationError(f"trim_fraction {trim_fraction} over-trims {n} updates")

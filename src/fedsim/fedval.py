@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from fedsim import model
-from fedsim.aggregators import ClientUpdate
 from fedsim.data import ValidationSet
 from fedsim.errors import ConfigurationError
 from fedsim.model import MlpSpec
@@ -77,7 +76,6 @@ class ValidationReport:
     label_mad: np.ndarray  # (K,)
     overall_mad: float
     group_recall: np.ndarray | None = None  # (clients, G)
-    group_keys: tuple[int, ...] = ()
     group_mean: np.ndarray | None = None
     group_mad: np.ndarray | None = None
     overall_recall_mean: float = 0.0
@@ -179,7 +177,6 @@ def compute_report(
         if columns:
             matrix = np.stack(list(columns.values()), axis=1)
             report.group_recall = matrix
-            report.group_keys = tuple(columns)
             report.group_mean = matrix.mean(axis=0)
             report.group_mad = np.abs(matrix - matrix.mean(axis=0)).mean(axis=0)
             report.overall_recall_mean = float(overall_recall.mean())
@@ -234,13 +231,13 @@ def score(report: ValidationReport, params: ScoreParams) -> ScoreTable:
 
 
 def aggregate(
-    global_params: np.ndarray, updates: list[ClientUpdate], weights: np.ndarray
+    global_params: np.ndarray, deltas: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
-    """Weighted delta step: global + sum_d weight_d * delta_d."""
+    """Weighted delta step: global + sum_d weight_d * delta_d, one weight
+    per row of `deltas`."""
     weights = np.asarray(weights, dtype=np.float64)
-    if len(updates) != weights.shape[0]:
+    if len(deltas) != weights.shape[0]:
         raise ConfigurationError("one weight per update required")
-    deltas = np.stack([u.delta for u in updates])
     if deltas.shape[1] != global_params.shape[0]:
         raise ConfigurationError("delta dimension does not match global model")
     return global_params + weights @ deltas
@@ -272,7 +269,7 @@ class S2Choice:
 
 def adapt_s2(
     global_params: np.ndarray,
-    updates: list[ClientUpdate],
+    deltas: np.ndarray,
     report: ValidationReport,
     params: ScoreParams,
     spec: MlpSpec,
@@ -293,7 +290,7 @@ def adapt_s2(
     tables = [score(report, replace(params, s2=c)) for c in candidates]
     models = [
         global_params.copy() if table.all_zero
-        else aggregate(global_params, updates, table.weights)
+        else aggregate(global_params, deltas, table.weights)
         for table in tables
     ]
     losses = [float(l.mean()) for l, _ in model.eval_cohort(models, spec, val.data)]

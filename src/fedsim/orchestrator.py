@@ -16,7 +16,7 @@ import numpy as np
 
 from fedsim import adversary, aggregators, fedval, metrics, model, privacy
 from fedsim.adversary import AttackSpec
-from fedsim.aggregators import ClientUpdate, Strategy
+from fedsim.aggregators import Strategy
 from fedsim.data import (
     CsvTask,
     Dataset,
@@ -289,48 +289,43 @@ def _client_rows(
     return rows
 
 
-def _client_updates(
+def _client_deltas(
     state: ExperimentState,
     config: ExperimentConfig,
     selected: list[int],
     trained: Iterator[np.ndarray],
-) -> list[ClientUpdate]:
-    """Every selected client's update, taking its trained rows from `trained`
-    in the order `_client_rows` gave them."""
+) -> np.ndarray:
+    """The round's (n, P) delta matrix: each selected client's model minus
+    the global model, one row per client in selection order, taking its
+    trained rows from `trained` in the order `_client_rows` gave them. A
+    zero-scale attacker sends the global model back, so its row stays zero."""
     g = state.global_params
     attack = config.attack
     attackers = _pga_attackers(state, config)
-    updates = []
-    for client in selected:
+    deltas = np.zeros((len(selected), len(g)))
+    for row, client in zip(deltas, selected):
         if client not in attackers:
-            params = model.check_trained(next(trained))
-            # The row becomes the delta in place, so the round holds one copy
-            # of the cohort's parameters, not two.
-            delta = np.subtract(params, g, out=params)
+            np.subtract(model.check_trained(next(trained)), g, out=row)
         elif attack.scale_factor != 0.0:
-            delta = adversary.pga_combine(g, next(trained), next(trained), attack.scale_factor) - g
-        else:  # a zero-scale attacker sends the global model back
-            delta = g - g
-        updates.append(ClientUpdate(client, delta, len(state.shards[client])))
-    return updates
+            malicious = adversary.pga_combine(g, next(trained), next(trained), attack.scale_factor)
+            np.subtract(malicious, g, out=row)
+    return deltas
 
 
 def _finish_round(
     state: ExperimentState,
     config: ExperimentConfig,
     selected: list[int],
-    trained: Iterator[np.ndarray],
+    deltas: np.ndarray,
 ) -> RoundLog:
-    """Aggregate one strategy's round from its trained rows, advancing the
-    state in place."""
-    updates = _client_updates(state, config, selected, trained)
+    """Aggregate one strategy's round from its `_client_deltas` matrix, which
+    the DP pre-transforms change in place, advancing the state in place."""
     strategy = config.strategy
     if strategy.pre_transforms:
         seeds = [derive_seed(config.train.seed, _NOISE_STREAM, state.round_index, c)
                  for c in selected]
-        deltas = privacy.apply_pre_transforms(
-            strategy.pre_transforms, [u.delta for u in updates], state.dp, seeds)
-        updates = [dc_replace(u, delta=d) for u, d in zip(updates, deltas)]
+        privacy.apply_pre_transforms(strategy.pre_transforms, deltas, state.dp, seeds)
+    counts = [len(state.shards[c]) for c in selected]
     log = RoundLog(
         round=state.round_index,
         selected=selected,
@@ -340,29 +335,27 @@ def _finish_round(
 
     if strategy.kind in ("fedval", "lfr"):  # one cohort evaluation serves both
         report = fedval.compute_report(
-            [(state.global_params, u.delta) for u in updates], config.model, state.val,
+            [(state.global_params, d) for d in deltas], config.model, state.val,
             recall_dim=config.recall_dim and strategy.kind == "fedval",  # lfr reads no recall
         )
     if strategy.kind == "fedavg":
-        new_global = aggregators.fedavg(state.global_params, updates)
+        new_global = aggregators.fedavg(state.global_params, deltas, counts)
     elif strategy.kind == "multi_krum":
-        chosen = aggregators.multi_krum(updates, strategy.remove_fraction)
+        chosen = aggregators.multi_krum(deltas, strategy.remove_fraction)
         uniform = np.full(len(chosen), 1.0 / len(chosen))
-        new_global = fedval.aggregate(
-            state.global_params, [updates[i] for i in chosen], uniform
-        )
+        new_global = fedval.aggregate(state.global_params, deltas[chosen], uniform)
     elif strategy.kind == "lfr":
         new_global = aggregators.lfr(
-            state.global_params, updates, report.overall_loss, strategy.remove_fraction
+            state.global_params, deltas, counts, report.overall_loss, strategy.remove_fraction
         )
     elif strategy.kind == "trimmed_mean":
         new_global = aggregators.trimmed_mean(
-            state.global_params, updates, strategy.trim_fraction
+            state.global_params, deltas, strategy.trim_fraction
         )
     else:  # fedval
         choice = fedval.adapt_s2(
             state.global_params,
-            updates,
+            deltas,
             report,
             dc_replace(config.score_params, s2=state.s2),
             config.model,
@@ -372,8 +365,8 @@ def _finish_round(
         state.s2 = choice.s2
         log.s2 = choice.s2
         log.zero_update = choice.table.all_zero
-        log.scores = {u.client_id: float(s) for u, s in zip(updates, choice.table.raw)}
-        log.weights = {u.client_id: float(w) for u, w in zip(updates, choice.table.weights)}
+        log.scores = dict(zip(selected, choice.table.raw.tolist()))
+        log.weights = dict(zip(selected, choice.table.weights.tolist()))
         # adapt_s2 has already evaluated the model it chose.
         log.val_loss = choice.val_loss
 
@@ -396,7 +389,9 @@ def _lockstep_round(
     call, so the short tail batches of every strategy step together. With a
     wider model, whose full batches already fill a step, that would save few
     steps and hold every strategy's trained cohort at once, so each strategy
-    trains in turn. Either way the strategies are finished in list order.
+    trains in turn. Either way each strategy's delta matrix is built and the
+    trained rows are freed before any strategy aggregates, and the
+    strategies are finished in list order.
     """
     first = configs[0]
     round_index = states[0].round_index
@@ -414,9 +409,10 @@ def _lockstep_round(
     for group in [pairs] if together else [[pair] for pair in pairs]:
         rows = [row for s, c in group for row in _client_rows(s, c, selected, seeds)]
         trained = iter(model.train_rows(spec, rows, batch_size))
-        logs += [_finish_round(s, c, selected, trained) for s, c in group]
-        # Drop this cohort before the next group trains its own.
+        matrices = [_client_deltas(s, c, selected, trained) for s, c in group]
+        # The trained stack is garbage once the matrices are built.
         del trained
+        logs += [_finish_round(s, c, selected, d) for (s, c), d in zip(group, matrices)]
     return logs
 
 
@@ -426,17 +422,14 @@ def run_round(state: ExperimentState, config: ExperimentConfig) -> RoundLog:
     return log
 
 
-def run_experiments(
-    configs: list[ExperimentConfig], state: ExperimentState | None = None
-) -> list[ExperimentResult]:
+def run_experiments(configs: list[ExperimentConfig]) -> list[ExperimentResult]:
     """Run several strategies on one set-up in lockstep, round by round, and
     return their results in the order of `configs`.
 
     The configs may differ only in `strategy`, and each is validated once,
-    before any data is built. Each strategy runs on its own fork of `state`
-    (`setup_experiment(configs[0])` by default), which is left as it was,
-    and gives bit for bit the result of running it alone. An error in any
-    strategy stops them all.
+    before any data is built. Each strategy runs on its own fork of
+    `setup_experiment(configs[0])` and gives bit for bit the result of
+    running it alone. An error in any strategy stops them all.
     """
     if not configs:
         raise ConfigurationError("run_experiments: no configs")
@@ -445,10 +438,9 @@ def run_experiments(
         if dc_replace(config, strategy=first.strategy) != first:
             raise ConfigurationError("run_experiments: configs differ in more than strategy")
     # `setup_experiment` validates the first config itself.
-    for config in configs[1:] if state is None else configs:
+    for config in configs[1:]:
         validate_config(config)
-    if state is None:
-        state = setup_experiment(first)
+    state = setup_experiment(first)
     states = [state.fork() for _ in configs]
     backdoor = first.backdoor_eval
     if backdoor is None and first.attack.kind == "label_flip":
@@ -473,13 +465,10 @@ def run_experiments(
     return results
 
 
-def run_experiment(
-    config: ExperimentConfig, state: ExperimentState | None = None
-) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the full round loop of one strategy, recording metrics at the
-    configured cadence: the one-strategy case of `run_experiments`, which
-    leaves `state` as it was."""
-    (result,) = run_experiments([config], state)
+    configured cadence: the one-strategy case of `run_experiments`."""
+    (result,) = run_experiments([config])
     return result
 
 

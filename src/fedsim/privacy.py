@@ -1,6 +1,7 @@
 """Differential-privacy mechanics for client deltas: L2 norm clipping with
 a quantile-targeted adaptive bound, Gaussian noise addition, and the
-pipeline that runs a strategy's `pre_transforms` over a round's deltas.
+pipeline that runs a strategy's `pre_transforms` over the rows of a round's
+delta matrix.
 
 No privacy accounting is performed; the noise multiplier is a plain
 simulation knob."""
@@ -78,19 +79,21 @@ def add_noise(
 
 
 def apply_pre_transforms(
-    transforms: tuple[str, ...], deltas: list[np.ndarray], state: DpState, seeds: list[int]
-) -> list[np.ndarray]:
-    """The round's `deltas` after each of `transforms` in order. "norm_bound"
-    clips every delta to `state.clip_bound`, then adapts that bound in place
-    from the clip flags; "dp_noise" adds to each delta, on its seed in
-    `seeds`, noise of std noise_multiplier * bound / len(deltas), with the
-    bound as it stands."""
+    transforms: tuple[str, ...], deltas: np.ndarray, state: DpState, seeds: list[int]
+) -> None:
+    """Apply each of `transforms` in order to the rows of the round's
+    `deltas`, in place. "norm_bound" clips every row to `state.clip_bound`,
+    then adapts that bound in place from the clip flags; "dp_noise" adds to
+    each row, on its seed in `seeds`, noise of std
+    noise_multiplier * bound / len(deltas), with the bound as it stands."""
     for transform in transforms:
         if transform == "norm_bound":
-            clipped = [clip(delta, state.clip_bound) for delta in deltas]
-            deltas = [delta for delta, _ in clipped]
-            state.clip_bound = adapt_bound(state, [flag for _, flag in clipped])
+            flags = []
+            for row in deltas:
+                row[:], clipped = clip(row, state.clip_bound)
+                flags.append(clipped)
+            state.clip_bound = adapt_bound(state, flags)
         else:  # dp_noise
             z, bound, n = state.noise_multiplier, state.clip_bound, len(deltas)
-            deltas = [add_noise(d, z, bound, seed, n) for d, seed in zip(deltas, seeds)]
-    return deltas
+            for row, seed in zip(deltas, seeds):
+                row[:] = add_noise(row, z, bound, seed, n)

@@ -15,7 +15,7 @@ import pytest
 
 from fedsim import aggregators, cli, fedval, model
 from fedsim.adversary import AttackSpec
-from fedsim.aggregators import ClientUpdate, Strategy
+from fedsim.aggregators import Strategy
 from fedsim.data import PartitionSpec
 from fedsim.fedval import ScoreParams, ValidationReport
 from fedsim.model import MlpSpec, TrainSpec
@@ -252,10 +252,9 @@ class TestCriterion1ScoreFunction:
         rng = np.random.default_rng(0)
         g = rng.normal(size=20)
         deltas = rng.normal(size=(3, 20))
-        updates = [ClientUpdate(i, d, 10) for i, d in enumerate(deltas)]
-        single = fedval.aggregate(g, updates[:1], np.array([1.0]))
+        single = fedval.aggregate(g, deltas[:1], np.array([1.0]))
         assert np.array_equal(single, g + deltas[0])
-        masked = fedval.aggregate(g, updates[:2], np.array([1.0, 0.0]))
+        masked = fedval.aggregate(g, deltas[:2], np.array([1.0, 0.0]))
         assert np.array_equal(masked, g + deltas[0])
 
         # candidate exponent set from the initial value 3
@@ -315,8 +314,7 @@ class TestCriterion3AggregatorOracles:
             n = int(rng.integers(3, 9))
             deltas = rng.normal(size=(n, int(rng.integers(2, 6))))
             fraction = float(rng.choice([0.25, 0.4, 0.5]))
-            updates = [ClientUpdate(i, d, 1) for i, d in enumerate(deltas)]
-            assert aggregators.multi_krum(updates, fraction) == brute(deltas, fraction)
+            assert aggregators.multi_krum(deltas, fraction) == brute(deltas, fraction)
 
         # trimmed mean vs sort-based oracle
         for _ in range(20):
@@ -326,9 +324,8 @@ class TestCriterion3AggregatorOracles:
             t = math.floor(fraction * n)
             if 2 * t >= n:
                 continue
-            updates = [ClientUpdate(i, d, 1) for i, d in enumerate(deltas)]
             expected = np.stack([np.sort(deltas[:, j])[t : n - t].mean() for j in range(6)])
-            got = aggregators.trimmed_mean(np.zeros(6), updates, fraction)
+            got = aggregators.trimmed_mean(np.zeros(6), deltas, fraction)
             assert np.max(np.abs(got - expected)) <= 1e-12
 
         # score-weighted aggregation with uniform weights == fedavg
@@ -337,9 +334,8 @@ class TestCriterion3AggregatorOracles:
             n = int(rng.integers(2, 9))
             g = rng.normal(size=25)
             deltas = rng.normal(size=(n, 25))
-            updates = [ClientUpdate(i, d, 7) for i, d in enumerate(deltas)]
-            uniform = fedval.aggregate(g, updates, np.full(n, 1.0 / n))
-            oracle = aggregators.fedavg(g, updates)
+            uniform = fedval.aggregate(g, deltas, np.full(n, 1.0 / n))
+            oracle = aggregators.fedavg(g, deltas, [7] * n)
             worst = max(worst, float(np.max(np.abs(uniform - oracle))))
         assert worst <= 1e-12
 

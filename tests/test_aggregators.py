@@ -6,16 +6,14 @@ from hypothesis import assume, example, given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fedsim import aggregators, fedval, model
-from fedsim.aggregators import ClientUpdate, Strategy
+from fedsim.aggregators import Strategy
 from fedsim.data import build_validation, gen_synthetic
 from fedsim.errors import ConfigurationError
 from fedsim.model import MlpSpec
 
 
-def make_updates(deltas, samples=None):
-    deltas = [np.asarray(d, dtype=np.float64) for d in deltas]
-    samples = samples or [1] * len(deltas)
-    return [ClientUpdate(i, d, s) for i, (d, s) in enumerate(zip(deltas, samples))]
+def matrix(deltas):
+    return np.array(deltas, dtype=np.float64)
 
 
 def brute_force_krum(deltas, remove_fraction):
@@ -112,33 +110,32 @@ def poisoned_stacks(draw, fractions, min_finite, rounding=math.floor):
 class TestFedavg:
     def test_equal_sizes_average(self):
         g = np.zeros(3)
-        out = aggregators.fedavg(g, make_updates([[2, 0, 4], [0, 2, 0]], [50, 50]))
+        out = aggregators.fedavg(g, matrix([[2, 0, 4], [0, 2, 0]]), [50, 50])
         assert np.allclose(out, [1, 1, 2], atol=0)
 
     def test_single_client(self):
         g = np.array([1.0, 1.0])
-        out = aggregators.fedavg(g, make_updates([[3.0, -1.0]], [10]))
+        out = aggregators.fedavg(g, matrix([[3.0, -1.0]]), [10])
         assert np.allclose(out, [4.0, 0.0], atol=0)
 
     def test_three_to_one_weighting(self):
         g = np.zeros(2)
-        out = aggregators.fedavg(g, make_updates([[4, 0], [0, 4]], [3, 1]))
+        out = aggregators.fedavg(g, matrix([[4, 0], [0, 4]]), [3, 1])
         assert np.allclose(out, [3.0, 1.0], atol=1e-15)
 
     def test_zero_samples_rejected(self):
         with pytest.raises(ConfigurationError):
-            aggregators.fedavg(np.zeros(2), make_updates([[1, 1]], [0]))
+            aggregators.fedavg(np.zeros(2), matrix([[1, 1]]), [0])
 
 
 class TestMultiKrum:
     def test_far_outlier_excluded(self):
         base = np.ones(4)
-        updates = make_updates([base, base, base, base + 100.0])
-        assert aggregators.multi_krum(updates, 0.25) == [0, 1, 2]
+        deltas = matrix([base, base, base, base + 100.0])
+        assert aggregators.multi_krum(deltas, 0.25) == [0, 1, 2]
 
     def test_identical_updates_tie_break_by_index(self):
-        updates = make_updates([np.ones(3)] * 4)
-        assert aggregators.multi_krum(updates, 0.5) == [0, 1]
+        assert aggregators.multi_krum(np.ones((4, 3)), 0.5) == [0, 1]
 
     def test_matches_brute_force_on_random_fixtures(self):
         rng = np.random.default_rng(12)
@@ -147,14 +144,13 @@ class TestMultiKrum:
             dim = int(rng.integers(2, 6))
             deltas = rng.normal(size=(n, dim))
             frac = float(rng.choice([0.25, 0.4, 0.5]))
-            updates = make_updates(deltas)
-            assert aggregators.multi_krum(updates, frac) == brute_force_krum(
+            assert aggregators.multi_krum(deltas, frac) == brute_force_krum(
                 [list(d) for d in deltas], frac
             )
 
     @given(delta_stacks(), st.sampled_from([0.0, 0.1, 0.25, 0.4, 0.5, 0.75, 0.9]))
     def test_matches_broadcast_distances(self, deltas, remove_fraction):
-        got = aggregators.multi_krum(make_updates(deltas), remove_fraction)
+        got = aggregators.multi_krum(deltas, remove_fraction)
         assert got == broadcast_krum(deltas, remove_fraction)
 
     @pytest.mark.parametrize("dim", [3, 7, 64, 1000, 3466, 10000])
@@ -166,8 +162,7 @@ class TestMultiKrum:
             assert np.array_equal(aggregators._squared_distances(deltas), full), n
 
     def test_keeps_at_least_one(self):
-        updates = make_updates([np.ones(2)])
-        assert aggregators.multi_krum(updates, 0.0) == [0]
+        assert aggregators.multi_krum(np.ones((1, 2)), 0.0) == [0]
 
     # Two +-inf rows of one sign in a coordinate subtract to NaN there.
     @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
@@ -178,7 +173,7 @@ class TestMultiKrum:
         # A non-finite row ranks after every finite one, whatever the scores;
         # n - f rows are kept and at least as many are finite.
         remove_fraction, deltas, bad = stack
-        kept = aggregators.multi_krum(make_updates(deltas), remove_fraction)
+        kept = aggregators.multi_krum(deltas, remove_fraction)
         assert not set(kept) & set(bad)
 
 
@@ -197,54 +192,61 @@ class TestLfr:
         )
         self.corrupted = weak * 100.0
 
-    def losses(self, updates):
-        """Each update's mean validation loss, as the round computes it."""
-        models = [(self.global_params, u.delta) for u in updates]
+    def losses(self, deltas):
+        """Each row's mean validation loss, as the round computes it."""
+        models = [(self.global_params, d) for d in deltas]
         return fedval.compute_report(models, self.spec, self.val).overall_loss
 
     def test_corrupted_model_always_dropped(self):
         good_delta = self.good - self.global_params
-        updates = make_updates(
-            [good_delta, good_delta * 0.9, good_delta * 1.1, good_delta * 0.95,
-             self.corrupted - self.global_params],
-            samples=[100] * 5,
-        )
+        deltas = np.stack([good_delta, good_delta * 0.9, good_delta * 1.1, good_delta * 0.95,
+                           self.corrupted - self.global_params])
+        counts = [100] * 5
         # independent oracle: rank by validation loss, keep the 3 lowest
         losses = []
-        for u in updates:
-            sample_losses, _ = model.eval_losses(
-                self.global_params + u.delta, self.spec, self.val.data
-            )
+        for d in deltas:
+            sample_losses, _ = model.eval_losses(self.global_params + d, self.spec, self.val.data)
             losses.append(float(sample_losses.mean()))
         order = sorted(range(5), key=lambda i: (losses[i], i))
         survivors = sorted(order[:3])
         assert 4 not in survivors  # the corrupted client is always among the dropped
-        expected = aggregators.fedavg(self.global_params, [updates[i] for i in survivors])
-        out = aggregators.lfr(self.global_params, updates, self.losses(updates), 0.4)
+        expected = aggregators.fedavg(self.global_params, deltas[survivors], [100] * 3)
+        out = aggregators.lfr(self.global_params, deltas, counts, self.losses(deltas), 0.4)
         assert np.allclose(out, expected, atol=1e-12)
+
+    def test_survivors_keep_their_row_order(self):
+        # Rows 1, 2, 4 and 5 survive, ranked in another order by loss: fedavg
+        # must still add them in row order, bit for bit.
+        rng = np.random.default_rng(9)
+        deltas = rng.normal(size=(6, 50)) * [[1.0], [1e8], [1.0], [1e-8], [1e8], [1.0]]
+        counts = [1, 3, 5, 7, 11, 13]
+        losses = np.array([9.0, 2.0, 4.0, 8.0, 1.0, 3.0])
+        out = aggregators.lfr(np.zeros(50), deltas, counts, losses, 0.3)
+        expected = aggregators.fedavg(np.zeros(50), deltas[[1, 2, 4, 5]], [3, 5, 11, 13])
+        assert out.tobytes() == expected.tobytes()
 
     def test_zero_removal_is_fedavg(self):
         rng = np.random.default_rng(2)
-        updates = make_updates(rng.normal(0, 0.1, size=(4, self.spec.param_count)),
-                               samples=[10, 20, 30, 40])
-        out = aggregators.lfr(self.global_params, updates, self.losses(updates), 0.0)
-        assert np.array_equal(out, aggregators.fedavg(self.global_params, updates))
+        deltas = rng.normal(0, 0.1, size=(4, self.spec.param_count))
+        counts = [10, 20, 30, 40]
+        out = aggregators.lfr(self.global_params, deltas, counts, self.losses(deltas), 0.0)
+        assert np.array_equal(out, aggregators.fedavg(self.global_params, deltas, counts))
 
     def test_identical_models_tie_break_keeps_aggregate(self):
         delta = self.good - self.global_params
-        updates = make_updates([delta] * 5, samples=[10] * 5)
-        out = aggregators.lfr(self.global_params, updates, self.losses(updates), 0.4)
+        deltas = np.stack([delta] * 5)
+        out = aggregators.lfr(self.global_params, deltas, [10] * 5, self.losses(deltas), 0.4)
         assert np.allclose(out, self.global_params + delta, atol=1e-12)
 
     def test_dropping_everyone_rejected(self):
-        updates = make_updates([np.zeros(self.spec.param_count)], samples=[10])
+        deltas = np.zeros((1, self.spec.param_count))
         with pytest.raises(ConfigurationError):
-            aggregators.lfr(self.global_params, updates, self.losses(updates), 0.99)
+            aggregators.lfr(self.global_params, deltas, [10], self.losses(deltas), 0.99)
 
     def test_one_loss_per_update_required(self):
-        updates = make_updates([np.zeros(self.spec.param_count)] * 3, samples=[10] * 3)
+        deltas = np.zeros((3, self.spec.param_count))
         with pytest.raises(ConfigurationError, match="one validation loss per update"):
-            aggregators.lfr(self.global_params, updates, self.losses(updates)[:2], 0.0)
+            aggregators.lfr(self.global_params, deltas, [10] * 3, self.losses(deltas)[:2], 0.0)
 
     @given(poisoned_stacks(st.sampled_from([0.0, 0.1, 0.25, 0.4, 0.5, 0.75, 0.9]), 1, math.ceil),
            st.data())
@@ -257,26 +259,24 @@ class TestLfr:
         assume(math.ceil(remove_fraction * n) < n)
         losses = data.draw(hnp.arrays(np.float64, n, elements=st.floats()))
         g = np.zeros(deltas.shape[1])
-        out = aggregators.lfr(g, make_updates(deltas), losses, remove_fraction)
+        out = aggregators.lfr(g, deltas, [1] * n, losses, remove_fraction)
         assert np.all(np.isfinite(out))
 
 
 class TestTrimmedMean:
     def test_hand_case_with_outlier(self):
         g = np.zeros(1)
-        updates = make_updates([[0.0], [1.0], [2.0], [3.0], [100.0]])
-        out = aggregators.trimmed_mean(g, updates, 0.2)
+        out = aggregators.trimmed_mean(g, matrix([[0.0], [1.0], [2.0], [3.0], [100.0]]), 0.2)
         assert np.allclose(out, [2.0], atol=0)
 
     def test_zero_trim_is_plain_mean(self):
         rng = np.random.default_rng(3)
         deltas = rng.normal(size=(5, 4))
-        out = aggregators.trimmed_mean(np.zeros(4), make_updates(deltas), 0.0)
+        out = aggregators.trimmed_mean(np.zeros(4), deltas, 0.0)
         assert np.allclose(out, deltas.mean(axis=0), atol=1e-15)
 
     def test_all_equal(self):
-        updates = make_updates([[2.5, -1.0]] * 4)
-        out = aggregators.trimmed_mean(np.zeros(2), updates, 0.25)
+        out = aggregators.trimmed_mean(np.zeros(2), matrix([[2.5, -1.0]] * 4), 0.25)
         assert np.allclose(out, [2.5, -1.0], atol=0)
 
     def test_matches_sort_oracle(self):
@@ -291,12 +291,12 @@ class TestTrimmedMean:
             expected = np.stack(
                 [np.sort(deltas[:, j])[t : n - t].mean() for j in range(5)]
             )
-            out = aggregators.trimmed_mean(np.zeros(5), make_updates(deltas), frac)
+            out = aggregators.trimmed_mean(np.zeros(5), deltas, frac)
             assert np.allclose(out, expected, atol=1e-12)
 
     def test_over_trimming_rejected(self):
         with pytest.raises(ConfigurationError):
-            aggregators.trimmed_mean(np.zeros(2), make_updates([[1, 1], [2, 2]]), 0.5)
+            aggregators.trimmed_mean(np.zeros(2), matrix([[1, 1], [2, 2]]), 0.5)
 
     @given(poisoned_stacks(st.floats(0.0, 0.49), 1))
     def test_finite_when_at_most_the_trimmed_count_are_not(self, stack):
@@ -304,7 +304,7 @@ class TestTrimmedMean:
         # t trimmed from the bottom, +inf and NaN into the t from the top.
         trim_fraction, deltas, _ = stack
         g = np.zeros(deltas.shape[1])
-        out = aggregators.trimmed_mean(g, make_updates(deltas), trim_fraction)
+        out = aggregators.trimmed_mean(g, deltas, trim_fraction)
         assert np.all(np.isfinite(out))
 
 
@@ -315,11 +315,11 @@ class TestPermutationInvariance:
         samples = [10, 20, 30, 40, 50, 60]
         g = rng.normal(size=8)
         perm = rng.permutation(6)
-        a1 = aggregators.fedavg(g, make_updates(deltas, samples))
-        a2 = aggregators.fedavg(g, make_updates(deltas[perm], [samples[i] for i in perm]))
+        a1 = aggregators.fedavg(g, deltas, samples)
+        a2 = aggregators.fedavg(g, deltas[perm], [samples[i] for i in perm])
         assert np.allclose(a1, a2, atol=1e-12)
-        t1 = aggregators.trimmed_mean(g, make_updates(deltas), 0.2)
-        t2 = aggregators.trimmed_mean(g, make_updates(deltas[perm]), 0.2)
+        t1 = aggregators.trimmed_mean(g, deltas, 0.2)
+        t2 = aggregators.trimmed_mean(g, deltas[perm], 0.2)
         assert np.allclose(t1, t2, atol=1e-12)
 
     # Properties over drawn cohorts: `perm` reorders the clients, and every
@@ -329,23 +329,22 @@ class TestPermutationInvariance:
     def test_trimmed_mean_is_bit_identical(self, cohort, trim_fraction):
         g, deltas, _, _, perm = cohort
         assume(2 * math.floor(trim_fraction * len(deltas)) < len(deltas))
-        a = aggregators.trimmed_mean(g, make_updates(deltas), trim_fraction)
-        b = aggregators.trimmed_mean(g, make_updates(deltas[perm]), trim_fraction)
+        a = aggregators.trimmed_mean(g, deltas, trim_fraction)
+        b = aggregators.trimmed_mean(g, deltas[perm], trim_fraction)
         assert a.tobytes() == b.tobytes()
 
     @given(permuted_cohorts(), st.floats(0.0, 0.99))
     def test_fedavg_and_lfr_move_by_rounding_only(self, cohort, remove_fraction):
         g, deltas, samples, losses, perm = cohort
         n = len(deltas)
-        updates = make_updates(deltas, samples)
-        permuted = make_updates(deltas[perm], [samples[i] for i in perm])
+        permuted = [samples[i] for i in perm]
         # Reordering a weighted sum of deltas moves it by rounding alone.
         bound = 1e-12 * (np.abs(g) + np.abs(deltas).max(axis=0))
-        a = aggregators.fedavg(g, updates)
-        assert np.all(np.abs(a - aggregators.fedavg(g, permuted)) <= bound)
+        a = aggregators.fedavg(g, deltas, samples)
+        assert np.all(np.abs(a - aggregators.fedavg(g, deltas[perm], permuted)) <= bound)
         assume(math.ceil(remove_fraction * n) < n)
-        a = aggregators.lfr(g, updates, losses, remove_fraction)
-        b = aggregators.lfr(g, permuted, losses[perm], remove_fraction)
+        a = aggregators.lfr(g, deltas, samples, losses, remove_fraction)
+        b = aggregators.lfr(g, deltas[perm], permuted, losses[perm], remove_fraction)
         assert np.all(np.abs(a - b) <= bound)
 
     @given(permuted_cohorts(), st.sampled_from([0.0, 0.1, 0.25, 0.4, 0.5, 0.75, 0.9]))
@@ -359,8 +358,8 @@ class TestPermutationInvariance:
         np.fill_diagonal(sq, np.inf)
         scores = np.sort(sq, axis=1)[:, :neighbors].sum(axis=1)
         assume(len(set(scores.tolist())) == n)
-        kept = aggregators.multi_krum(make_updates(deltas), remove_fraction)
-        permuted_kept = aggregators.multi_krum(make_updates(deltas[perm]), remove_fraction)
+        kept = aggregators.multi_krum(deltas, remove_fraction)
+        permuted_kept = aggregators.multi_krum(deltas[perm], remove_fraction)
         assert sorted(int(perm[i]) for i in permuted_kept) == kept
 
 
@@ -379,16 +378,16 @@ class TestTranslationEquivariance:
     @given(shifted_cohorts())
     def test_fedavg_shifts_by_c(self, cohort):
         g, deltas, samples, c = cohort
-        a = aggregators.fedavg(g, make_updates(deltas, samples))
-        b = aggregators.fedavg(g, make_updates(deltas + c, samples))
+        a = aggregators.fedavg(g, deltas, samples)
+        b = aggregators.fedavg(g, deltas + c, samples)
         assert np.all(np.abs(b - (a + c)) <= self.bound(g, deltas, c))
 
     @given(shifted_cohorts(), st.floats(0.0, 0.49))
     def test_trimmed_mean_shifts_by_c(self, cohort, trim_fraction):
         g, deltas, _, c = cohort
         assume(2 * math.floor(trim_fraction * len(deltas)) < len(deltas))
-        a = aggregators.trimmed_mean(g, make_updates(deltas), trim_fraction)
-        b = aggregators.trimmed_mean(g, make_updates(deltas + c), trim_fraction)
+        a = aggregators.trimmed_mean(g, deltas, trim_fraction)
+        b = aggregators.trimmed_mean(g, deltas + c, trim_fraction)
         assert np.all(np.abs(b - (a + c)) <= self.bound(g, deltas, c))
 
     @given(shifted_cohorts(), st.sampled_from([0.0, 0.1, 0.25, 0.4, 0.5, 0.75, 0.9]))
@@ -408,8 +407,21 @@ class TestTranslationEquivariance:
         np.fill_diagonal(sq, np.inf)
         scores = np.sort(np.sort(sq, axis=1)[:, :neighbors].sum(axis=1))
         assume(keep == n or scores[keep] - scores[keep - 1] > 2 * slack)
-        kept = aggregators.multi_krum(make_updates(deltas), remove_fraction)
-        assert aggregators.multi_krum(make_updates(deltas + c), remove_fraction) == kept
+        kept = aggregators.multi_krum(deltas, remove_fraction)
+        assert aggregators.multi_krum(deltas + c, remove_fraction) == kept
+
+
+@pytest.mark.parametrize("aggregate", [
+    lambda d: aggregators.fedavg(np.zeros(2), d, [1] * len(d)),
+    lambda d: aggregators.multi_krum(d, 0.0),
+    lambda d: aggregators.lfr(np.zeros(2), d, [1] * len(d), np.zeros(len(d)), 0.0),
+    lambda d: aggregators.trimmed_mean(np.zeros(2), d, 0.0),
+])
+def test_deltas_must_be_a_non_empty_matrix(aggregate):
+    with pytest.raises(ConfigurationError, match="flat vectors"):
+        aggregate(np.zeros((1, 2, 1)))
+    with pytest.raises(ConfigurationError, match="no client updates"):
+        aggregate(np.zeros((0, 2)))
 
 
 class TestStrategyValidation:

@@ -6,7 +6,7 @@ looking them up by name; bench/workloads.py builds each workload's state
 through fedsim to refuse degenerate inputs. A rename or a new refusal in
 fedsim would break the benchmark only when it next runs; these tests break
 first. Nothing under bench/ is written: run.py is parsed, not imported, and
-workloads.py is loaded without writing bytecode.
+workloads.py and tracer.py are loaded without writing bytecode.
 """
 
 import ast
@@ -16,7 +16,10 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from fedsim import aggregators, privacy
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -47,11 +50,36 @@ def test_traced_name_is_a_public_function_of_its_module(name):
     assert not attr.startswith("_"), name
 
 
-def test_every_workload_is_usable_at_seed_1(tmp_path, monkeypatch):
+def load_bench_module(name, monkeypatch):
+    """bench/<name>.py, loaded without writing bytecode next to it."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_counters_read_the_traced_signatures(monkeypatch):
+    # The tracer's observers read a traced call's arguments and result, so
+    # they are tied to the signatures of multi_krum and clip.
+    tracer = load_bench_module("tracer", monkeypatch)
+    spans = tracer.Tracer()
+    traced = {name: spans.wrap(name, function, tracer.OBSERVERS[name])
+              for name, function in (("aggregators.multi_krum", aggregators.multi_krum),
+                                     ("privacy.clip", privacy.clip))}
+    deltas = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.1], [9.0, 9.0], [0.1, 0.1]])
+    kept = traced["aggregators.multi_krum"](deltas, 0.4)
+    assert kept == aggregators.multi_krum(deltas, 0.4) == [0, 1, 2]
+    assert spans.events == [("aggregators.multi_krum.kept", 3.0),
+                            ("aggregators.multi_krum.offered", 5.0)]
+    spans.events.clear()
+    for delta in (np.array([3.0, 4.0]), np.array([0.3, 0.4])):
+        traced["privacy.clip"](delta, 1.0)
+    assert spans.events == [("privacy.clip.clipped", 1.0), ("privacy.clip.clipped", 0.0)]
+
+
+def test_every_workload_is_usable_at_seed_1(tmp_path, monkeypatch):
+    workloads = load_bench_module("workloads", monkeypatch)
     assert workloads.WORKLOADS
     for name in workloads.WORKLOADS:
         work = tmp_path / name

@@ -14,7 +14,7 @@ import pytest
 
 import fedsim
 from fedsim import cli, fedval, model, orchestrator
-from fedsim.aggregators import STRATEGY_KINDS, ClientUpdate, Strategy
+from fedsim.aggregators import STRATEGY_KINDS, Strategy
 from fedsim.data import PartitionSpec
 from fedsim.errors import ConfigurationError
 from fedsim.metrics import MetricRecord
@@ -96,14 +96,14 @@ class TestRun:
         # One NaN client delta makes every fedval score NaN and the fedavg
         # global model (hence its val_loss) NaN; both are written as null.
         config = cli.load_config(write_config(tmp_path, minimal_config()))
-        honest_updates = orchestrator._client_updates
+        honest_deltas = orchestrator._client_deltas
 
-        def updates(state, config, selected, trained):
-            first, *rest = honest_updates(state, config, selected, trained)
-            nan = np.full_like(first.delta, np.nan)
-            return [ClientUpdate(first.client_id, nan, first.num_samples), *rest]
+        def deltas(state, config, selected, trained):
+            out = honest_deltas(state, config, selected, trained)
+            out[0] = np.nan
+            return out
 
-        monkeypatch.setattr(orchestrator, "_client_updates", updates)
+        monkeypatch.setattr(orchestrator, "_client_deltas", deltas)
         logs = []
         for kind in ("fedval", "fedavg"):
             run_config = replace(config, strategy=Strategy(kind=kind))

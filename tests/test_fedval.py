@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fedsim import aggregators, fedval, model
-from fedsim.aggregators import ClientUpdate
 from fedsim.data import Dataset, ValidationSet, build_validation, gen_synthetic
 from fedsim.fedval import ScoreParams, ValidationReport
 from fedsim.model import MlpSpec, TrainSpec
@@ -27,12 +26,6 @@ def report_from_losses(per_label, overall):
     )
 
 
-def make_updates(deltas, samples=None):
-    samples = samples or [100] * len(deltas)
-    return [ClientUpdate(i, np.asarray(d, dtype=np.float64), s)
-            for i, (d, s) in enumerate(zip(deltas, samples))]
-
-
 @st.composite
 def finite_reports(draw):
     """A validation report as `compute_report` derives it from finite
@@ -50,7 +43,6 @@ def finite_reports(draw):
         recall = np.array(draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=groups,
                                                  max_size=groups), min_size=n, max_size=n)))
         report.group_recall = recall
-        report.group_keys = tuple(range(groups))
         report.group_mean = recall.mean(axis=0)
         report.group_mad = np.abs(recall - recall.mean(axis=0)).mean(axis=0)
         report.overall_recall_mean = draw(st.floats(0.0, 1.0))
@@ -129,7 +121,7 @@ class TestComputeReport:
             report = fedval.compute_report(
                 [model.init_params(spec)], spec, val, recall_dim=True
             )
-        assert report.group_keys == (0,)
+        assert report.group_recall.shape == (1, 1)
         assert "dropped" in caplog.text
 
 
@@ -244,7 +236,6 @@ class TestScore:
         report.group_recall = np.array([[0.2], [0.4], [0.3]])
         if dimension == "group":
             report.group_recall[1, 0] = np.nan
-        report.group_keys = (0,)
         report.group_mean = report.group_recall.mean(axis=0)
         report.group_mad = np.abs(report.group_recall - report.group_mean).mean(axis=0)
         report.overall_recall_mean = 0.3
@@ -264,7 +255,6 @@ class TestScore:
         # recall is better) and the reducer uses the mean-over-group ratio
         report = report_from_losses(np.full((2, 1), 1.0), np.full(2, 1.0))
         report.group_recall = np.array([[0.2], [0.4]])
-        report.group_keys = (0,)
         report.group_mean = np.array([0.3])
         report.group_mad = np.array([0.1])
         report.overall_recall_mean = 0.6
@@ -290,23 +280,23 @@ class TestAggregate:
     def test_uniform_weights_match_fedavg(self):
         rng = np.random.default_rng(6)
         g = rng.normal(size=30)
-        updates = make_updates(rng.normal(size=(4, 30)))
-        ours = fedval.aggregate(g, updates, np.full(4, 0.25))
-        oracle = aggregators.fedavg(g, updates)
+        deltas = rng.normal(size=(4, 30))
+        ours = fedval.aggregate(g, deltas, np.full(4, 0.25))
+        oracle = aggregators.fedavg(g, deltas, [100] * 4)
         assert np.max(np.abs(ours - oracle)) <= 1e-12
 
     def test_single_client_full_weight(self):
         rng = np.random.default_rng(7)
         g = rng.normal(size=10)
         delta = rng.normal(size=10)
-        out = fedval.aggregate(g, make_updates([delta]), np.array([1.0]))
+        out = fedval.aggregate(g, delta[None], np.array([1.0]))
         assert np.allclose(out, g + delta, atol=0)
 
     def test_zero_weight_client_ignored(self):
         rng = np.random.default_rng(8)
         g = rng.normal(size=10)
         d0, d1 = rng.normal(size=10), rng.normal(size=10)
-        out = fedval.aggregate(g, make_updates([d0, d1]), np.array([1.0, 0.0]))
+        out = fedval.aggregate(g, np.stack([d0, d1]), np.array([1.0, 0.0]))
         assert np.allclose(out, g + d0, atol=0)
 
 
@@ -328,9 +318,9 @@ class TestAdaptS2:
         _, val, rest, spec, g = self.fixture()
         ts = TrainSpec(epochs=1, batch_size=32, learning_rate=0.05, seed=3)
         trained = model.local_train(g, spec, rest, ts)
-        updates = make_updates([trained - g] * 3)
+        deltas = np.stack([trained - g] * 3)
         report = fedval.compute_report([trained] * 3, spec, val)
-        choice = fedval.adapt_s2(g, updates, report, ScoreParams(s2=3.0), spec, val)
+        choice = fedval.adapt_s2(g, deltas, report, ScoreParams(s2=3.0), spec, val)
         assert choice.s2 == 3.0
 
     def test_steep_reducer_wins_when_it_helps(self):
@@ -343,9 +333,9 @@ class TestAdaptS2:
         ts = TrainSpec(epochs=2, batch_size=16, learning_rate=0.1, seed=0)
         a = model.local_train(g, spec, balanced, ts)
         b = model.local_train(g, spec, only0, ts)
-        updates = make_updates([a - g, b - g])
+        deltas = np.stack([a - g, b - g])
         report = fedval.compute_report([a, b], spec, val)
-        choice = fedval.adapt_s2(g, updates, report, ScoreParams(s2=3.0), spec, val)
+        choice = fedval.adapt_s2(g, deltas, report, ScoreParams(s2=3.0), spec, val)
         assert choice.s2 == 8.0
         assert choice.table.weights[0] > 0.9
 
@@ -354,10 +344,10 @@ class TestAdaptS2:
         trained = model.local_train(
             g, spec, rest, TrainSpec(epochs=1, batch_size=32, learning_rate=0.05, seed=3)
         )
-        updates = make_updates([trained - g] * 2)
+        deltas = np.stack([trained - g] * 2)
         report = fedval.compute_report([trained] * 2, spec, val)
         choice = fedval.adapt_s2(
-            g, updates, report, ScoreParams(s2=3.0, baseline_c=0.0), spec, val
+            g, deltas, report, ScoreParams(s2=3.0, baseline_c=0.0), spec, val
         )
         assert choice.table.all_zero
         assert np.array_equal(choice.global_params, g)
@@ -452,7 +442,6 @@ def loop_report(client_models, spec, val, recall_dim):
         if columns:
             matrix = np.stack([columns[g] for g in sorted(columns)], axis=1)
             report.group_recall = matrix
-            report.group_keys = tuple(sorted(columns))
             report.group_mean = matrix.mean(axis=0)
             report.group_mad = np.abs(matrix - matrix.mean(axis=0)).mean(axis=0)
             report.overall_recall_mean = float(overall_recall.mean())
@@ -484,7 +473,6 @@ class TestComputeReportMatchesLoop:
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert got.overall_mean == want.overall_mean
         assert got.overall_mad == want.overall_mad
-        assert got.group_keys == want.group_keys
         assert got.overall_recall_mean == want.overall_recall_mean
         for name in ("group_recall", "group_mean", "group_mad"):
             a, b = getattr(got, name), getattr(want, name)
@@ -509,7 +497,7 @@ class TestComputeReportMatchesLoop:
         models = perturbed_models(spec, 7, seed=6)
         got = fedval.compute_report(models, spec, val, recall_dim=True)
         self.assert_reports_equal(got, loop_report(models, spec, val, True))
-        assert got.group_keys == (0, 1, 2)
+        assert got.group_recall.shape == (7, 3)
 
     def test_multiclass_recall_with_an_absent_class(self):
         spec = MlpSpec((16, 8, 4), seed=3)
@@ -533,5 +521,5 @@ class TestComputeReportMatchesLoop:
         with caplog.at_level(logging.WARNING):
             got = fedval.compute_report(models, spec, val, recall_dim=True)
         self.assert_reports_equal(got, loop_report(models, spec, val, True))
-        assert got.group_keys == (0, 2)
+        assert got.group_recall.shape == (5, 2)
         assert "recall undefined for group 1; dimension dropped" in caplog.text

@@ -1,5 +1,6 @@
 
 import logging
+import weakref
 from dataclasses import replace as dc_replace
 from fractions import Fraction
 from math import comb
@@ -8,9 +9,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fedsim import fedval, model, orchestrator
+from fedsim import aggregators, fedval, model, orchestrator
 from fedsim.adversary import AttackSpec
-from fedsim.aggregators import ClientUpdate, Strategy
+from fedsim.aggregators import Strategy
 from fedsim.data import Dataset, PartitionSpec
 from fedsim.errors import ConfigurationError
 
@@ -86,18 +87,14 @@ class TestRunRound:
         # logged no-op instead of writing 0 * NaN into the global model.
         config = small_config(strategy=Strategy(kind="fedval"), clients_per_round=6)
         state = setup_experiment(config)
-        poisoned = select_clients(8, 6, 0, config.selection_seed)[2]
-        honest_updates = orchestrator._client_updates
+        honest_deltas = orchestrator._client_deltas
 
-        def updates(state, config, selected, trained):
-            return [
-                ClientUpdate(u.client_id, np.full_like(u.delta, np.nan), u.num_samples)
-                if u.client_id == poisoned
-                else u
-                for u in honest_updates(state, config, selected, trained)
-            ]
+        def deltas(state, config, selected, trained):
+            out = honest_deltas(state, config, selected, trained)
+            out[2] = np.nan  # the third selected client's row
+            return out
 
-        monkeypatch.setattr(orchestrator, "_client_updates", updates)
+        monkeypatch.setattr(orchestrator, "_client_deltas", deltas)
         before = state.global_params.copy()
         with np.errstate(invalid="ignore"):
             log = run_round(state, config)
@@ -112,14 +109,14 @@ class TestRunRound:
         # is logged as a no-op once, for the table that the search keeps.
         config = small_config(strategy=Strategy(kind="fedval"), clients_per_round=6)
         state = setup_experiment(config)
-        honest_updates = orchestrator._client_updates
+        honest_deltas = orchestrator._client_deltas
 
-        def updates(state, config, selected, trained):
-            first, *rest = honest_updates(state, config, selected, trained)
-            nan = np.full_like(first.delta, np.nan)
-            return [ClientUpdate(first.client_id, nan, first.num_samples), *rest]
+        def deltas(state, config, selected, trained):
+            out = honest_deltas(state, config, selected, trained)
+            out[0] = np.nan
+            return out
 
-        monkeypatch.setattr(orchestrator, "_client_updates", updates)
+        monkeypatch.setattr(orchestrator, "_client_deltas", deltas)
         with np.errstate(invalid="ignore"), caplog.at_level(logging.WARNING, "fedsim.fedval"):
             logs = [run_round(state, config) for _ in range(2)]
         assert all(log.zero_update for log in logs)
@@ -199,16 +196,17 @@ def pga_lda_config(**overrides) -> ExperimentConfig:
     return small_config(**base)
 
 
-def spy_updates(monkeypatch):
-    """Record every list of updates that run_round aggregates."""
+def spy_deltas(monkeypatch):
+    """Record a copy of every delta matrix that run_round aggregates."""
     seen = []
-    honest_updates = orchestrator._client_updates
+    honest_deltas = orchestrator._client_deltas
 
-    def updates(state, config, selected, trained):
-        seen.append(honest_updates(state, config, selected, trained))
-        return seen[-1]
+    def deltas(state, config, selected, trained):
+        out = honest_deltas(state, config, selected, trained)
+        seen.append(out.copy())
+        return out
 
-    monkeypatch.setattr(orchestrator, "_client_updates", updates)
+    monkeypatch.setattr(orchestrator, "_client_deltas", deltas)
     return seen
 
 
@@ -232,7 +230,15 @@ class TestCohortTraining:
     def test_deltas_match_per_client_reference(self, monkeypatch):
         config = pga_lda_config()
         state = setup_experiment(config)
-        seen = spy_updates(monkeypatch)
+        seen = spy_deltas(monkeypatch)
+        counts = []
+        honest_fedavg = aggregators.fedavg
+
+        def fedavg(global_params, deltas, sample_counts):
+            counts.append(list(sample_counts))
+            return honest_fedavg(global_params, deltas, sample_counts)
+
+        monkeypatch.setattr(aggregators, "fedavg", fedavg)
         g = state.global_params.copy()
         selected = select_clients(8, 6, 0, config.selection_seed)
         attackers = [c for c in selected if c in state.malicious]
@@ -240,15 +246,17 @@ class TestCohortTraining:
         assert len({len(state.shards[c]) for c in selected}) > 1
 
         run_round(state, config)
-        (updates,) = seen
-        assert [u.client_id for u in updates] == selected
-        for u in updates:
-            shard = state.shards[u.client_id]
+        (deltas,) = seen
+        # One row per selected client, in selection order.
+        assert deltas.shape == (len(selected), len(g))
+        assert counts == [[len(state.shards[c]) for c in selected]]
+        for client, delta in zip(selected, deltas):
+            shard = state.shards[client]
             seed = orchestrator.derive_seed(
-                config.train.seed, orchestrator._TRAIN_STREAM, 0, u.client_id
+                config.train.seed, orchestrator._TRAIN_STREAM, 0, client
             )
             train = dc_replace(config.train, seed=seed)
-            if u.client_id in state.malicious:
+            if client in state.malicious:
                 ascended = reference_sgd(
                     g, config.model, shard, train, config.attack.ascent_epochs, ascent=True
                 )
@@ -264,8 +272,7 @@ class TestCohortTraining:
                 expected = (g + scale * malicious_delta) - g
             else:
                 expected = reference_sgd(g, config.model, shard, train, train.epochs) - g
-            assert np.array_equal(u.delta, expected)
-            assert u.num_samples == len(shard)
+            assert np.array_equal(delta, expected)
 
     def test_zero_scale_attacker_trains_no_rows(self, monkeypatch):
         config = pga_lda_config(
@@ -273,15 +280,15 @@ class TestCohortTraining:
                               malicious_fraction=0.25, placement_seed=1),
         )
         state = setup_experiment(config)
-        seen = spy_updates(monkeypatch)
+        seen = spy_deltas(monkeypatch)
         row_counts = spy_train_rows(monkeypatch)
+        selected = select_clients(8, 6, 0, config.selection_seed)
         run_round(state, config)
-        (updates,) = seen
-        attackers = [u for u in updates if u.client_id in state.malicious]
+        (deltas,) = seen
+        attackers = [i for i, c in enumerate(selected) if c in state.malicious]
         assert attackers
-        assert row_counts == [len(updates) - len(attackers)]
-        for u in attackers:
-            assert not np.any(u.delta)
+        assert row_counts == [len(selected) - len(attackers)]
+        assert not np.any(deltas[attackers])
 
     def test_empty_shard_rejected(self):
         config = pga_lda_config()
@@ -391,13 +398,14 @@ class TestRunExperiment:
         )
         shared = setup_experiment(config)
         params, bound = shared.global_params.copy(), shared.dp.clip_bound
-        forked = run_experiment(config, shared.fork())
+        forked = shared.fork()
+        logs = [run_round(forked, config) for _ in range(config.rounds)]
         assert np.array_equal(shared.global_params, params)
         assert shared.dp.clip_bound == bound
         assert shared.round_index == 0
         alone = run_experiment(config)
-        assert np.array_equal(forked.final_params, alone.final_params)
-        assert [r.as_dict() for r in forked.round_logs] == [r.as_dict() for r in alone.round_logs]
+        assert np.array_equal(forked.global_params, alone.final_params)
+        assert [r.as_dict() for r in logs] == [r.as_dict() for r in alone.round_logs]
 
     def test_pre_transforms_without_dp_rejected(self):
         config = small_config(strategy=Strategy(kind="fedavg", pre_transforms=("norm_bound",)))
@@ -503,6 +511,29 @@ class TestRunExperiments:
             assert [m.__dict__ for m in got.records] == [m.__dict__ for m in want.records]
 
     @pytest.mark.parametrize("wide", [False, True])
+    def test_trained_stack_freed_before_aggregation(self, monkeypatch, wide):
+        # Each strategy's delta matrix is a copy: the stack of trained rows
+        # that train_rows returns views into is dead before any strategy
+        # aggregates.
+        config = dc_replace(self.wide_config() if wide else pga_lda_config(), rounds=1)
+        stacks = []
+        honest_train_rows, honest_finish = model.train_rows, orchestrator._finish_round
+
+        def train_rows(spec, rows, batch_size):
+            trained = honest_train_rows(spec, rows, batch_size)
+            stacks.append(weakref.ref(trained[0].base))
+            return trained
+
+        def finish_round(*args):
+            assert stacks and all(ref() is None for ref in stacks)
+            return honest_finish(*args)
+
+        monkeypatch.setattr(model, "train_rows", train_rows)
+        monkeypatch.setattr(orchestrator, "_finish_round", finish_round)
+        orchestrator.run_experiments([dc_replace(config, strategy=s) for s in STRATEGIES])
+        assert len(stacks) == (len(STRATEGIES) if wide else 1)
+
+    @pytest.mark.parametrize("wide", [False, True])
     def test_training_seeds_derived_once_per_round(self, monkeypatch, wide):
         config = self.wide_config() if wide else pga_lda_config()
         configs = [dc_replace(config, strategy=s) for s in STRATEGIES]
@@ -525,11 +556,9 @@ class TestRunExperiments:
         with pytest.raises(ConfigurationError, match="more than strategy"):
             orchestrator.run_experiments([config, other])
 
-    @pytest.mark.parametrize("given_state", [False, True])
-    def test_each_config_validated_once(self, monkeypatch, given_state):
+    def test_each_config_validated_once(self, monkeypatch):
         config = small_config(rounds=1)
         configs = [dc_replace(config, strategy=Strategy(kind)) for kind in ("fedavg", "fedval")]
-        state = setup_experiment(config) if given_state else None
         validated = []
         honest = orchestrator.validate_config
 
@@ -538,7 +567,7 @@ class TestRunExperiments:
             honest(config)
 
         monkeypatch.setattr(orchestrator, "validate_config", spy)
-        orchestrator.run_experiments(configs, state)
+        orchestrator.run_experiments(configs)
         assert sorted(map(id, validated)) == sorted(map(id, configs))
 
     def test_setup_experiment_alone_validates(self):
@@ -587,17 +616,24 @@ class TestRunExperiments:
             set_blas_thread_count(before)
 
     def test_state_left_as_it_was(self):
+        # One set-up serves several strategies through its forks, each of
+        # which gives what run_experiments gives that strategy.
         config = small_config(
             strategy=Strategy(kind="fedavg", pre_transforms=("norm_bound",)),
             dp=DpState(clip_bound=0.5),
+            rounds=1,
         )
+        configs = [config, dc_replace(config, strategy=Strategy("fedval"))]
         shared = setup_experiment(config)
         params, bound = shared.global_params.copy(), shared.dp.clip_bound
-        orchestrator.run_experiments([config, dc_replace(config, strategy=Strategy("fedval"))],
-                                     shared)
+        forks = [shared.fork() for _ in configs]
+        logs = [run_round(f, c) for f, c in zip(forks, configs)]
         assert np.array_equal(shared.global_params, params)
         assert shared.dp.clip_bound == bound
         assert shared.round_index == 0
+        for fork, log, result in zip(forks, logs, orchestrator.run_experiments(configs)):
+            assert np.array_equal(fork.global_params, result.final_params)
+            assert [log.as_dict()] == [r.as_dict() for r in result.round_logs]
 
 
 class TestMaliciousRoundProbability:

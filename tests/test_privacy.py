@@ -106,12 +106,13 @@ class TestPipeline:
     @staticmethod
     def round_deltas():
         rng = np.random.default_rng(23)
-        return [rng.normal(0, scale, size=6) for scale in (0.1, 0.5, 2.0, 4.0)]
+        return np.stack([rng.normal(0, scale, size=6) for scale in (0.1, 0.5, 2.0, 4.0)])
 
     def test_noise_uses_the_bound_adapted_that_round(self):
         deltas, seeds = self.round_deltas(), [11, 12, 13, 14]
         state = DpState(clip_bound=1.0, target_quantile=0.9, noise_multiplier=0.7)
-        got = apply_pre_transforms(("norm_bound", "dp_noise"), deltas, state, seeds)
+        got = deltas.copy()
+        apply_pre_transforms(("norm_bound", "dp_noise"), got, state, seeds)
         clipped = [clip(d, 1.0) for d in deltas]
         bound = adapt_bound(DpState(clip_bound=1.0, target_quantile=0.9),
                             [flag for _, flag in clipped])
@@ -140,11 +141,34 @@ class TestPipeline:
         assert [before for before, _ in steps] == bounds[:-1]
         assert state.clip_bound == bounds[-1]
 
+    @pytest.mark.parametrize("transforms", [
+        ("norm_bound",), ("dp_noise",), ("norm_bound", "dp_noise"), ("dp_noise", "norm_bound"),
+    ])
+    def test_rows_are_clip_and_add_noise_of_copies(self, transforms):
+        # The matrix changes in place, each row bit for bit what `clip` and
+        # `add_noise` give for a copy of it, as a list of vectors would.
+        deltas, seeds = self.round_deltas(), [5, 6, 7, 8]
+        state = DpState(clip_bound=1.0, noise_multiplier=0.3)
+        rows = [d.copy() for d in deltas]
+        reference = DpState(clip_bound=1.0, noise_multiplier=0.3)
+        for transform in transforms:
+            if transform == "norm_bound":
+                clipped = [clip(d, reference.clip_bound) for d in rows]
+                rows = [d for d, _ in clipped]
+                reference.clip_bound = adapt_bound(reference, [flag for _, flag in clipped])
+            else:
+                rows = [add_noise(d, 0.3, reference.clip_bound, seed, len(rows))
+                        for d, seed in zip(rows, seeds)]
+        assert apply_pre_transforms(transforms, deltas, state, seeds) is None
+        assert deltas.tobytes() == np.stack(rows).tobytes()
+        assert state == reference
+
     def test_no_transforms_return_the_deltas_as_given(self):
         deltas = self.round_deltas()
+        before = deltas.tobytes()
         state = DpState(clip_bound=0.5, noise_multiplier=1.0)
-        got = apply_pre_transforms((), deltas, state, [1, 2, 3, 4])
-        assert all(g is d for g, d in zip(got, deltas)) and len(got) == len(deltas)
+        apply_pre_transforms((), deltas, state, [1, 2, 3, 4])
+        assert deltas.tobytes() == before
         assert state == DpState(clip_bound=0.5, noise_multiplier=1.0)
 
 
