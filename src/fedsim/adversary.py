@@ -59,12 +59,6 @@ def _ascent_row(start: np.ndarray, data, train: TrainSpec, epochs: int) -> SgdRo
     return SgdRow(start, data, train.seed, epochs, -train.learning_rate)
 
 
-def _check_ascended(params: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(params)):
-        raise ValueError("ascent diverged: non-finite parameters")
-    return params
-
-
 def gradient_ascent(
     global_params: np.ndarray,
     spec: MlpSpec,
@@ -77,7 +71,7 @@ def gradient_ascent(
     (params,) = model.train_rows(
         spec, [_ascent_row(global_params, data, train, epochs)], train.batch_size
     )
-    return _check_ascended(params)
+    return model.check_trained(params, ascent=True)
 
 
 def pga_rows(
@@ -101,13 +95,14 @@ def pga_combine(
 ) -> np.ndarray:
     """Malicious model from the trained `pga_rows`: the ascent delta rescaled
     so that its norm is scale_factor times the benign reference's delta norm.
+    Both rows must already have passed `model.check_trained`.
     """
-    malicious_delta = _check_ascended(ascended) - global_params
+    malicious_delta = ascended - global_params
     mal_norm = float(np.linalg.norm(malicious_delta))
     if mal_norm == 0.0:
         log.warning("pga_combine: degenerate zero ascent delta, returning global model")
         return global_params.copy()
-    benign_norm = float(np.linalg.norm(model.check_trained(benign) - global_params))
+    benign_norm = float(np.linalg.norm(benign - global_params))
     if benign_norm == 0.0:
         log.warning("pga_combine: benign reference delta is zero, returning global model")
         return global_params.copy()
@@ -133,7 +128,8 @@ def pga_update(
     ascended, benign = model.train_rows(
         spec, list(pga_rows(global_params, data, train, ascent_epochs)), train.batch_size
     )
-    return pga_combine(global_params, ascended, benign, scale_factor)
+    ascended = model.check_trained(ascended, ascent=True)
+    return pga_combine(global_params, ascended, model.check_trained(benign), scale_factor)
 
 
 def place_malicious(client_count: int, fraction: float, seed: int) -> frozenset[int]:

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import itertools
 import os
 from dataclasses import dataclass
 
@@ -343,9 +344,9 @@ def train_rows(spec: MlpSpec, rows: list[SgdRow], batch_size: int) -> list[np.nd
     Each row gives bit for bit the parameters that training it alone would
     give, whatever else is in `rows`. Rows on the same shard object with the
     same seed draw the same permutations, so they share one generator and
-    one permuted copy of the shard per epoch. The loss is never computed, and
-    the caller checks results for non-finite values. A row with zero epochs
-    returns its start.
+    one permuted copy of the shard per epoch. The loss is never computed; a
+    run's diverged rows are refused by `orchestrator._client_deltas`, which
+    `check_trained`s each one. A row with zero epochs returns its start.
     """
     if not rows:
         return []
@@ -408,69 +409,54 @@ def _run_epochs(
     sorted by shard size, largest first, and by key, and `features`, `labels`
     and `rngs` are indexed by key."""
     sizes = [len(labels[k]) for k in row_keys]
-    # Each key's slot in this phase's buffers, and each row's slot.
-    slots = {k: s for s, k in enumerate(dict.fromkeys(row_keys))}
-    row_slots = np.array([slots[k] for k in row_keys])
+    keys = np.array(row_keys)
     steps = np.array([row.step for row in rows])[:, None]
     mus = np.array([row.prox_mu for row in rows])[:, None]
-    # The proximal term pulls each row toward its start.
+    # When any row has a proximal term, every row pulls toward its start; a
+    # row with mu 0 adds zeros.
     anchors = np.stack([row.start for row in rows]) if mus.any() else None
 
     # Every epoch steps through the same groups: (first row, end row, batch
-    # offset, batch length).
+    # offset, batch length), each a run of rows with one batch length.
     groups = []
     for start in range(0, sizes[0], batch_size):
         lo = 0
-        while lo < len(sizes) and sizes[lo] > start:
-            n = min(sizes[lo] - start, batch_size)
-            end = lo
-            while end < len(sizes) and min(sizes[end] - start, batch_size) == n:
-                end += 1
+        for n, run in itertools.groupby(min(s - start, batch_size) for s in sizes if s > start):
+            end = lo + len(list(run))
             cap = rows_per_step(spec, n)
             groups += [(first, min(first + cap, end), start, n) for first in range(lo, end, cap)]
             lo = end
 
     grad = np.empty((max(last - first for first, last, _, _ in groups), params.shape[1]))
-    # Each epoch's permuted shards, one per key; the batch of a row in key
-    # slot s at offset o is x[s, o : o + n].
-    x = np.empty((len(slots), sizes[0], spec.input_dim))
-    y = np.empty((len(slots), sizes[0]), dtype=np.int64)
-    layers, grads = _layer_views(params, spec), _layer_views(grad, spec)
+    # Each epoch's permuted shards, one slot per key; the batch of a row of
+    # key k at offset o is x[k, o : o + n].
+    x = np.empty((len(labels), sizes[0], spec.input_dim))
+    y = np.empty((len(labels), sizes[0]), dtype=np.int64)
     plan = []
     for first, last, start, n in groups:
-        k = last - first
-        # Rows with a proximal term, or None when no row has one.
-        prox = np.flatnonzero(mus[first:last, 0] > 0.0)
-        if len(prox) == 0:
-            prox = None
-        plan.append((
-            [(w[first:last], b[first:last]) for w, b in layers],
-            [(gw[:k], gb[:k]) for gw, gb in grads],
-            (row_slots[first:last], slice(start, start + n)),
-            params[first:last],
-            grad[:k],
-            steps[first:last],
-            prox,
-            None if prox is None else mus[first:last][prox],
-            None if prox is None else anchors[first:last][prox],
-        ))
+        p, g = params[first:last], grad[: last - first]
+        prox = (mus[first:last], None if anchors is None else anchors[first:last])
+        plan.append((_layer_views(p, spec), _layer_views(g, spec),
+                     (keys[first:last], slice(start, start + n)), p, g, steps[first:last], prox))
 
-    live_keys = list(slots)
     for _ in range(epochs):
-        for s, key in enumerate(live_keys):
+        for key in dict.fromkeys(row_keys):  # each live key once
             perm = rngs[key].permutation(len(labels[key]))
-            features[key].take(perm, axis=0, out=x[s, : len(perm)])
-            labels[key].take(perm, out=y[s, : len(perm)])
-        for row_layers, row_grads, batch, p, g, step, prox, mu, anchor in plan:
+            features[key].take(perm, axis=0, out=x[key, : len(perm)])
+            labels[key].take(perm, out=y[key, : len(perm)])
+        for row_layers, row_grads, batch, p, g, step, (mu, anchor) in plan:
             _backprop(row_layers, row_grads, x[batch], y[batch], spec.activation)
-            if prox is not None:
-                g[prox] += mu * (p[prox] - anchor)
+            if anchor is not None:
+                g += mu * (p - anchor)
             p -= step * g
 
 
-def check_trained(params: np.ndarray) -> np.ndarray:
-    """Return `params`, or raise if local training left them non-finite."""
+def check_trained(params: np.ndarray, ascent: bool = False) -> np.ndarray:
+    """Return `params`, or raise if the local training (with `ascent`, the
+    gradient ascent) that gave them diverged to non-finite values."""
     if not np.all(np.isfinite(params)):
+        if ascent:
+            raise ValueError("ascent diverged: non-finite parameters")
         raise ValueError("training diverged: non-finite parameters (learning rate too high?)")
     return params
 

@@ -298,7 +298,9 @@ def _client_deltas(
     """The round's (n, P) delta matrix: each selected client's model minus
     the global model, one row per client in selection order, taking its
     trained rows from `trained` in the order `_client_rows` gave them. A
-    zero-scale attacker sends the global model back, so its row stays zero."""
+    zero-scale attacker sends the global model back, so its row stays zero.
+    Each trained row is refused here if it diverged, as it is taken: the
+    first diverged client in selection order, ascent row first, is named."""
     g = state.global_params
     attack = config.attack
     attackers = _pga_attackers(state, config)
@@ -307,7 +309,9 @@ def _client_deltas(
         if client not in attackers:
             np.subtract(model.check_trained(next(trained)), g, out=row)
         elif attack.scale_factor != 0.0:
-            malicious = adversary.pga_combine(g, next(trained), next(trained), attack.scale_factor)
+            ascended = model.check_trained(next(trained), ascent=True)
+            benign = model.check_trained(next(trained))
+            malicious = adversary.pga_combine(g, ascended, benign, attack.scale_factor)
             np.subtract(malicious, g, out=row)
     return deltas
 
