@@ -141,6 +141,21 @@ MUTANTS = [
            "if not 0 <= label < k:", "if not label < k:"),
     Mutant("refuse_label_past_classes", "src/fedsim/orchestrator.py",
            "if not 0 <= label < k:", "if not 0 <= label <= k:"),
+    # The one refusal site of a diverged local update, and the engine's
+    # proximal term.
+    Mutant("pga_benign_refusal", "src/fedsim/orchestrator.py",
+           "benign = model.check_trained(next(trained))", "benign = next(trained)"),
+    Mutant("prox_sign", "src/fedsim/model.py",
+           "g += mu * (p - anchor)", "g -= mu * (p - anchor)"),
+    # Unreadable inputs: each exception class of the two refusals dropped.
+    Mutant("config_unreadable_os", "src/fedsim/cli.py",
+           "except (OSError, UnicodeDecodeError) as exc:", "except UnicodeDecodeError as exc:"),
+    Mutant("config_unreadable_utf8", "src/fedsim/cli.py",
+           "except (OSError, UnicodeDecodeError) as exc:", "except OSError as exc:"),
+    Mutant("csv_unreadable_os", "src/fedsim/data.py",
+           "except (OSError, UnicodeDecodeError) as exc:", "except UnicodeDecodeError as exc:"),
+    Mutant("csv_unreadable_utf8", "src/fedsim/data.py",
+           "except (OSError, UnicodeDecodeError) as exc:", "except OSError as exc:"),
     # Partition splits and compare's row order.
     Mutant("lda_split_bounds", "src/fedsim/data.py",
            "zip(shards, np.split(pool, np.cumsum(counts)[:-1]))",

@@ -156,6 +156,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigurationError(f"config file not found: {path}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read config file {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config is not valid JSON: {exc}")
     return config_from_dict(raw)

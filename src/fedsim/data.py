@@ -304,41 +304,45 @@ def load_csv(task: CsvTask) -> Dataset:
     column whose mean or sigma overflows is refused. Labels
     must be integer-coded from 0; group values are mapped to contiguous ids
     in sorted order. A bad row is reported by its number; the header is row 1.
+    A file that cannot be read as UTF-8 text is refused by its path.
     """
-    with open(task.path, encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
-        if header is None:
-            raise ConfigurationError(f"{task.path}: missing header row")
-        # A repeated name means its last column, as in csv.DictReader.
-        columns = {name: i for i, name in enumerate(header)}
-        needed = set(task.feature_columns) | {task.label_column}
-        if task.group_column:
-            needed.add(task.group_column)
-        missing_cols = needed - set(columns)
-        if missing_cols:
-            raise ConfigurationError(f"{task.path}: missing columns {sorted(missing_cols)}")
-        fields = [("x", np.float64, (len(task.feature_columns),)), ("y", np.int64)]
-        usecols = [columns[c] for c in task.feature_columns] + [columns[task.label_column]]
-        if task.group_column:
-            fields.append(("g", object))
-            usecols.append(columns[task.group_column])
-        try:
-            with warnings.catch_warnings():
-                # A file without data rows is reported below.
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                table = np.loadtxt(
-                    fh,
-                    dtype=fields,
-                    delimiter=",",
-                    quotechar='"',
-                    comments=None,
-                    usecols=usecols,
-                    ndmin=1,
-                )
-        except ValueError as exc:
-            fh.seek(0)
-            message = _first_bad_row(fh, task) or str(exc)
-            raise ConfigurationError(f"{task.path}: {message}") from exc
+    try:
+        with open(task.path, encoding="utf-8") as fh:
+            header = next(csv.reader(fh), None)
+            if header is None:
+                raise ConfigurationError(f"{task.path}: missing header row")
+            # A repeated name means its last column, as in csv.DictReader.
+            columns = {name: i for i, name in enumerate(header)}
+            needed = set(task.feature_columns) | {task.label_column}
+            if task.group_column:
+                needed.add(task.group_column)
+            missing_cols = needed - set(columns)
+            if missing_cols:
+                raise ConfigurationError(f"{task.path}: missing columns {sorted(missing_cols)}")
+            fields = [("x", np.float64, (len(task.feature_columns),)), ("y", np.int64)]
+            usecols = [columns[c] for c in task.feature_columns] + [columns[task.label_column]]
+            if task.group_column:
+                fields.append(("g", object))
+                usecols.append(columns[task.group_column])
+            try:
+                with warnings.catch_warnings():
+                    # A file without data rows is reported below.
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    table = np.loadtxt(
+                        fh,
+                        dtype=fields,
+                        delimiter=",",
+                        quotechar='"',
+                        comments=None,
+                        usecols=usecols,
+                        ndmin=1,
+                    )
+            except ValueError as exc:
+                fh.seek(0)
+                message = _first_bad_row(fh, task) or str(exc)
+                raise ConfigurationError(f"{task.path}: {message}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"{task.path}: cannot read the file: {exc}") from exc
     if len(table) == 0:
         raise ConfigurationError(f"{task.path}: no data rows")
     labels, features = table["y"].copy(), table["x"].copy()

@@ -142,6 +142,22 @@ class TestRun:
             "runtime error: training diverged: non-finite parameters (learning rate too high?)"
         ]
 
+    def test_diverging_attacker_prints_only_the_error(self, tmp_path):
+        # Every client is a PGA attacker, so the ascent row is the first row
+        # refused; no numpy warning may reach stderr before the error.
+        quickstart = Path(__file__).resolve().parents[1] / "configs" / "quickstart.json"
+        config = json.loads(quickstart.read_text(encoding="utf-8"))
+        config["attack"] = {"kind": "pga", "scale_factor": 2.0, "ascent_epochs": 1,
+                            "malicious_fraction": 1.0}
+        config["train"]["learning_rate"] = 1e200
+        path = write_config(tmp_path, config)
+        done = subprocess.run(
+            [sys.executable, "-m", "fedsim.cli", "run", path, "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=child_env(),
+        )
+        assert done.returncode == 2
+        assert done.stderr.splitlines() == ["runtime error: ascent diverged: non-finite parameters"]
+
 
 def child_env(**env_vars) -> dict[str, str]:
     """The environment of a fresh fedsim process: this one's, with fedsim on
@@ -470,6 +486,44 @@ class TestCsvRefusals:
             warnings.simplefilter("error")  # a numpy warning would end the run with exit 2
             assert_refused(tmp_path, capsys, config,
                            f"error: {path}: feature column 'b' is too large to standardize")
+
+
+class TestUnreadableInputs:
+    """An input that exists but cannot be read as UTF-8 text is a validation
+    error (exit 1) that names the file, like a missing config file."""
+
+    def assert_unreadable(self, tmp_path, capsys, config_path, named):
+        out = tmp_path / "out"
+        assert cli.main(["run", str(config_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+        assert not out.exists()
+
+    def test_config_path_is_a_directory(self, tmp_path, capsys):
+        (tmp_path / "cfgdir").mkdir()
+        self.assert_unreadable(tmp_path, capsys, tmp_path / "cfgdir",
+                               f"cannot read config file {tmp_path / 'cfgdir'}")
+
+    def test_config_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xff" + json.dumps(minimal_config()).encode())
+        self.assert_unreadable(tmp_path, capsys, path, f"cannot read config file {path}")
+
+    @pytest.mark.parametrize("fault", ["missing", "directory", "header", "row"])
+    def test_csv_that_cannot_be_read(self, tmp_path, capsys, fault):
+        config = csv_task_config(tmp_path, lambda i: f"{i}.25")
+        data = tmp_path / "data.csv"
+        if fault == "missing":
+            data.unlink()
+        elif fault == "directory":
+            data.unlink()
+            data.mkdir()
+        else:  # a latin-1 byte in the header, or in data row 51
+            lines = data.read_bytes().split(b"\n")
+            lines[0 if fault == "header" else 50] += b"\xff"
+            data.write_bytes(b"\n".join(lines))
+        self.assert_unreadable(tmp_path, capsys, write_config(tmp_path, config),
+                               f"{data}: cannot read the file")
 
 
 def holdout_config(section, seed):

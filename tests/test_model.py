@@ -366,6 +366,19 @@ class TestCohortEngine:
         ]
         self.assert_rows_match(spec, cohort)
 
+    def test_idle_row_on_its_own_shard_beside_trained_rows(self):
+        # The idle row's shard is the largest and its key is the first, so
+        # the key-indexed batch buffers hold a slot that no phase fills.
+        spec = self.model_spec(False, "relu")
+        cohort = self.cohort(spec)
+        idle_start = model.init_params(spec)
+        idle = model.SgdRow(idle_start, gen_synthetic(3, 5, 300, 4.0, seed=43), 1, 0, self.LR)
+        out = model.train_rows(spec, [idle] + [row for row, *_ in cohort], self.BATCH)
+        assert np.array_equal(out[0], idle_start)
+        for got, (row, train, data, ascent) in zip(out[1:], cohort):
+            want = reference_sgd(row.start, spec, data, train, train.epochs, ascent=ascent)
+            assert np.array_equal(got, want)
+
     def test_zero_epoch_row_returns_global_and_empty_cohort(self):
         spec = MlpSpec((5, 4, 3), seed=1)
         start = model.init_params(spec)

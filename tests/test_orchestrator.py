@@ -332,6 +332,24 @@ class TestCohortTraining:
             with pytest.raises(ValueError, match=message):
                 run_round(state, config)
 
+    def test_attacker_with_a_diverged_benign_reference_is_refused(self, monkeypatch):
+        # Only the benign reference row is non-finite; its ascent row is
+        # checked first and passes.
+        config = pga_lda_config()
+        state = setup_experiment(config)
+        state.malicious = frozenset({select_clients(8, 6, 0, config.selection_seed)[1]})
+        honest_train_rows = model.train_rows
+
+        def train_rows(spec, rows, batch_size):
+            trained = honest_train_rows(spec, rows, batch_size)
+            (ascent,) = [i for i, row in enumerate(rows) if row.step < 0]
+            trained[ascent + 1] = np.full_like(trained[ascent + 1], np.nan)
+            return trained
+
+        monkeypatch.setattr(model, "train_rows", train_rows)
+        with pytest.raises(ValueError, match="training diverged"):
+            run_round(state, config)
+
 
 class TestRunExperiment:
     def test_zero_rounds_returns_initial_model(self):
