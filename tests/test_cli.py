@@ -156,7 +156,9 @@ class TestRun:
             capture_output=True, text=True, env=child_env(),
         )
         assert done.returncode == 2
-        assert done.stderr.splitlines() == ["runtime error: ascent diverged: non-finite parameters"]
+        assert done.stderr.splitlines() == [
+            "runtime error: ascent diverged: non-finite parameters"
+        ]
 
 
 def child_env(**env_vars) -> dict[str, str]:
