@@ -81,15 +81,23 @@ MUTANTS = [
     Mutant("krum_keep", "src/fedsim/aggregators.py",
            "~np.isfinite(deltas).all(axis=1)))[:keep]",
            "~np.isfinite(deltas).all(axis=1)))[: keep + 1]"),
+    Mutant("krum_errstate", "src/fedsim/aggregators.py",
+           'with np.errstate(over="ignore", invalid="ignore"):', "with np.errstate():"),
     # The round's delta matrix: its zero rows and the DP write-backs.
     Mutant("zero_scale_row", "src/fedsim/orchestrator.py",
            "deltas = np.zeros((len(selected), len(g)))",
            "deltas = np.ones((len(selected), len(g)))"),
     Mutant("dp_clip_write_back", "src/fedsim/privacy.py",
-           "row[:], clipped = clip(row, state.clip_bound)",
-           "_, clipped = clip(row, state.clip_bound)"),
+           "row[:], clipped = clip(row, dp.clip_bound)",
+           "_, clipped = clip(row, dp.clip_bound)"),
     Mutant("dp_noise_write_back", "src/fedsim/privacy.py",
            "row[:] = add_noise(row, z, bound, seed, n)", "add_noise(row, z, bound, seed, n)"),
+    # The round state: its read-only model and the bound carried to the next round.
+    Mutant("read_only_global", "src/fedsim/orchestrator.py",
+           "self.global_params.flags.writeable = False", "self.global_params.flags.writeable = True"),
+    Mutant("dp_bound_carried", "src/fedsim/orchestrator.py",
+           "return RoundState(new_global, s2, dp, state.round_index + 1), log",
+           "return RoundState(new_global, s2, state.dp, state.round_index + 1), log"),
     # fedval.score's dimensions.
     Mutant("score_label_slope", "src/fedsim/fedval.py",
            "div = report.label_mean[k] - report.per_label_loss[:, k]",

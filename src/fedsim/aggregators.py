@@ -105,9 +105,12 @@ def _squared_distances(deltas: np.ndarray) -> np.ndarray:
     """
     n = len(deltas)
     sq = np.empty((n, n))
-    for i in range(n):
-        sq[i, i:] = np.sum((deltas[i] - deltas[i:]) ** 2, axis=1)
-        sq[i:, i] = sq[i, i:]
+    # An overflowing distance is inf and ranks its row last, and non-finite
+    # rows are ranked last anyway: numpy's warnings would say nothing.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n):
+            sq[i, i:] = np.sum((deltas[i] - deltas[i:]) ** 2, axis=1)
+            sq[i:, i] = sq[i, i:]
     return sq
 
 

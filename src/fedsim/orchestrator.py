@@ -3,7 +3,9 @@
 Seeded client selection, local training with attack substitution, the DP
 pre-transform pipeline, strategy dispatch, and metric capture. Every source
 of randomness is derived from explicit seeds so a config replays
-byte-identically.
+byte-identically. A run is one read-only `Setup` and, per strategy, a frozen
+`RoundState`; a round maps round states to the next ones and never writes
+into either.
 """
 
 from __future__ import annotations
@@ -168,27 +170,30 @@ class RoundLog:
         return out
 
 
-@dataclass
-class ExperimentState:
-    """Mutable run state threaded through the round loop."""
+@dataclass(frozen=True, eq=False)
+class Setup:
+    """What every round reads and none changes: the client shards, the
+    validation and test holdouts, and the malicious clients."""
 
-    global_params: np.ndarray
-    shards: list[Dataset]
+    shards: tuple[Dataset, ...]
     val: ValidationSet
     test: ValidationSet
     malicious: frozenset[int]
+
+
+@dataclass(frozen=True, eq=False)
+class RoundState:
+    """What a round changes: the global model, which is made read-only, the
+    fedval exponent s2, the dp section with its current clip bound, and the
+    index of the next round."""
+
+    global_params: np.ndarray
     s2: float
     dp: DpState | None
     round_index: int = 0
 
-    def fork(self) -> ExperimentState:
-        """A copy that shares the data, which no round writes, but owns its
-        model and DP state, so running it leaves this state as it was."""
-        return dc_replace(
-            self,
-            global_params=self.global_params.copy(),
-            dp=dc_replace(self.dp) if self.dp else None,
-        )
+    def __post_init__(self):
+        self.global_params.flags.writeable = False
 
 
 @dataclass
@@ -217,9 +222,9 @@ def _holdout(source: Dataset, spec: HoldoutSpec, section: str) -> tuple[Validati
         raise ConfigurationError(f"{section}: {exc}") from None
 
 
-def setup_experiment(config: ExperimentConfig) -> ExperimentState:
-    """Materialize data, holdouts, shards, and the initial model. A holdout
-    that lacks some label is refused here, before any round trains."""
+def setup_experiment(config: ExperimentConfig) -> Setup:
+    """Materialize data, holdouts, shards and the malicious clients. A
+    holdout that lacks some label is refused here, before any round trains."""
     validate_config(config)
     if isinstance(config.task, SyntheticTask):
         t = config.task
@@ -250,24 +255,22 @@ def setup_experiment(config: ExperimentConfig) -> ExperimentState:
             else s
             for c, s in enumerate(shards)
         ]
-
-    return ExperimentState(
-        global_params=model.init_params(config.model),
-        shards=shards,
-        val=val_set,
-        test=test_holdout,
-        malicious=malicious,
-        s2=config.score_params.s2,
-        dp=dc_replace(config.dp) if config.dp else None,
-    )
+    return Setup(tuple(shards), val_set, test_holdout, malicious)
 
 
-def _pga_attackers(state: ExperimentState, config: ExperimentConfig) -> frozenset[int]:
-    return state.malicious if config.attack.kind == "pga" else frozenset()
+def initial_state(config: ExperimentConfig) -> RoundState:
+    """The state before round 0: the initial model, the configured s2 and
+    the configured dp section."""
+    return RoundState(model.init_params(config.model), config.score_params.s2, config.dp)
+
+
+def _pga_attackers(setup: Setup, config: ExperimentConfig) -> frozenset[int]:
+    return setup.malicious if config.attack.kind == "pga" else frozenset()
 
 
 def _client_rows(
-    state: ExperimentState,
+    setup: Setup,
+    state: RoundState,
     config: ExperimentConfig,
     selected: list[int],
     seeds: list[int],
@@ -277,10 +280,10 @@ def _client_rows(
     client, an ascent and a benign-reference row per PGA attacker (none when
     scale_factor is 0)."""
     g = state.global_params
-    attackers = _pga_attackers(state, config)
+    attackers = _pga_attackers(setup, config)
     rows = []
     for client, seed in zip(selected, seeds):
-        shard = state.shards[client]
+        shard = setup.shards[client]
         train = dc_replace(config.train, seed=seed)
         if client not in attackers:
             rows.append(model.local_row(g, shard, train))
@@ -290,7 +293,8 @@ def _client_rows(
 
 
 def _client_deltas(
-    state: ExperimentState,
+    setup: Setup,
+    state: RoundState,
     config: ExperimentConfig,
     selected: list[int],
     trained: Iterator[np.ndarray],
@@ -303,7 +307,7 @@ def _client_deltas(
     first diverged client in selection order, ascent row first, is named."""
     g = state.global_params
     attack = config.attack
-    attackers = _pga_attackers(state, config)
+    attackers = _pga_attackers(setup, config)
     deltas = np.zeros((len(selected), len(g)))
     for row, client in zip(deltas, selected):
         if client not in attackers:
@@ -317,75 +321,61 @@ def _client_deltas(
 
 
 def _finish_round(
-    state: ExperimentState,
+    setup: Setup,
+    state: RoundState,
     config: ExperimentConfig,
     selected: list[int],
     deltas: np.ndarray,
-) -> RoundLog:
+) -> tuple[RoundState, RoundLog]:
     """Aggregate one strategy's round from its `_client_deltas` matrix, which
-    the DP pre-transforms change in place, advancing the state in place."""
+    the DP pre-transforms change in place, and return the next state and the
+    round's log."""
     strategy = config.strategy
+    g, s2, dp = state.global_params, state.s2, state.dp
     if strategy.pre_transforms:
         seeds = [derive_seed(config.train.seed, _NOISE_STREAM, state.round_index, c)
                  for c in selected]
-        privacy.apply_pre_transforms(strategy.pre_transforms, deltas, state.dp, seeds)
-    counts = [len(state.shards[c]) for c in selected]
-    log = RoundLog(
-        round=state.round_index,
-        selected=selected,
-        malicious_selected=sum(1 for c in selected if c in state.malicious),
-        val_loss=float("nan"),
-    )
+        dp = privacy.apply_pre_transforms(strategy.pre_transforms, deltas, dp, seeds)
+    counts = [len(setup.shards[c]) for c in selected]
 
     if strategy.kind in ("fedval", "lfr"):  # one cohort evaluation serves both
         report = fedval.compute_report(
-            [(state.global_params, d) for d in deltas], config.model, state.val,
+            [(g, d) for d in deltas], config.model, setup.val,
             recall_dim=config.recall_dim and strategy.kind == "fedval",  # lfr reads no recall
         )
     if strategy.kind == "fedavg":
-        new_global = aggregators.fedavg(state.global_params, deltas, counts)
+        new_global = aggregators.fedavg(g, deltas, counts)
     elif strategy.kind == "multi_krum":
         chosen = aggregators.multi_krum(deltas, strategy.remove_fraction)
         uniform = np.full(len(chosen), 1.0 / len(chosen))
-        new_global = fedval.aggregate(state.global_params, deltas[chosen], uniform)
+        new_global = fedval.aggregate(g, deltas[chosen], uniform)
     elif strategy.kind == "lfr":
-        new_global = aggregators.lfr(
-            state.global_params, deltas, counts, report.overall_loss, strategy.remove_fraction
-        )
+        new_global = aggregators.lfr(g, deltas, counts, report.overall_loss,
+                                     strategy.remove_fraction)
     elif strategy.kind == "trimmed_mean":
-        new_global = aggregators.trimmed_mean(
-            state.global_params, deltas, strategy.trim_fraction
-        )
+        new_global = aggregators.trimmed_mean(g, deltas, strategy.trim_fraction)
     else:  # fedval
-        choice = fedval.adapt_s2(
-            state.global_params,
-            deltas,
-            report,
-            dc_replace(config.score_params, s2=state.s2),
-            config.model,
-            state.val,
-        )
-        new_global = choice.global_params
-        state.s2 = choice.s2
-        log.s2 = choice.s2
-        log.zero_update = choice.table.all_zero
-        log.scores = dict(zip(selected, choice.table.raw.tolist()))
-        log.weights = dict(zip(selected, choice.table.weights.tolist()))
+        choice = fedval.adapt_s2(g, deltas, report, dc_replace(config.score_params, s2=s2),
+                                 config.model, setup.val)
+        new_global, s2 = choice.global_params, choice.s2
         # adapt_s2 has already evaluated the model it chose.
-        log.val_loss = choice.val_loss
-
+        logged = dict(s2=s2, zero_update=choice.table.all_zero, val_loss=choice.val_loss,
+                      scores=dict(zip(selected, choice.table.raw.tolist())),
+                      weights=dict(zip(selected, choice.table.weights.tolist())))
     if strategy.kind != "fedval":
-        val_losses, _ = model.eval_losses(new_global, config.model, state.val.data)
-        log.val_loss = float(val_losses.mean())
-    state.global_params = new_global
-    state.round_index += 1
-    return log
+        val_losses, _ = model.eval_losses(new_global, config.model, setup.val.data)
+        logged = dict(val_loss=float(val_losses.mean()))
+    log = RoundLog(round=state.round_index, selected=selected,
+                   malicious_selected=sum(1 for c in selected if c in setup.malicious),
+                   **logged)
+    return RoundState(new_global, s2, dp, state.round_index + 1), log
 
 
 def _lockstep_round(
-    states: list[ExperimentState], configs: list[ExperimentConfig]
-) -> list[RoundLog]:
-    """One round of every strategy, each advancing its own state in place.
+    setup: Setup, states: list[RoundState], configs: list[ExperimentConfig]
+) -> tuple[list[RoundState], list[RoundLog]]:
+    """One round of every strategy, each from its own state: the next states
+    and the round's logs, in the order of `configs`.
 
     The clients and their training seeds are drawn once: every config shares
     `train.seed` and every state the round. When one full-batch step can
@@ -409,21 +399,25 @@ def _lockstep_round(
     spec, batch_size = first.model, first.train.batch_size
     pairs = list(zip(states, configs))
     together = model.rows_per_step(spec, batch_size) >= len(pairs)
-    logs = []
+    finished = []
     for group in [pairs] if together else [[pair] for pair in pairs]:
-        rows = [row for s, c in group for row in _client_rows(s, c, selected, seeds)]
+        rows = [row for s, c in group for row in _client_rows(setup, s, c, selected, seeds)]
         trained = iter(model.train_rows(spec, rows, batch_size))
-        matrices = [_client_deltas(s, c, selected, trained) for s, c in group]
+        matrices = [_client_deltas(setup, s, c, selected, trained) for s, c in group]
         # The trained stack is garbage once the matrices are built.
         del trained
-        logs += [_finish_round(s, c, selected, d) for (s, c), d in zip(group, matrices)]
-    return logs
+        finished += [_finish_round(setup, s, c, selected, d)
+                     for (s, c), d in zip(group, matrices)]
+    next_states, logs = zip(*finished)
+    return list(next_states), list(logs)
 
 
-def run_round(state: ExperimentState, config: ExperimentConfig) -> RoundLog:
-    """Execute one communication round, advancing the state in place."""
-    (log,) = _lockstep_round([state], [config])
-    return log
+def run_round(
+    setup: Setup, state: RoundState, config: ExperimentConfig
+) -> tuple[RoundState, RoundLog]:
+    """Execute one communication round: the next state and the round's log."""
+    (state,), (log,) = _lockstep_round(setup, [state], [config])
+    return state, log
 
 
 def run_experiments(configs: list[ExperimentConfig]) -> list[ExperimentResult]:
@@ -431,9 +425,9 @@ def run_experiments(configs: list[ExperimentConfig]) -> list[ExperimentResult]:
     return their results in the order of `configs`.
 
     The configs may differ only in `strategy`, and each is validated once,
-    before any data is built. Each strategy runs on its own fork of
-    `setup_experiment(configs[0])` and gives bit for bit the result of
-    running it alone. An error in any strategy stops them all.
+    before any data is built. Every strategy starts from one read-only
+    initial state and gives bit for bit the result of running it alone. An
+    error in any strategy stops them all.
     """
     if not configs:
         raise ConfigurationError("run_experiments: no configs")
@@ -444,28 +438,22 @@ def run_experiments(configs: list[ExperimentConfig]) -> list[ExperimentResult]:
     # `setup_experiment` validates the first config itself.
     for config in configs[1:]:
         validate_config(config)
-    state = setup_experiment(first)
-    states = [state.fork() for _ in configs]
+    setup, start = setup_experiment(first), initial_state(first)
+    states = [start] * len(configs)
     backdoor = first.backdoor_eval
     if backdoor is None and first.attack.kind == "label_flip":
         backdoor = (first.attack.source_label, first.attack.target_label)
 
-    results = [ExperimentResult([], [], s.global_params) for s in states]
+    results = [ExperimentResult([], [], start.global_params) for _ in configs]
     for r in range(first.rounds):
-        for s, result, log in zip(states, results, _lockstep_round(states, configs)):
+        states, logs = _lockstep_round(setup, states, configs)
+        for s, result, log in zip(states, results, logs):
             result.round_logs.append(log)
             result.final_params = s.global_params
             if (r + 1) % first.metrics_every == 0 or r == first.rounds - 1:
-                result.records.append(
-                    metrics.evaluate(
-                        s.global_params,
-                        first.model,
-                        s.test,
-                        backdoor=backdoor,
-                        round_index=r,
-                        validation_loss=log.val_loss,
-                    )
-                )
+                result.records.append(metrics.evaluate(
+                    s.global_params, first.model, setup.test, backdoor=backdoor,
+                    round_index=r, validation_loss=log.val_loss))
     return results
 
 

@@ -8,7 +8,7 @@ simulation knob."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,10 +17,11 @@ from fedsim.errors import ConfigurationError
 PRE_TRANSFORMS = ("norm_bound", "dp_noise")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DpState:
     """Adaptive clipping state: current bound, target unclipped quantile,
-    geometric adaptation rate, and noise multiplier."""
+    geometric adaptation rate, and noise multiplier. A config's dp section
+    holds the starting bound; a round's state holds the bound as adapted."""
 
     clip_bound: float = 1.0
     target_quantile: float = 0.5
@@ -79,21 +80,22 @@ def add_noise(
 
 
 def apply_pre_transforms(
-    transforms: tuple[str, ...], deltas: np.ndarray, state: DpState, seeds: list[int]
-) -> None:
+    transforms: tuple[str, ...], deltas: np.ndarray, dp: DpState, seeds: list[int]
+) -> DpState:
     """Apply each of `transforms` in order to the rows of the round's
-    `deltas`, in place. "norm_bound" clips every row to `state.clip_bound`,
-    then adapts that bound in place from the clip flags; "dp_noise" adds to
-    each row, on its seed in `seeds`, noise of std
+    `deltas`, in place, and return the next state. "norm_bound" clips every
+    row to `dp.clip_bound`, then adapts that bound from the clip flags;
+    "dp_noise" adds to each row, on its seed in `seeds`, noise of std
     noise_multiplier * bound / len(deltas), with the bound as it stands."""
     for transform in transforms:
         if transform == "norm_bound":
             flags = []
             for row in deltas:
-                row[:], clipped = clip(row, state.clip_bound)
+                row[:], clipped = clip(row, dp.clip_bound)
                 flags.append(clipped)
-            state.clip_bound = adapt_bound(state, flags)
+            dp = replace(dp, clip_bound=adapt_bound(dp, flags))
         else:  # dp_noise
-            z, bound, n = state.noise_multiplier, state.clip_bound, len(deltas)
+            z, bound, n = dp.noise_multiplier, dp.clip_bound, len(deltas)
             for row, seed in zip(deltas, seeds):
                 row[:] = add_noise(row, z, bound, seed, n)
+    return dp

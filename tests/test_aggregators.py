@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -164,8 +165,22 @@ class TestMultiKrum:
     def test_keeps_at_least_one(self):
         assert aggregators.multi_krum(np.ones((1, 2)), 0.0) == [0]
 
-    # Two +-inf rows of one sign in a coordinate subtract to NaN there.
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
+    def test_overflowing_distance_ranks_its_row_last_silently(self):
+        # The 1e200 row's squared distances overflow to inf: it is dropped,
+        # the kept set is the one a 1e100 row (whose distances are finite)
+        # gives, and numpy warns of nothing.
+        deltas = np.random.default_rng(4).normal(size=(7, 5))
+        deltas[2] = 1e200
+        finite = deltas.copy()
+        finite[2] = 1e100
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kept = aggregators.multi_krum(deltas, 0.5)
+        assert 2 not in kept
+        assert kept == aggregators.multi_krum(finite, 0.5)
+
+    # Two +-inf rows of one sign in a coordinate subtract to NaN there,
+    # silently.
     @given(poisoned_stacks(st.sampled_from([0.0, 0.1, 0.25, 0.4, 0.5, 0.75, 0.9]), 1))
     # One finite row: every Krum score is inf, so only the finiteness key keeps row 2.
     @example((0.7, np.array([[np.nan], [-np.inf], [0.165]]), [0, 1]))

@@ -98,8 +98,8 @@ class TestRun:
         config = cli.load_config(write_config(tmp_path, minimal_config()))
         honest_deltas = orchestrator._client_deltas
 
-        def deltas(state, config, selected, trained):
-            out = honest_deltas(state, config, selected, trained)
+        def deltas(*args):
+            out = honest_deltas(*args)
             out[0] = np.nan
             return out
 
@@ -107,9 +107,11 @@ class TestRun:
         logs = []
         for kind in ("fedval", "fedavg"):
             run_config = replace(config, strategy=Strategy(kind=kind))
-            state = orchestrator.setup_experiment(run_config)
+            setup = orchestrator.setup_experiment(run_config)
             with np.errstate(invalid="ignore"):
-                logs.append(orchestrator.run_round(state, run_config))
+                state, log = orchestrator.run_round(
+                    setup, orchestrator.initial_state(run_config), run_config)
+            logs.append(log)
         assert all(math.isnan(s) for s in logs[0].scores.values())
         assert math.isnan(logs[1].val_loss)
 
@@ -245,8 +247,8 @@ class TestImportFootprint:
         )
         path = write_config(tmp_path, config)
         code = ("import json, sys; from fedsim import cli, orchestrator; "
-                f"state = orchestrator.setup_experiment(cli.load_config({path!r})); "
-                "print(json.dumps([sorted(state.val.group_indices), 'numpy.ma' in sys.modules]))")
+                f"setup = orchestrator.setup_experiment(cli.load_config({path!r})); "
+                "print(json.dumps([sorted(setup.val.group_indices), 'numpy.ma' in sys.modules]))")
         groups, loaded = json.loads(fresh_python(["-c", code]).stdout)
         assert groups == [0, 1]
         assert not loaded

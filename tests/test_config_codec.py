@@ -263,6 +263,14 @@ class TestRoundTrip:
         assert cli.canonical_dict(again) == canonical
         assert cli.canonical_json(again) == text
         assert cli.config_hash(again) == cli.config_hash(config)
+        assert hash(again) == hash(config)
+
+    def test_config_with_a_dp_section_hashes(self):
+        raw = {**only_required(), "dp": {"clip_bound": 0.5, "noise_multiplier": 0.1},
+               "strategy": {"kind": "fedval", "pre_transforms": ["norm_bound", "dp_noise"]}}
+        a, b = cli.config_from_dict(raw), cli.config_from_dict(json.loads(json.dumps(raw)))
+        assert a is not b and a.dp is not b.dp and a == b
+        assert hash(a) == hash(b)
 
 
 # -- refusals ------------------------------------------------------------------

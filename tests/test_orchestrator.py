@@ -1,7 +1,7 @@
 
 import logging
 import weakref
-from dataclasses import replace as dc_replace
+from dataclasses import FrozenInstanceError, replace as dc_replace
 from fractions import Fraction
 from math import comb
 from types import SimpleNamespace
@@ -21,6 +21,7 @@ from fedsim.orchestrator import (
     ExperimentConfig,
     HoldoutSpec,
     SyntheticTask,
+    initial_state,
     malicious_round_probability,
     run_experiment,
     run_round,
@@ -45,6 +46,18 @@ def small_config(**overrides) -> ExperimentConfig:
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def start(config):
+    """The set-up and the initial round state of `config`."""
+    return setup_experiment(config), initial_state(config)
+
+
+def with_shard(setup, client, shard):
+    """`setup` with `client`'s shard replaced by `shard`."""
+    shards = list(setup.shards)
+    shards[client] = shard
+    return dc_replace(setup, shards=tuple(shards))
 
 def exact_binomial_tail(n: int, k0: int, p: Fraction) -> Fraction:
     return sum(
@@ -76,49 +89,52 @@ class TestRunRound:
                               malicious_fraction=0.2, placement_seed=1),
             clients_per_round=8,
         )
-        state = setup_experiment(config)
-        assert state.malicious
-        log = run_round(state, config)
-        for client in state.malicious:
+        setup, state = start(config)
+        assert setup.malicious
+        _, log = run_round(setup, state, config)
+        for client in setup.malicious:
             assert log.weights[client] == 0.0
 
     def test_nan_delta_leaves_global_finite_and_logs_zero_update(self, monkeypatch):
         # A NaN client model makes every fedval score NaN; the round must be a
         # logged no-op instead of writing 0 * NaN into the global model.
         config = small_config(strategy=Strategy(kind="fedval"), clients_per_round=6)
-        state = setup_experiment(config)
+        setup, state = start(config)
         honest_deltas = orchestrator._client_deltas
 
-        def deltas(state, config, selected, trained):
-            out = honest_deltas(state, config, selected, trained)
+        def deltas(*args):
+            out = honest_deltas(*args)
             out[2] = np.nan  # the third selected client's row
             return out
 
         monkeypatch.setattr(orchestrator, "_client_deltas", deltas)
         before = state.global_params.copy()
         with np.errstate(invalid="ignore"):
-            log = run_round(state, config)
+            state, log = run_round(setup, state, config)
         assert np.all(np.isfinite(state.global_params))
         assert np.array_equal(state.global_params, before)
         assert log.zero_update
-        losses, _ = model.eval_losses(before, config.model, state.val.data)
+        losses, _ = model.eval_losses(before, config.model, setup.val.data)
         assert log.val_loss == float(losses.mean())
 
     def test_no_op_round_is_logged_once_per_round(self, monkeypatch, caplog):
         # With a NaN client every s2 candidate's table is all zero; the round
         # is logged as a no-op once, for the table that the search keeps.
         config = small_config(strategy=Strategy(kind="fedval"), clients_per_round=6)
-        state = setup_experiment(config)
+        setup, state = start(config)
         honest_deltas = orchestrator._client_deltas
 
-        def deltas(state, config, selected, trained):
-            out = honest_deltas(state, config, selected, trained)
+        def deltas(*args):
+            out = honest_deltas(*args)
             out[0] = np.nan
             return out
 
         monkeypatch.setattr(orchestrator, "_client_deltas", deltas)
+        logs = []
         with np.errstate(invalid="ignore"), caplog.at_level(logging.WARNING, "fedsim.fedval"):
-            logs = [run_round(state, config) for _ in range(2)]
+            for _ in range(2):
+                state, log = run_round(setup, state, config)
+                logs.append(log)
         assert all(log.zero_update for log in logs)
         assert [r.getMessage() for r in caplog.records if r.name == "fedsim.fedval"] == [
             "all client scores clamped to zero; round becomes a no-op"] * 2
@@ -128,10 +144,10 @@ class TestRunRound:
         # fedval takes it from the s2 search, which has already evaluated the
         # model it chose; the others evaluate the new global model.
         config = small_config(strategy=Strategy(kind=kind))
-        state = setup_experiment(config)
+        setup, state = start(config)
         for _ in range(3):
-            log = run_round(state, config)
-            losses, _ = model.eval_losses(state.global_params, config.model, state.val.data)
+            state, log = run_round(setup, state, config)
+            losses, _ = model.eval_losses(state.global_params, config.model, setup.val.data)
             assert log.val_loss == float(losses.mean())
 
     @pytest.mark.parametrize("kind, recall_dim", [("lfr", False), ("fedval", True)])
@@ -141,7 +157,7 @@ class TestRunRound:
         # computes recall for fedval alone.
         config = small_config(strategy=Strategy(kind=kind, remove_fraction=0.4),
                               recall_dim=True)
-        state = setup_experiment(config)
+        setup, state = start(config)
         honest_report, honest_eval = fedval.compute_report, model.eval_cohort
         reports, inside, cohorts = [], [], []
 
@@ -159,7 +175,7 @@ class TestRunRound:
 
         monkeypatch.setattr(fedval, "compute_report", report_spy)
         monkeypatch.setattr(model, "eval_cohort", eval_spy)
-        run_round(state, config)
+        run_round(setup, state, config)
         assert reports == [recall_dim]
         # One evaluation inside the report, of the whole cohort.
         assert [c for c in cohorts if c[0]] == [(True, config.clients_per_round)]
@@ -168,9 +184,9 @@ class TestRunRound:
 
     def test_weights_sum_to_one_or_zero_update(self):
         config = small_config(strategy=Strategy(kind="fedval"))
-        state = setup_experiment(config)
+        setup, state = start(config)
         for _ in range(3):
-            log = run_round(state, config)
+            state, log = run_round(setup, state, config)
             total = sum(log.weights.values())
             assert log.zero_update or total == pytest.approx(1.0, abs=1e-9)
 
@@ -201,8 +217,8 @@ def spy_deltas(monkeypatch):
     seen = []
     honest_deltas = orchestrator._client_deltas
 
-    def deltas(state, config, selected, trained):
-        out = honest_deltas(state, config, selected, trained)
+    def deltas(*args):
+        out = honest_deltas(*args)
         seen.append(out.copy())
         return out
 
@@ -229,7 +245,7 @@ class TestCohortTraining:
 
     def test_deltas_match_per_client_reference(self, monkeypatch):
         config = pga_lda_config()
-        state = setup_experiment(config)
+        setup, state = start(config)
         seen = spy_deltas(monkeypatch)
         counts = []
         honest_fedavg = aggregators.fedavg
@@ -241,22 +257,22 @@ class TestCohortTraining:
         monkeypatch.setattr(aggregators, "fedavg", fedavg)
         g = state.global_params.copy()
         selected = select_clients(8, 6, 0, config.selection_seed)
-        attackers = [c for c in selected if c in state.malicious]
+        attackers = [c for c in selected if c in setup.malicious]
         assert attackers and len(attackers) < len(selected)
-        assert len({len(state.shards[c]) for c in selected}) > 1
+        assert len({len(setup.shards[c]) for c in selected}) > 1
 
-        run_round(state, config)
+        run_round(setup, state, config)
         (deltas,) = seen
         # One row per selected client, in selection order.
         assert deltas.shape == (len(selected), len(g))
-        assert counts == [[len(state.shards[c]) for c in selected]]
+        assert counts == [[len(setup.shards[c]) for c in selected]]
         for client, delta in zip(selected, deltas):
-            shard = state.shards[client]
+            shard = setup.shards[client]
             seed = orchestrator.derive_seed(
                 config.train.seed, orchestrator._TRAIN_STREAM, 0, client
             )
             train = dc_replace(config.train, seed=seed)
-            if client in state.malicious:
+            if client in setup.malicious:
                 ascended = reference_sgd(
                     g, config.model, shard, train, config.attack.ascent_epochs, ascent=True
                 )
@@ -279,37 +295,37 @@ class TestCohortTraining:
             attack=AttackSpec(kind="pga", scale_factor=0.0, ascent_epochs=1,
                               malicious_fraction=0.25, placement_seed=1),
         )
-        state = setup_experiment(config)
+        setup, state = start(config)
         seen = spy_deltas(monkeypatch)
         row_counts = spy_train_rows(monkeypatch)
         selected = select_clients(8, 6, 0, config.selection_seed)
-        run_round(state, config)
+        run_round(setup, state, config)
         (deltas,) = seen
-        attackers = [i for i, c in enumerate(selected) if c in state.malicious]
+        attackers = [i for i, c in enumerate(selected) if c in setup.malicious]
         assert attackers
         assert row_counts == [len(selected) - len(attackers)]
         assert not np.any(deltas[attackers])
 
     def test_empty_shard_rejected(self):
         config = pga_lda_config()
-        state = setup_experiment(config)
+        setup, state = start(config)
         client = select_clients(8, 6, 0, config.selection_seed)[3]
-        state.shards[client] = SimpleNamespace(
+        setup = with_shard(setup, client, SimpleNamespace(
             features=np.empty((0, 5)), labels=np.empty(0, dtype=np.int64)
-        )
+        ))
         with pytest.raises(ValueError, match="client dataset is empty"):
-            run_round(state, config)
+            run_round(setup, state, config)
 
     def test_label_out_of_range_rejected(self):
         config = pga_lda_config()
-        state = setup_experiment(config)
+        setup, state = start(config)
         client = select_clients(8, 6, 0, config.selection_seed)[4]
-        shard = state.shards[client]
+        shard = setup.shards[client]
         labels = shard.labels.copy()
         labels[0] = 3
-        state.shards[client] = SimpleNamespace(features=shard.features, labels=labels)
+        setup = with_shard(setup, client, SimpleNamespace(features=shard.features, labels=labels))
         with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
-            run_round(state, config)
+            run_round(setup, state, config)
 
     @pytest.mark.parametrize("attacker_first", [False, True])
     def test_first_diverging_client_in_selection_order_is_reported(self, attacker_first):
@@ -318,26 +334,27 @@ class TestCohortTraining:
         config = pga_lda_config(
             attack=AttackSpec(kind="pga", scale_factor=2.0, ascent_epochs=1)
         )
-        state = setup_experiment(config)
+        setup, state = start(config)
         selected = select_clients(8, 6, 0, config.selection_seed)
         first, second = selected[1], selected[4]
-        state.malicious = frozenset({first if attacker_first else second})
+        setup = dc_replace(setup, malicious=frozenset({first if attacker_first else second}))
         for client in (first, second):
-            shard = state.shards[client]
-            state.shards[client] = Dataset(
+            shard = setup.shards[client]
+            setup = with_shard(setup, client, Dataset(
                 shard.features * 1e200, shard.labels, shard.num_classes
-            )
+            ))
         message = "ascent diverged" if attacker_first else "training diverged"
         with np.errstate(all="ignore"):
             with pytest.raises(ValueError, match=message):
-                run_round(state, config)
+                run_round(setup, state, config)
 
     def test_attacker_with_a_diverged_benign_reference_is_refused(self, monkeypatch):
         # Only the benign reference row is non-finite; its ascent row is
         # checked first and passes.
         config = pga_lda_config()
-        state = setup_experiment(config)
-        state.malicious = frozenset({select_clients(8, 6, 0, config.selection_seed)[1]})
+        setup, state = start(config)
+        attacker = select_clients(8, 6, 0, config.selection_seed)[1]
+        setup = dc_replace(setup, malicious=frozenset({attacker}))
         honest_train_rows = model.train_rows
 
         def train_rows(spec, rows, batch_size):
@@ -348,7 +365,7 @@ class TestCohortTraining:
 
         monkeypatch.setattr(model, "train_rows", train_rows)
         with pytest.raises(ValueError, match="training diverged"):
-            run_round(state, config)
+            run_round(setup, state, config)
 
 
 class TestRunExperiment:
@@ -403,27 +420,50 @@ class TestRunExperiment:
             strategy=Strategy(kind="fedavg", pre_transforms=("norm_bound", "dp_noise")),
             dp=DpState(clip_bound=0.5, noise_multiplier=0.1),
         )
-        state = setup_experiment(config)
+        setup, state = start(config)
         start_bound = state.dp.clip_bound
-        run_round(state, config)
+        state, _ = run_round(setup, state, config)
         assert state.dp.clip_bound != start_bound
 
-    def test_fork_runs_without_touching_the_original(self):
+    def test_rounds_leave_their_start_state_as_it_was(self):
         config = small_config(
             strategy=Strategy(kind="fedavg", pre_transforms=("norm_bound",)),
             dp=DpState(clip_bound=0.5),
             rounds=3,  # the bound ends at 0.55, not where it started
         )
-        shared = setup_experiment(config)
+        setup, shared = start(config)
         params, bound = shared.global_params.copy(), shared.dp.clip_bound
-        forked = shared.fork()
-        logs = [run_round(forked, config) for _ in range(config.rounds)]
+        state, logs = shared, []
+        for _ in range(config.rounds):
+            state, log = run_round(setup, state, config)
+            logs.append(log)
         assert np.array_equal(shared.global_params, params)
         assert shared.dp.clip_bound == bound
         assert shared.round_index == 0
         alone = run_experiment(config)
-        assert np.array_equal(forked.global_params, alone.final_params)
+        assert np.array_equal(state.global_params, alone.final_params)
         assert [r.as_dict() for r in logs] == [r.as_dict() for r in alone.round_logs]
+
+    def test_round_replays_from_the_same_state(self):
+        # A round is a function of (setup, state, config): run twice from one
+        # state it gives equal states and logs, and that state cannot be
+        # written to.
+        config = small_config(
+            strategy=Strategy(kind="fedval", pre_transforms=("norm_bound", "dp_noise")),
+            dp=DpState(clip_bound=0.5, noise_multiplier=0.1),
+        )
+        setup, state = start(config)
+        state, _ = run_round(setup, state, config)
+        (a, log_a), (b, log_b) = (run_round(setup, state, config) for _ in range(2))
+        assert np.array_equal(a.global_params, b.global_params)
+        assert (a.s2, a.dp, a.round_index) == (b.s2, b.dp, b.round_index)
+        assert a.dp != state.dp and a.round_index == 2
+        assert log_a.as_dict() == log_b.as_dict()
+        for s in (state, a):
+            with pytest.raises(ValueError, match="read-only"):
+                s.global_params[0] = 0.0
+            with pytest.raises(FrozenInstanceError):
+                s.s2 = 1.0
 
     def test_pre_transforms_without_dp_rejected(self):
         config = small_config(strategy=Strategy(kind="fedavg", pre_transforms=("norm_bound",)))
@@ -601,11 +641,11 @@ class TestRunExperiments:
         during = []
         honest = orchestrator._lockstep_round
 
-        def lockstep_round(states, configs):
+        def lockstep_round(*args):
             during.append(blas_thread_count())
             if fails:
                 raise RuntimeError("round failed")
-            return honest(states, configs)
+            return honest(*args)
 
         monkeypatch.setattr(orchestrator, "_lockstep_round", lockstep_round)
         config = small_config(rounds=2)
@@ -634,7 +674,7 @@ class TestRunExperiments:
             set_blas_thread_count(before)
 
     def test_state_left_as_it_was(self):
-        # One set-up serves several strategies through its forks, each of
+        # One set-up and one initial state serve several strategies, each of
         # which gives what run_experiments gives that strategy.
         config = small_config(
             strategy=Strategy(kind="fedavg", pre_transforms=("norm_bound",)),
@@ -642,15 +682,14 @@ class TestRunExperiments:
             rounds=1,
         )
         configs = [config, dc_replace(config, strategy=Strategy("fedval"))]
-        shared = setup_experiment(config)
+        setup, shared = start(config)
         params, bound = shared.global_params.copy(), shared.dp.clip_bound
-        forks = [shared.fork() for _ in configs]
-        logs = [run_round(f, c) for f, c in zip(forks, configs)]
+        rounds = [run_round(setup, shared, c) for c in configs]
         assert np.array_equal(shared.global_params, params)
         assert shared.dp.clip_bound == bound
         assert shared.round_index == 0
-        for fork, log, result in zip(forks, logs, orchestrator.run_experiments(configs)):
-            assert np.array_equal(fork.global_params, result.final_params)
+        for (state, log), result in zip(rounds, orchestrator.run_experiments(configs)):
+            assert np.array_equal(state.global_params, result.final_params)
             assert [log.as_dict()] == [r.as_dict() for r in result.round_logs]
 
 

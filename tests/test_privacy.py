@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -59,7 +60,7 @@ class TestAdaptBound:
             bounds = []
             for round_norms in norms:
                 flags = [float(n) * scale > state.clip_bound for n in round_norms]
-                state.clip_bound = adapt_bound(state, flags)
+                state = dataclasses.replace(state, clip_bound=adapt_bound(state, flags))
                 bounds.append(state.clip_bound)
             return np.asarray(bounds)
 
@@ -112,7 +113,7 @@ class TestPipeline:
         deltas, seeds = self.round_deltas(), [11, 12, 13, 14]
         state = DpState(clip_bound=1.0, target_quantile=0.9, noise_multiplier=0.7)
         got = deltas.copy()
-        apply_pre_transforms(("norm_bound", "dp_noise"), got, state, seeds)
+        state = apply_pre_transforms(("norm_bound", "dp_noise"), got, state, seeds)
         clipped = [clip(d, 1.0) for d in deltas]
         bound = adapt_bound(DpState(clip_bound=1.0, target_quantile=0.9),
                             [flag for _, flag in clipped])
@@ -135,7 +136,7 @@ class TestPipeline:
 
         monkeypatch.setattr(privacy, "adapt_bound", recording_adapt_bound)
         state = DpState(clip_bound=1.0, noise_multiplier=0.5)
-        apply_pre_transforms(transforms, self.round_deltas(), state, [1, 2, 3, 4])
+        state = apply_pre_transforms(transforms, self.round_deltas(), state, [1, 2, 3, 4])
         assert len(steps) == moves
         bounds = [1.0] + [after for _, after in steps]
         assert [before for before, _ in steps] == bounds[:-1]
@@ -155,24 +156,30 @@ class TestPipeline:
             if transform == "norm_bound":
                 clipped = [clip(d, reference.clip_bound) for d in rows]
                 rows = [d for d, _ in clipped]
-                reference.clip_bound = adapt_bound(reference, [flag for _, flag in clipped])
+                reference = dataclasses.replace(
+                    reference, clip_bound=adapt_bound(reference, [flag for _, flag in clipped]))
             else:
                 rows = [add_noise(d, 0.3, reference.clip_bound, seed, len(rows))
                         for d, seed in zip(rows, seeds)]
-        assert apply_pre_transforms(transforms, deltas, state, seeds) is None
+        assert apply_pre_transforms(transforms, deltas, state, seeds) == reference
         assert deltas.tobytes() == np.stack(rows).tobytes()
-        assert state == reference
+        assert state == DpState(clip_bound=1.0, noise_multiplier=0.3)
 
     def test_no_transforms_return_the_deltas_as_given(self):
         deltas = self.round_deltas()
         before = deltas.tobytes()
         state = DpState(clip_bound=0.5, noise_multiplier=1.0)
-        apply_pre_transforms((), deltas, state, [1, 2, 3, 4])
+        assert apply_pre_transforms((), deltas, state, [1, 2, 3, 4]) is state
         assert deltas.tobytes() == before
         assert state == DpState(clip_bound=0.5, noise_multiplier=1.0)
 
 
 class TestDpState:
+    def test_frozen(self):
+        state = DpState()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.clip_bound = 2.0
+
     def test_bound_must_be_positive(self):
         with pytest.raises(ConfigurationError):
             DpState(clip_bound=0.0)
