@@ -92,6 +92,8 @@ MUTANTS = [
            "_, clipped = clip(row, dp.clip_bound)"),
     Mutant("dp_noise_write_back", "src/fedsim/privacy.py",
            "row[:] = add_noise(row, z, bound, seed, n)", "add_noise(row, z, bound, seed, n)"),
+    Mutant("clip_bound_reached_zero", "src/fedsim/privacy.py",
+           "if bound == 0.0:", "if bound < 0.0:"),
     # The round state: its read-only model and the bound carried to the next round.
     Mutant("read_only_global", "src/fedsim/orchestrator.py",
            "self.global_params.flags.writeable = False", "self.global_params.flags.writeable = True"),
@@ -155,6 +157,34 @@ MUTANTS = [
            "benign = model.check_trained(next(trained))", "benign = next(trained)"),
     Mutant("prox_sign", "src/fedsim/model.py",
            "g += mu * (p - anchor)", "g -= mu * (p - anchor)"),
+    # The stacked SGD step: the ReLU mask read from the activation, the
+    # softmax max chain, the flat one-hot index and the in-place update.
+    Mutant("relu_mask", "src/fedsim/model.py", "return a > 0.0", "return a >= 0.0"),
+    Mutant("softmax_max_chain", "src/fedsim/model.py",
+           "for k in range(1, logits.shape[-1] - 1):", "for k in range(2, logits.shape[-1] - 1):"),
+    Mutant("onehot_flat_offset", "src/fedsim/model.py",
+           "[np.arange(0, g * n * k, k) + y.reshape(-1)]", "[np.arange(g * n) + y.reshape(-1)]"),
+    Mutant("update_sign", "src/fedsim/model.py", "            p -= g\n", "            p += g\n"),
+    # The equal-row key, each field dropped, and the sign of a zero step.
+    Mutant("equal_row_start", "src/fedsim/model.py",
+           "key = (id(row.start), id(row.data), row.seed, row.epochs,",
+           "key = (id(row.data), row.seed, row.epochs,"),
+    Mutant("equal_row_data", "src/fedsim/model.py",
+           "key = (id(row.start), id(row.data), row.seed, row.epochs,",
+           "key = (id(row.start), row.seed, row.epochs,"),
+    Mutant("equal_row_seed", "src/fedsim/model.py",
+           "key = (id(row.start), id(row.data), row.seed, row.epochs,",
+           "key = (id(row.start), id(row.data), row.epochs,"),
+    Mutant("equal_row_epochs", "src/fedsim/model.py",
+           "key = (id(row.start), id(row.data), row.seed, row.epochs,",
+           "key = (id(row.start), id(row.data), row.seed,"),
+    Mutant("equal_row_step", "src/fedsim/model.py",
+           "float(row.step).hex(), float(row.prox_mu).hex())", "float(row.prox_mu).hex())"),
+    Mutant("equal_row_prox_mu", "src/fedsim/model.py",
+           "float(row.step).hex(), float(row.prox_mu).hex())", "float(row.step).hex())"),
+    Mutant("equal_row_zero_step_sign", "src/fedsim/model.py",
+           "float(row.step).hex(), float(row.prox_mu).hex())",
+           "row.step, float(row.prox_mu).hex())"),
     # Unreadable inputs: each exception class of the two refusals dropped.
     Mutant("config_unreadable_os", "src/fedsim/cli.py",
            "except (OSError, UnicodeDecodeError) as exc:", "except UnicodeDecodeError as exc:"),
@@ -217,6 +247,9 @@ def main() -> int:
             path = copy / mutant.file
             original = check(mutant, copy)
             path.write_text(original.replace(mutant.old, mutant.new), encoding="utf-8")
+            # Hypothesis replays every failing example it saved, so one found
+            # under an earlier mutant would kill every later one.
+            shutil.rmtree(copy / ".hypothesis", ignore_errors=True)
             started = time.perf_counter()
             try:
                 passed, detail = run_tier1(copy)

@@ -12,10 +12,14 @@ batches have the same length. That grouping is what keeps every row bit for
 bit equal to training it alone: a stacked matmul over equal shapes repeats
 the 2-D result exactly, but a zero-padded batch does not. Each row carries
 its own start, which is also its proximal anchor, so one call can train the
-cohorts of several strategies that share a round. Rows on the same shard
-object with the same seed draw the same permutations: they share one
-generator and one permuted copy of the shard per epoch, from which each
-step gathers its batches.
+cohorts of several strategies that share a round. Equal rows (one start and
+one shard object, and equal seed, epochs, step and prox_mu), such as every
+strategy's rows in `compare`'s round 0, train once and share the result.
+Rows on the same shard object with the same seed draw the same
+permutations: they share one generator and one permuted copy of the shard
+per epoch, from which each step gathers its batches. Within a step the ReLU
+runs in place on the pre-activation, and its gradient mask is read from the
+activation, `a > 0`, which is `z > 0` bit for bit.
 
 Evaluation (`eval_cohort`, and `eval_losses`, its one-model case) runs each
 model in turn over all of the rows at once, never in chunks: OpenBLAS
@@ -149,15 +153,26 @@ def _activate(z: np.ndarray, activation: str, out: np.ndarray | None = None) -> 
     return np.tanh(z, out=out)
 
 
-def _activate_grad(z: np.ndarray, a: np.ndarray, activation: str) -> np.ndarray:
+def _activate_grad(a: np.ndarray, activation: str) -> np.ndarray:
+    """The activation's derivative, read from its output `a`: ReLU's
+    `a > 0` is `z > 0` (a NaN `z` gives a NaN `a`), and tanh's is
+    `1 - a * a`."""
     if activation == "relu":
-        return (z > 0.0).astype(z.dtype)
+        return a > 0.0
     return 1.0 - a * a
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, written over `logits`, which it returns."""
-    logits -= logits.max(axis=-1, keepdims=True)
+    """Softmax over the last axis, written over `logits`, which it returns.
+
+    The max is an `np.maximum` chain over the class slices, which gives the
+    bits of `logits.max(axis=-1)` up to the sign of a zero, and `exp` makes
+    no difference between `z - 0.0` and `z - -0.0`; a NaN still propagates.
+    """
+    top = np.maximum(logits[..., 0], logits[..., -1])
+    for k in range(1, logits.shape[-1] - 1):
+        np.maximum(top, logits[..., k], out=top)
+    logits -= top[..., None]
     np.exp(logits, out=logits)
     logits /= logits.sum(axis=-1, keepdims=True)
     return logits
@@ -234,21 +249,22 @@ def _backprop(
     Labels must already be known to lie in [0, K).
     """
     g, n = y.shape
-    pre = []  # z per layer
     acts = [x]  # input and post-activation outputs
     a = x
     for i, (w, b) in enumerate(layers):
-        z = np.matmul(a, w)
-        z += b[:, None, :]
-        pre.append(z)
-        a = z if i == len(layers) - 1 else _activate(z, activation)
+        a = np.matmul(a, w)
+        a += b[:, None, :]
+        if i < len(layers) - 1:
+            _activate(a, activation, out=a)
         acts.append(a)
 
-    probs = _softmax(acts[-1])
+    probs = _softmax(a)
 
-    # Backward pass; dZ for the softmax+CE head is (p - onehot) / n.
+    # Backward pass; dZ for the softmax+CE head is (p - onehot) / n, the
+    # one-hot subtracted at each sample's flat index.
     delta = probs.copy()
-    delta[np.arange(g)[:, None], np.arange(n), y] -= 1.0
+    k = delta.shape[-1]
+    delta.reshape(-1)[np.arange(0, g * n * k, k) + y.reshape(-1)] -= 1.0
     delta /= n
 
     for i in range(len(layers) - 1, -1, -1):
@@ -258,7 +274,7 @@ def _backprop(
         delta.sum(axis=1, out=gb)
         if i > 0:
             delta = np.matmul(delta, w.transpose(0, 2, 1))
-            delta *= _activate_grad(pre[i - 1], acts[i], activation)
+            delta *= _activate_grad(acts[i], activation)
     return probs
 
 
@@ -342,7 +358,10 @@ def train_rows(spec: MlpSpec, rows: list[SgdRow], batch_size: int) -> list[np.nd
     parameters in row order.
 
     Each row gives bit for bit the parameters that training it alone would
-    give, whatever else is in `rows`. Rows on the same shard object with the
+    give, whatever else is in `rows`. Equal rows, on the same start and
+    shard objects with equal seed, epochs, step and prox_mu (as every
+    strategy's rows are in `compare`'s round 0), train once, and each gets a
+    view of that one trained row. Rows on the same shard object with the
     same seed draw the same permutations, so they share one generator and
     one permuted copy of the shard per epoch. The loss is never computed; a
     run's diverged rows are refused by `orchestrator._client_deltas`, which
@@ -350,6 +369,16 @@ def train_rows(spec: MlpSpec, rows: list[SgdRow], batch_size: int) -> list[np.nd
     """
     if not rows:
         return []
+    # Each row's slot among the distinct rows, which train in first-seen
+    # order. A float's hex tells -0.0 from 0.0: zero steps of the two signs
+    # leave a -0.0 parameter with different signs.
+    slots: dict[tuple, int] = {}
+    copies = []
+    for row in rows:
+        key = (id(row.start), id(row.data), row.seed, row.epochs,
+               float(row.step).hex(), float(row.prox_mu).hex())
+        copies.append(slots.setdefault(key, len(slots)))
+    rows = list(dict(zip(copies, rows)).values())
     # One key per (shard object, seed): its features, labels and generator.
     keys: dict[tuple[int, int], int] = {}
     row_keys, features, labels, rngs = [], [], [], []
@@ -391,7 +420,8 @@ def train_rows(spec: MlpSpec, rows: list[SgdRow], batch_size: int) -> list[np.nd
             params[live] = work
         done = end
 
-    return [params[i] for i in np.argsort(order)]
+    at = np.argsort(order)
+    return [params[at[c]] for c in copies]
 
 
 def _run_epochs(
@@ -448,7 +478,8 @@ def _run_epochs(
             _backprop(row_layers, row_grads, x[batch], y[batch], spec.activation)
             if anchor is not None:
                 g += mu * (p - anchor)
-            p -= step * g
+            np.multiply(g, step, out=g)
+            p -= g
 
 
 def check_trained(params: np.ndarray, ascent: bool = False) -> np.ndarray:

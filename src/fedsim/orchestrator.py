@@ -335,7 +335,8 @@ def _finish_round(
     if strategy.pre_transforms:
         seeds = [derive_seed(config.train.seed, _NOISE_STREAM, state.round_index, c)
                  for c in selected]
-        dp = privacy.apply_pre_transforms(strategy.pre_transforms, deltas, dp, seeds)
+        dp = privacy.apply_pre_transforms(strategy.pre_transforms, deltas, dp, seeds,
+                                           state.round_index)
     counts = [len(setup.shards[c]) for c in selected]
 
     if strategy.kind in ("fedval", "lfr"):  # one cohort evaluation serves both

@@ -80,11 +80,16 @@ def add_noise(
 
 
 def apply_pre_transforms(
-    transforms: tuple[str, ...], deltas: np.ndarray, dp: DpState, seeds: list[int]
+    transforms: tuple[str, ...],
+    deltas: np.ndarray,
+    dp: DpState,
+    seeds: list[int],
+    round_index: int,
 ) -> DpState:
-    """Apply each of `transforms` in order to the rows of the round's
-    `deltas`, in place, and return the next state. "norm_bound" clips every
-    row to `dp.clip_bound`, then adapts that bound from the clip flags;
+    """Apply each of `transforms` in order to the rows of round
+    `round_index`'s `deltas`, in place, and return the next state.
+    "norm_bound" clips every row to `dp.clip_bound`, then adapts that bound
+    from the clip flags, and refuses a bound that underflows to 0;
     "dp_noise" adds to each row, on its seed in `seeds`, noise of std
     noise_multiplier * bound / len(deltas), with the bound as it stands."""
     for transform in transforms:
@@ -93,7 +98,13 @@ def apply_pre_transforms(
             for row in deltas:
                 row[:], clipped = clip(row, dp.clip_bound)
                 flags.append(clipped)
-            dp = replace(dp, clip_bound=adapt_bound(dp, flags))
+            bound = adapt_bound(dp, flags)
+            if bound == 0.0:
+                raise ConfigurationError(
+                    f"dp: the clip bound adapted in round {round_index} reached 0 "
+                    f"(from {dp.clip_bound!r} at adapt_rate {dp.adapt_rate!r})"
+                )
+            dp = replace(dp, clip_bound=bound)
         else:  # dp_noise
             z, bound, n = dp.noise_multiplier, dp.clip_bound, len(deltas)
             for row, seed in zip(deltas, seeds):

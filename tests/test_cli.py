@@ -415,6 +415,21 @@ class TestSectionRangeChecks:
         config.setdefault(section, {}).update(values)
         assert_refused(tmp_path, capsys, config, named)
 
+    def test_clip_bound_adapted_to_zero_names_the_round(self, tmp_path, capsys):
+        # Every quickstart delta lies far inside a bound of 1000, so round 0
+        # scales the bound by exp(-5000 * 0.5), which underflows to 0.
+        quickstart = Path(__file__).resolve().parents[1] / "configs" / "quickstart.json"
+        config = json.loads(quickstart.read_text(encoding="utf-8"))
+        config.update(strategy={"kind": "fedavg", "pre_transforms": ["norm_bound"]},
+                      dp={"clip_bound": 1000, "adapt_rate": 5000}, rounds=2)
+        out = tmp_path / "out"
+        assert cli.main(["run", write_config(tmp_path, config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: dp: the clip bound adapted in round 0 reached 0 "
+            "(from 1000.0 at adapt_rate 5000.0)"
+        ]
+        assert not out.exists()
+
     def test_python_callers_keep_the_bare_message(self):
         from fedsim.privacy import DpState
 

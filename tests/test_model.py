@@ -257,6 +257,89 @@ class TestSgdLoopMatchesReference:
             model.local_train(model.init_params(spec), spec, bad, TrainSpec(epochs=1))
 
 
+def reference_step(params, spec, x, y):
+    """The gradient and probabilities of one mean cross-entropy step on one
+    model, from the out-of-place formulas: `z = a @ w + b`, the activation
+    as a new array, a row-wise softmax shifted by `max(axis=-1)`, and the
+    ReLU gradient as a `(z > 0)` float mask. Shares no code with
+    `model._backprop`."""
+    layers = model.unpack(params, spec)
+    relu = spec.activation == "relu"
+    pre, acts = [], [x]
+    for i, (w, b) in enumerate(layers):
+        z = acts[-1] @ w + b
+        pre.append(z)
+        if i < len(layers) - 1:
+            acts.append(np.maximum(z, 0.0) if relu else np.tanh(z))
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    delta = probs.copy()
+    delta[np.arange(len(y)), y] -= 1.0
+    delta /= len(y)
+    grads = [None] * len(layers)
+    for i in range(len(layers) - 1, -1, -1):
+        grads[i] = ((acts[i].T @ delta).ravel(), delta.sum(axis=0))
+        if i > 0:
+            mask = (pre[i - 1] > 0.0).astype(np.float64) if relu else 1.0 - acts[i] * acts[i]
+            delta = (delta @ layers[i][0].T) * mask
+    return np.concatenate([part for pair in grads for part in pair]), probs
+
+
+class TestStackedStepMatchesReference:
+    """`_backprop` over a stack of models gives, row for row, the bits of
+    `reference_step`: its in-place ReLU with the mask read from the
+    activation, its max chain over the class slices and its flat one-hot
+    index change no bit."""
+
+    def stack(self, spec, rows, n, seed):
+        rng = np.random.default_rng(seed)
+        params = np.stack([model.init_params(spec) + 0.5 * rng.normal(size=spec.param_count)
+                           for _ in range(rows)])
+        # Hidden unit 0 of the first layer has zero weights and a zero bias,
+        # and unit 1 zero weights and a -0.0 bias: their pre-activations are
+        # exactly zero, where the ReLU mask is 0. (The zero matmul column is
+        # +0.0, so both sums are +0.0; the mask test below takes -0.0.)
+        w, b = model._layer_views(params, spec)[0]
+        w[:, :, :2] = 0.0
+        b[:, 0], b[:, 1] = 0.0, -0.0
+        x = rng.normal(size=(rows, n, spec.input_dim))
+        x[1, 3, 0] = np.nan  # one sample of row 1 reads a NaN feature
+        y = rng.integers(0, spec.num_classes, size=(rows, n))
+        return params, x, y
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("sizes", [(5, 7, 3), (6, 9, 8, 10)])
+    def test_gradients_and_probabilities_bit_identical(self, activation, sizes):
+        spec = MlpSpec(sizes, activation=activation, seed=2)
+        params, x, y = self.stack(spec, 4, 13, seed=len(sizes))
+        grad = np.empty_like(params)
+        probs = model._backprop(model._layer_views(params, spec),
+                                model._layer_views(grad, spec), x, y, activation)
+        for row in range(len(params)):
+            want_grad, want_probs = reference_step(params[row], spec, x[row], y[row])
+            assert grad[row].tobytes() == want_grad.tobytes()
+            assert probs[row].tobytes() == want_probs.tobytes()
+        # The NaN spreads through row 1's gradient and no other row's.
+        assert np.isnan(grad[1]).any() and np.isfinite(np.delete(grad, 1, axis=0)).all()
+
+    def test_relu_mask_from_the_activation_is_the_pre_activation_mask(self):
+        z = np.array([-0.0, 0.0, np.nan, -np.inf, np.inf, 5e-324, -5e-324, 1.5, -2.0])
+        a = z.copy()
+        model._activate(a, "relu", out=a)
+        assert np.array_equal(model._activate_grad(a, "relu"), z > 0.0)
+
+    def test_softmax_max_chain_matches_the_row_max(self):
+        # Ties, signed zeros, infinities and a NaN in any class slot.
+        rng = np.random.default_rng(3)
+        logits = rng.choice([-0.0, 0.0, 1.0, -1.0, 2.5, -np.inf, np.nan], size=(3, 40, 10))
+        logits[..., -1] = rng.normal(size=(3, 40))
+        with np.errstate(invalid="ignore"):
+            want = np.exp(logits - logits.max(axis=-1, keepdims=True))
+            want /= want.sum(axis=-1, keepdims=True)
+            got = model._softmax(logits.copy())
+        assert got.tobytes() == want.tobytes()
+
+
 class TestCohortEngine:
     """train_rows trains a mixed cohort at once; every row must equal the
     reference loop run on that row alone from its own start, bit for bit,
@@ -389,6 +472,98 @@ class TestCohortEngine:
         assert np.array_equal(idle, start)
         assert not np.array_equal(busy, start)
         assert model.train_rows(spec, [], 8) == []
+
+
+def spy_row_steps(monkeypatch):
+    """A list whose one entry counts the rows of every stacked `_backprop`
+    step taken since the spy was set."""
+    counted = [0]
+    honest = model._backprop
+
+    def backprop(layers, grads, x, y, activation):
+        counted[0] += len(y)
+        return honest(layers, grads, x, y, activation)
+
+    monkeypatch.setattr(model, "_backprop", backprop)
+    return counted
+
+
+class TestEqualRowsTrainOnce:
+    """Rows on one start and one shard object with equal seed, epochs, step
+    and prox_mu train once, and each gets exactly what training it alone
+    gives; a row that differs in any one of these trains on its own."""
+
+    BATCH = 16
+    SPEC = MlpSpec((5, 7, 3), seed=4)
+
+    @pytest.fixture(autouse=True)
+    def spied_row(self, monkeypatch):
+        self.counted = spy_row_steps(monkeypatch)
+        self.shard = gen_synthetic(3, 5, 45, 4.0, seed=50)
+        self.start = model.init_params(self.SPEC)
+        self.row = model.SgdRow(self.start, self.shard, 7, 3, 0.05, 0.5)
+
+    def row_steps(self, rows):
+        """(trained rows, rows stacked over all steps) of one call."""
+        self.counted[0] = 0
+        return model.train_rows(self.SPEC, rows, self.BATCH), self.counted[0]
+
+    def alone(self, row):
+        (trained,) = model.train_rows(self.SPEC, [row], self.BATCH)
+        return trained
+
+    def test_repeated_rows_stack_once(self):
+        other = dc_replace(self.row, seed=8)
+        _, distinct = self.row_steps([self.row, other])
+        out, stacked = self.row_steps([self.row, other, self.row, self.row, other])
+        assert stacked == distinct
+        for got, row in zip(out, [self.row, other, self.row, self.row, other]):
+            assert got.tobytes() == self.alone(row).tobytes()
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 8), ("epochs", 2), ("step", -0.05), ("prox_mu", 0.2),
+        ("start", "copy"), ("data", "copy"),
+    ])
+    def test_row_differing_in_one_field_trains_on_its_own(self, field, value):
+        if value == "copy":
+            value = getattr(self.row, field)
+            value = value.copy() if field == "start" else Dataset(
+                value.features.copy(), value.labels.copy(), value.num_classes)
+        other = dc_replace(self.row, **{field: value})
+        _, one = self.row_steps([self.row])
+        _, other_alone = self.row_steps([other])
+        out, stacked = self.row_steps([self.row, other, self.row])
+        assert stacked == one + other_alone
+        assert out[0].tobytes() == out[2].tobytes() == self.alone(self.row).tobytes()
+        assert out[1].tobytes() == self.alone(other).tobytes()
+
+    def test_zero_steps_of_either_sign_train_apart(self):
+        # From a -0.0 parameter, `p -= 0.0 * g` and `p -= -0.0 * g` leave
+        # different signs, so the two zero steps are different rows. One
+        # step only: once a zero turns +0.0, every later zero step keeps it.
+        start = self.start.copy()
+        start[-3:] = -0.0  # the output biases, whose gradients are nonzero
+        shard = self.shard.subset(np.arange(self.BATCH))
+        plus = model.SgdRow(start, shard, 7, 1, 0.0)
+        minus = dc_replace(plus, step=-0.0)
+        assert self.alone(plus).tobytes() != self.alone(minus).tobytes()
+        out, stacked = self.row_steps([plus, minus, plus])
+        _, one = self.row_steps([plus])
+        assert stacked == 2 * one
+        assert out[0].tobytes() == out[2].tobytes() == self.alone(plus).tobytes()
+        assert out[1].tobytes() == self.alone(minus).tobytes()
+
+    def test_pga_pair_with_equal_epochs_trains_both_rows(self):
+        # The ascent row and the benign reference differ only in the sign
+        # of the step when ascent_epochs equals epochs.
+        train = TrainSpec(3, self.BATCH, 0.05, 0.0, seed=7)
+        ascent, benign = adversary.pga_rows(self.start, self.shard, train, ascent_epochs=3)
+        assert dc_replace(ascent, step=benign.step) == benign
+        out, stacked = self.row_steps([ascent, benign, ascent])
+        _, one = self.row_steps([benign])
+        assert stacked == 2 * one
+        assert out[0].tobytes() == out[2].tobytes() == self.alone(ascent).tobytes()
+        assert out[1].tobytes() == self.alone(benign).tobytes()
 
 
 class TestEvalLosses:

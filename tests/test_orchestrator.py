@@ -29,7 +29,7 @@ from fedsim.orchestrator import (
     setup_experiment,
 )
 from fedsim.privacy import DpState
-from test_model import blas_thread_count, reference_sgd, set_blas_thread_count
+from test_model import blas_thread_count, reference_sgd, set_blas_thread_count, spy_row_steps
 
 def small_config(**overrides) -> ExperimentConfig:
     base = dict(
@@ -567,6 +567,28 @@ class TestRunExperiments:
             assert np.array_equal(got.final_params, want.final_params)
             assert [r.as_dict() for r in got.round_logs] == [r.as_dict() for r in want.round_logs]
             assert [m.__dict__ for m in got.records] == [m.__dict__ for m in want.records]
+
+    def test_round_zero_trains_one_strategys_rows(self, monkeypatch):
+        # Every strategy starts round 0 from one read-only initial model, so
+        # their rows there are equal and train once; from round 1 on each
+        # strategy trains from its own model.
+        config = pga_lda_config()
+        counted, per_call = spy_row_steps(monkeypatch), []
+        honest_train_rows = model.train_rows
+
+        def train_rows(spec, rows, batch_size):
+            counted[0] = 0
+            trained = honest_train_rows(spec, rows, batch_size)
+            per_call.append(counted[0])
+            return trained
+
+        monkeypatch.setattr(model, "train_rows", train_rows)
+        run_experiment(config)
+        alone = per_call[:]
+        per_call.clear()
+        orchestrator.run_experiments([dc_replace(config, strategy=s) for s in STRATEGIES])
+        assert len(alone) == config.rounds > 1
+        assert per_call == [alone[0]] + [len(STRATEGIES) * steps for steps in alone[1:]]
 
     @pytest.mark.parametrize("wide", [False, True])
     def test_trained_stack_freed_before_aggregation(self, monkeypatch, wide):

@@ -113,7 +113,7 @@ class TestPipeline:
         deltas, seeds = self.round_deltas(), [11, 12, 13, 14]
         state = DpState(clip_bound=1.0, target_quantile=0.9, noise_multiplier=0.7)
         got = deltas.copy()
-        state = apply_pre_transforms(("norm_bound", "dp_noise"), got, state, seeds)
+        state = apply_pre_transforms(("norm_bound", "dp_noise"), got, state, seeds, 0)
         clipped = [clip(d, 1.0) for d in deltas]
         bound = adapt_bound(DpState(clip_bound=1.0, target_quantile=0.9),
                             [flag for _, flag in clipped])
@@ -136,7 +136,7 @@ class TestPipeline:
 
         monkeypatch.setattr(privacy, "adapt_bound", recording_adapt_bound)
         state = DpState(clip_bound=1.0, noise_multiplier=0.5)
-        state = apply_pre_transforms(transforms, self.round_deltas(), state, [1, 2, 3, 4])
+        state = apply_pre_transforms(transforms, self.round_deltas(), state, [1, 2, 3, 4], 0)
         assert len(steps) == moves
         bounds = [1.0] + [after for _, after in steps]
         assert [before for before, _ in steps] == bounds[:-1]
@@ -161,7 +161,7 @@ class TestPipeline:
             else:
                 rows = [add_noise(d, 0.3, reference.clip_bound, seed, len(rows))
                         for d, seed in zip(rows, seeds)]
-        assert apply_pre_transforms(transforms, deltas, state, seeds) == reference
+        assert apply_pre_transforms(transforms, deltas, state, seeds, 0) == reference
         assert deltas.tobytes() == np.stack(rows).tobytes()
         assert state == DpState(clip_bound=1.0, noise_multiplier=0.3)
 
@@ -169,7 +169,7 @@ class TestPipeline:
         deltas = self.round_deltas()
         before = deltas.tobytes()
         state = DpState(clip_bound=0.5, noise_multiplier=1.0)
-        assert apply_pre_transforms((), deltas, state, [1, 2, 3, 4]) is state
+        assert apply_pre_transforms((), deltas, state, [1, 2, 3, 4], 0) is state
         assert deltas.tobytes() == before
         assert state == DpState(clip_bound=0.5, noise_multiplier=1.0)
 
