@@ -1,4 +1,4 @@
-"""Run the tier-1 suite against one-line source mutants and print which it kills.
+"""Run the tier-1 suite against small source mutants and print which it kills.
 
     python3 scripts/mutants.py
 
@@ -35,6 +35,16 @@ class Mutant(NamedTuple):
     new: str
     equivalent: str | None = None
 
+
+# The lines of `_lockstep_round` that key each strategy's trained rows by its state.
+_ROUND_ROWS = (
+    "        rows = {s: _client_rows(setup, s, c, selected, seeds)"
+    " for s, c in dict(group).items()}\n"
+    "        trained = iter(model.train_rows(spec, [r for rs in rows.values() for r in rs],"
+    " batch_size))\n"
+    "        own = {s: [next(trained) for _ in state_rows] for s, state_rows in rows.items()}\n"
+    "        matrices = [_client_deltas(setup, s, c, selected, iter(own[s])) for s, c in group]\n"
+)
 
 MUTANTS = [
     Mutant("krum_neighbors", "src/fedsim/aggregators.py",
@@ -93,7 +103,7 @@ MUTANTS = [
     Mutant("dp_noise_write_back", "src/fedsim/privacy.py",
            "row[:] = add_noise(row, z, bound, seed, n)", "add_noise(row, z, bound, seed, n)"),
     Mutant("clip_bound_reached_zero", "src/fedsim/privacy.py",
-           "if bound == 0.0:", "if bound < 0.0:"),
+           "if not 0.0 < bound < math.inf:", "if not 0.0 <= bound < math.inf:"),
     # The round state: its read-only model and the bound carried to the next round.
     Mutant("read_only_global", "src/fedsim/orchestrator.py",
            "self.global_params.flags.writeable = False", "self.global_params.flags.writeable = True"),
@@ -165,26 +175,21 @@ MUTANTS = [
     Mutant("onehot_flat_offset", "src/fedsim/model.py",
            "[np.arange(0, g * n * k, k) + y.reshape(-1)]", "[np.arange(g * n) + y.reshape(-1)]"),
     Mutant("update_sign", "src/fedsim/model.py", "            p -= g\n", "            p += g\n"),
-    # The equal-row key, each field dropped, and the sign of a zero step.
-    Mutant("equal_row_start", "src/fedsim/model.py",
-           "key = (id(row.start), id(row.data), row.seed, row.epochs,",
-           "key = (id(row.data), row.seed, row.epochs,"),
-    Mutant("equal_row_data", "src/fedsim/model.py",
-           "key = (id(row.start), id(row.data), row.seed, row.epochs,",
-           "key = (id(row.start), row.seed, row.epochs,"),
-    Mutant("equal_row_seed", "src/fedsim/model.py",
-           "key = (id(row.start), id(row.data), row.seed, row.epochs,",
-           "key = (id(row.start), id(row.data), row.epochs,"),
-    Mutant("equal_row_epochs", "src/fedsim/model.py",
-           "key = (id(row.start), id(row.data), row.seed, row.epochs,",
-           "key = (id(row.start), id(row.data), row.seed,"),
-    Mutant("equal_row_step", "src/fedsim/model.py",
-           "float(row.step).hex(), float(row.prox_mu).hex())", "float(row.prox_mu).hex())"),
-    Mutant("equal_row_prox_mu", "src/fedsim/model.py",
-           "float(row.step).hex(), float(row.prox_mu).hex())", "float(row.step).hex())"),
-    Mutant("equal_row_zero_step_sign", "src/fedsim/model.py",
-           "float(row.step).hex(), float(row.prox_mu).hex())",
-           "row.step, float(row.prox_mu).hex())"),
+    # The round's rows: each distinct state's rows train once, and each
+    # strategy reads its own state's rows through its own iterator.
+    Mutant("round_rows_of_first_state", "src/fedsim/orchestrator.py",
+           "iter(own[s])) for s, c in group]", "iter(own[group[0][0]])) for s, c in group]"),
+    Mutant("round_rows_keyed_by_config", "src/fedsim/orchestrator.py", _ROUND_ROWS,
+           _ROUND_ROWS.replace("{s: _client_rows", "{c: _client_rows")
+           .replace("dict(group).items()}", "group}").replace("iter(own[s])", "iter(own[c])")),
+    Mutant("round_rows_one_shared_iterator", "src/fedsim/orchestrator.py",
+           "own = {s: [next(trained) for _ in state_rows] for s, state_rows in rows.items()}",
+           "own = dict.fromkeys(rows, trained)"),
+    # An inf label ratio in fedval.score, and an adapted clip bound that overflows.
+    Mutant("score_inf_ratio", "src/fedsim/fedval.py",
+           '@np.errstate(divide="ignore", invalid="ignore")', '@np.errstate(invalid="ignore")'),
+    Mutant("clip_bound_reached_inf", "src/fedsim/privacy.py",
+           "if not 0.0 < bound < math.inf:", "if not 0.0 < bound <= math.inf:"),
     # Unreadable inputs: each exception class of the two refusals dropped.
     Mutant("config_unreadable_os", "src/fedsim/cli.py",
            "except (OSError, UnicodeDecodeError) as exc:", "except UnicodeDecodeError as exc:"),

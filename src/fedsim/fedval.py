@@ -198,7 +198,10 @@ def _add_dimension(raw, params: ScoreParams, scale: float, reducer: float, div, 
         raw += reducer * scale * div / mad
 
 
-@np.errstate(invalid="ignore")  # an all-zero-loss cohort's label ratio is an unused 0/0
+# A label's ratio `label_mean / overall_mean` when the overall mean loss is 0:
+# an unused 0/0 for a label whose mean is 0 too (its MAD is 0), and inf for a
+# positive label mean, which gets the capped reducer exp(700).
+@np.errstate(divide="ignore", invalid="ignore")
 def score(report: ValidationReport, params: ScoreParams) -> ScoreTable:
     """Score every client and derive normalized aggregation weights.
 

@@ -12,10 +12,10 @@ batches have the same length. That grouping is what keeps every row bit for
 bit equal to training it alone: a stacked matmul over equal shapes repeats
 the 2-D result exactly, but a zero-padded batch does not. Each row carries
 its own start, which is also its proximal anchor, so one call can train the
-cohorts of several strategies that share a round. Equal rows (one start and
-one shard object, and equal seed, epochs, step and prox_mu), such as every
-strategy's rows in `compare`'s round 0, train once and share the result.
-Rows on the same shard object with the same seed draw the same
+cohorts of several strategies that share a round. Every row it is given
+trains: sharing one strategy's rows among several, as `compare`'s round 0
+does, is the round's decision (`orchestrator._lockstep_round`), not the
+engine's. Rows on the same shard object with the same seed draw the same
 permutations: they share one generator and one permuted copy of the shard
 per epoch, from which each step gathers its batches. Within a step the ReLU
 runs in place on the pre-activation, and its gradient mask is read from the
@@ -358,27 +358,17 @@ def train_rows(spec: MlpSpec, rows: list[SgdRow], batch_size: int) -> list[np.nd
     parameters in row order.
 
     Each row gives bit for bit the parameters that training it alone would
-    give, whatever else is in `rows`. Equal rows, on the same start and
-    shard objects with equal seed, epochs, step and prox_mu (as every
-    strategy's rows are in `compare`'s round 0), train once, and each gets a
-    view of that one trained row. Rows on the same shard object with the
-    same seed draw the same permutations, so they share one generator and
-    one permuted copy of the shard per epoch. The loss is never computed; a
-    run's diverged rows are refused by `orchestrator._client_deltas`, which
-    `check_trained`s each one. A row with zero epochs returns its start.
+    give, whatever else is in `rows`. Every row trains, a repeated row as
+    often as it is given, and each is returned as its own row of one trained
+    stack, so no two returned rows share memory. Rows on the same shard
+    object with the same seed draw the same permutations, so they share one
+    generator and one permuted copy of the shard per epoch. The loss is
+    never computed; a run's diverged rows are refused by
+    `orchestrator._client_deltas`, which `check_trained`s each one. A row
+    with zero epochs returns its start.
     """
     if not rows:
         return []
-    # Each row's slot among the distinct rows, which train in first-seen
-    # order. A float's hex tells -0.0 from 0.0: zero steps of the two signs
-    # leave a -0.0 parameter with different signs.
-    slots: dict[tuple, int] = {}
-    copies = []
-    for row in rows:
-        key = (id(row.start), id(row.data), row.seed, row.epochs,
-               float(row.step).hex(), float(row.prox_mu).hex())
-        copies.append(slots.setdefault(key, len(slots)))
-    rows = list(dict(zip(copies, rows)).values())
     # One key per (shard object, seed): its features, labels and generator.
     keys: dict[tuple[int, int], int] = {}
     row_keys, features, labels, rngs = [], [], [], []
@@ -420,8 +410,7 @@ def train_rows(spec: MlpSpec, rows: list[SgdRow], batch_size: int) -> list[np.nd
             params[live] = work
         done = end
 
-    at = np.argsort(order)
-    return [params[at[c]] for c in copies]
+    return [params[i] for i in np.argsort(order)]
 
 
 def _run_epochs(

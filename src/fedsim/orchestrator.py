@@ -301,8 +301,9 @@ def _client_deltas(
 ) -> np.ndarray:
     """The round's (n, P) delta matrix: each selected client's model minus
     the global model, one row per client in selection order, taking its
-    trained rows from `trained` in the order `_client_rows` gave them. A
-    zero-scale attacker sends the global model back, so its row stays zero.
+    trained rows from `trained`, this strategy's own iterator over the rows
+    that `_client_rows` gave for `state`, in their order. A zero-scale
+    attacker sends the global model back, so its row stays zero.
     Each trained row is refused here if it diverged, as it is taken: the
     first diverged client in selection order, ascent row first, is named."""
     g = state.global_params
@@ -384,9 +385,13 @@ def _lockstep_round(
     call, so the short tail batches of every strategy step together. With a
     wider model, whose full batches already fill a step, that would save few
     steps and hold every strategy's trained cohort at once, so each strategy
-    trains in turn. Either way each strategy's delta matrix is built and the
-    trained rows are freed before any strategy aggregates, and the
-    strategies are finished in list order.
+    trains in turn. The configs differ only in `strategy`, which
+    `_client_rows` never reads, so a group trains each distinct state's rows
+    once and every strategy reads its state's rows through its own iterator:
+    in round 0, where every strategy holds the initial state, a joint call
+    trains one strategy's rows. Either way each strategy's delta matrix is
+    built and the trained rows are freed before any strategy aggregates, and
+    the strategies are finished in list order.
     """
     first = configs[0]
     round_index = states[0].round_index
@@ -402,11 +407,12 @@ def _lockstep_round(
     together = model.rows_per_step(spec, batch_size) >= len(pairs)
     finished = []
     for group in [pairs] if together else [[pair] for pair in pairs]:
-        rows = [row for s, c in group for row in _client_rows(setup, s, c, selected, seeds)]
-        trained = iter(model.train_rows(spec, rows, batch_size))
-        matrices = [_client_deltas(setup, s, c, selected, trained) for s, c in group]
+        rows = {s: _client_rows(setup, s, c, selected, seeds) for s, c in dict(group).items()}
+        trained = iter(model.train_rows(spec, [r for rs in rows.values() for r in rs], batch_size))
+        own = {s: [next(trained) for _ in state_rows] for s, state_rows in rows.items()}
+        matrices = [_client_deltas(setup, s, c, selected, iter(own[s])) for s, c in group]
         # The trained stack is garbage once the matrices are built.
-        del trained
+        del trained, own
         finished += [_finish_round(setup, s, c, selected, d)
                      for (s, c), d in zip(group, matrices)]
     next_states, logs = zip(*finished)

@@ -8,6 +8,7 @@ simulation knob."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -59,9 +60,9 @@ def adapt_bound(state: DpState, clipped_flags: list[bool]) -> float:
     if not clipped_flags:
         raise ValueError("need at least one clip flag")
     unclipped = 1.0 - (sum(clipped_flags) / len(clipped_flags))
-    return state.clip_bound * float(
-        np.exp(-state.adapt_rate * (unclipped - state.target_quantile))
-    )
+    with np.errstate(over="ignore"):  # `apply_pre_transforms` refuses an inf bound
+        step = np.exp(-state.adapt_rate * (unclipped - state.target_quantile))
+    return state.clip_bound * float(step)
 
 
 def add_noise(
@@ -89,7 +90,8 @@ def apply_pre_transforms(
     """Apply each of `transforms` in order to the rows of round
     `round_index`'s `deltas`, in place, and return the next state.
     "norm_bound" clips every row to `dp.clip_bound`, then adapts that bound
-    from the clip flags, and refuses a bound that underflows to 0;
+    from the clip flags, and refuses a bound that is not positive and finite
+    (one that underflows to 0 or overflows to inf, or a NaN);
     "dp_noise" adds to each row, on its seed in `seeds`, noise of std
     noise_multiplier * bound / len(deltas), with the bound as it stands."""
     for transform in transforms:
@@ -99,9 +101,9 @@ def apply_pre_transforms(
                 row[:], clipped = clip(row, dp.clip_bound)
                 flags.append(clipped)
             bound = adapt_bound(dp, flags)
-            if bound == 0.0:
+            if not 0.0 < bound < math.inf:
                 raise ConfigurationError(
-                    f"dp: the clip bound adapted in round {round_index} reached 0 "
+                    f"dp: the clip bound adapted in round {round_index} reached {bound:g} "
                     f"(from {dp.clip_bound!r} at adapt_rate {dp.adapt_rate!r})"
                 )
             dp = replace(dp, clip_bound=bound)

@@ -9,6 +9,7 @@ import csv as csv_module
 import math
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -431,25 +432,9 @@ class TestCriterion8ValidationSize:
 
 class TestCriterion9Determinism:
     def test_byte_identical_metrics(self, tmp_path):
-        config = {
-            "task": {"type": "synthetic", "classes": 5, "features": 8, "samples": 1200,
-                     "separation": 5.0, "seed": 0},
-            "partition": {"scheme": "lda", "client_count": 12, "seed": 0, "alpha": 0.5},
-            "model": {"layer_sizes": [8, 16, 5], "seed": 0},
-            "train": {"epochs": 4, "batch_size": 16, "learning_rate": 0.05, "seed": 0},
-            "strategy": {"kind": "fedval"},
-            "attack": {"kind": "pga", "scale_factor": 2.0, "ascent_epochs": 2,
-                       "malicious_fraction": 0.25, "placement_seed": 3},
-            "rounds": 8,
-            "clients_per_round": 6,
-            "selection_seed": 1,
-            "validation": {"per_label": 10, "seed": 2},
-            "test": {"per_label": 30, "seed": 1},
-        }
-        import json
-
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config), encoding="utf-8")
+        # PGA on uneven shards under fedval; also a golden input of
+        # tests/test_golden_outputs.py.
+        path = Path(__file__).resolve().parents[1] / "configs" / "determinism.json"
         outputs = []
         for name in ("a", "b", "c"):
             cli.cmd_run(str(path), str(tmp_path / name))

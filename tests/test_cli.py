@@ -430,6 +430,25 @@ class TestSectionRangeChecks:
         ]
         assert not out.exists()
 
+    @pytest.mark.parametrize("transforms", [["norm_bound"], ["norm_bound", "dp_noise"]])
+    def test_clip_bound_adapted_to_inf_names_the_round(self, tmp_path, capsys, transforms):
+        # Every quickstart delta sticks out of a bound of 1e-6, so round 0
+        # scales the bound by exp(5000 * 0.5), which overflows to inf. Left
+        # running, norm_bound alone would clip nothing from round 1 on, and
+        # the noise's std would be inf.
+        quickstart = Path(__file__).resolve().parents[1] / "configs" / "quickstart.json"
+        config = json.loads(quickstart.read_text(encoding="utf-8"))
+        config.update(strategy={"kind": "fedavg", "pre_transforms": transforms},
+                      dp={"clip_bound": 1e-6, "adapt_rate": 5000, "noise_multiplier": 0.1},
+                      rounds=3)
+        out = tmp_path / "out"
+        assert cli.main(["run", write_config(tmp_path, config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: dp: the clip bound adapted in round 0 reached inf "
+            "(from 1e-06 at adapt_rate 5000.0)"
+        ]
+        assert not out.exists()
+
     def test_python_callers_keep_the_bare_message(self):
         from fedsim.privacy import DpState
 

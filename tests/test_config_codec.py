@@ -77,6 +77,10 @@ GOLDEN_FILES = {
         "a6c9d89842670105f193f0e196b9a872f27cf812d71dd714884ba724180543d2",
         "413e0c330322e2a0ee1e25803a1f26f6a286f1cb45996ee76914e5391cf1ffbd",
     ),
+    "determinism.json": (
+        "4d7f2e43c885fe43d18e1abac799d0a6b10a1032a7362c59bfa1c669bcf9b697",
+        "fe81f9803df9cc7ff5c872420a8aefda986de14e1c5d47d10c95eb85bf37b5e9",
+    ),
     "pga_robustness.json": (
         "0cf3ad051b865a5b6a279e65c73fbeb5a3a0f90815848103bab50d45f869f47c",
         "e14771d10a0f65b966c34311d0a2f0cd7e4cbe7aabe7f8c9d13c9f0eb9a4aa6c",

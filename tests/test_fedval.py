@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fedsim import aggregators, fedval, model
 from fedsim.data import Dataset, ValidationSet, build_validation, gen_synthetic
@@ -266,6 +266,9 @@ class TestScore:
         assert np.allclose(active.raw, [24.0 + 9.0 - 12.0, 24.0 + 9.0 + 12.0], atol=1e-9)
 
     @given(finite_reports(), score_params())
+    # A positive label mean over an overall mean of 0: its ratio is inf.
+    @example(report_from_losses([[0.0, 5e-324]], [0.0]),
+             ScoreParams(s1_avg=0.0, baseline_c=0.0, clamp_floor=0.0))
     def test_weights_are_a_distribution_or_all_zero(self, report, params):
         table = fedval.score(report, params)
         assert np.all(np.isfinite(table.weights))

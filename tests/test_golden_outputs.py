@@ -46,9 +46,10 @@ GOLDEN = ROOT / "tests" / "golden"
 REGENERATE = "python3 tests/test_golden_outputs.py"
 # The sample configs, with the rounds each runs (None: all of them); every
 # other input is `<workload>-<seed>` of bench/workloads.py, run for 2 rounds.
-CONFIG_ROUNDS = {"quickstart": None, "backdoor_label_flip": 2, "pga_robustness": 2}
+CONFIG_ROUNDS = {"quickstart": None, "backdoor_label_flip": 2, "pga_robustness": 2,
+                 "determinism": None}
 INPUTS = ("quickstart", "server_wide-1", "pga_iid-1", "backdoor_lda-1",
-          "backdoor_label_flip", "pga_robustness")
+          "backdoor_label_flip", "pga_robustness", "determinism")
 LOSS_RTOL = 1e-9
 # (input, strategy) pairs whose model the PGA attack destroys.
 EXEMPT = {(name, kind) for name in ("pga_iid-1", "pga_robustness")

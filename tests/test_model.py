@@ -1,4 +1,5 @@
 import ctypes
+import itertools
 import math
 import sys
 import threading
@@ -488,82 +489,31 @@ def spy_row_steps(monkeypatch):
     return counted
 
 
-class TestEqualRowsTrainOnce:
-    """Rows on one start and one shard object with equal seed, epochs, step
-    and prox_mu train once, and each gets exactly what training it alone
-    gives; a row that differs in any one of these trains on its own."""
+class TestEveryRowTrains:
+    """`train_rows` trains exactly the rows it is given, a repeated row as
+    often as it is given; sharing one strategy's rows among several is the
+    round's decision (`TestRunExperiments` in tests/test_orchestrator.py)."""
 
-    BATCH = 16
-    SPEC = MlpSpec((5, 7, 3), seed=4)
+    def test_repeated_rows_each_train_alone_and_apart(self, monkeypatch):
+        spec, batch = MlpSpec((5, 7, 3), seed=4), 16
+        counted = spy_row_steps(monkeypatch)
+        shard = gen_synthetic(3, 5, 45, 4.0, seed=50)
+        row = model.SgdRow(model.init_params(spec), shard, 7, 3, 0.05, 0.5)
+        # A PGA pair with equal epochs differs only in the sign of the step.
+        ascent, benign = adversary.pga_rows(row.start, shard, TrainSpec(3, batch, 0.05, seed=7), 3)
+        rows = [row, dc_replace(row, seed=8), row, ascent, benign, row, ascent]
+        alone, own_steps = [], []
+        for r in rows:
+            counted[0] = 0
+            alone += model.train_rows(spec, [r], batch)
+            own_steps.append(counted[0])
 
-    @pytest.fixture(autouse=True)
-    def spied_row(self, monkeypatch):
-        self.counted = spy_row_steps(monkeypatch)
-        self.shard = gen_synthetic(3, 5, 45, 4.0, seed=50)
-        self.start = model.init_params(self.SPEC)
-        self.row = model.SgdRow(self.start, self.shard, 7, 3, 0.05, 0.5)
-
-    def row_steps(self, rows):
-        """(trained rows, rows stacked over all steps) of one call."""
-        self.counted[0] = 0
-        return model.train_rows(self.SPEC, rows, self.BATCH), self.counted[0]
-
-    def alone(self, row):
-        (trained,) = model.train_rows(self.SPEC, [row], self.BATCH)
-        return trained
-
-    def test_repeated_rows_stack_once(self):
-        other = dc_replace(self.row, seed=8)
-        _, distinct = self.row_steps([self.row, other])
-        out, stacked = self.row_steps([self.row, other, self.row, self.row, other])
-        assert stacked == distinct
-        for got, row in zip(out, [self.row, other, self.row, self.row, other]):
-            assert got.tobytes() == self.alone(row).tobytes()
-
-    @pytest.mark.parametrize("field, value", [
-        ("seed", 8), ("epochs", 2), ("step", -0.05), ("prox_mu", 0.2),
-        ("start", "copy"), ("data", "copy"),
-    ])
-    def test_row_differing_in_one_field_trains_on_its_own(self, field, value):
-        if value == "copy":
-            value = getattr(self.row, field)
-            value = value.copy() if field == "start" else Dataset(
-                value.features.copy(), value.labels.copy(), value.num_classes)
-        other = dc_replace(self.row, **{field: value})
-        _, one = self.row_steps([self.row])
-        _, other_alone = self.row_steps([other])
-        out, stacked = self.row_steps([self.row, other, self.row])
-        assert stacked == one + other_alone
-        assert out[0].tobytes() == out[2].tobytes() == self.alone(self.row).tobytes()
-        assert out[1].tobytes() == self.alone(other).tobytes()
-
-    def test_zero_steps_of_either_sign_train_apart(self):
-        # From a -0.0 parameter, `p -= 0.0 * g` and `p -= -0.0 * g` leave
-        # different signs, so the two zero steps are different rows. One
-        # step only: once a zero turns +0.0, every later zero step keeps it.
-        start = self.start.copy()
-        start[-3:] = -0.0  # the output biases, whose gradients are nonzero
-        shard = self.shard.subset(np.arange(self.BATCH))
-        plus = model.SgdRow(start, shard, 7, 1, 0.0)
-        minus = dc_replace(plus, step=-0.0)
-        assert self.alone(plus).tobytes() != self.alone(minus).tobytes()
-        out, stacked = self.row_steps([plus, minus, plus])
-        _, one = self.row_steps([plus])
-        assert stacked == 2 * one
-        assert out[0].tobytes() == out[2].tobytes() == self.alone(plus).tobytes()
-        assert out[1].tobytes() == self.alone(minus).tobytes()
-
-    def test_pga_pair_with_equal_epochs_trains_both_rows(self):
-        # The ascent row and the benign reference differ only in the sign
-        # of the step when ascent_epochs equals epochs.
-        train = TrainSpec(3, self.BATCH, 0.05, 0.0, seed=7)
-        ascent, benign = adversary.pga_rows(self.start, self.shard, train, ascent_epochs=3)
-        assert dc_replace(ascent, step=benign.step) == benign
-        out, stacked = self.row_steps([ascent, benign, ascent])
-        _, one = self.row_steps([benign])
-        assert stacked == 2 * one
-        assert out[0].tobytes() == out[2].tobytes() == self.alone(ascent).tobytes()
-        assert out[1].tobytes() == self.alone(benign).tobytes()
+        counted[0] = 0
+        out = model.train_rows(spec, rows, batch)
+        assert counted[0] == sum(own_steps)
+        assert [o.tobytes() for o in out] == [a.tobytes() for a in alone]
+        for i, j in itertools.combinations(range(len(out)), 2):
+            assert not np.shares_memory(out[i], out[j]), (i, j)
 
 
 class TestEvalLosses:

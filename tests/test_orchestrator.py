@@ -590,6 +590,26 @@ class TestRunExperiments:
         assert len(alone) == config.rounds > 1
         assert per_call == [alone[0]] + [len(STRATEGIES) * steps for steps in alone[1:]]
 
+    def test_wide_model_trains_every_strategys_rows(self, monkeypatch):
+        # Strategies that train in turn share no rows, in round 0 either.
+        config = self.wide_config()
+        counted, per_call = spy_row_steps(monkeypatch), []
+        honest_train_rows = model.train_rows
+
+        def train_rows(spec, rows, batch_size):
+            counted[0] = 0
+            trained = honest_train_rows(spec, rows, batch_size)
+            per_call.append(counted[0])
+            return trained
+
+        monkeypatch.setattr(model, "train_rows", train_rows)
+        run_experiment(config)
+        alone = per_call[:]
+        per_call.clear()
+        orchestrator.run_experiments([dc_replace(config, strategy=s) for s in STRATEGIES])
+        assert len(alone) == config.rounds > 1
+        assert per_call == [steps for steps in alone for _ in STRATEGIES]
+
     @pytest.mark.parametrize("wide", [False, True])
     def test_trained_stack_freed_before_aggregation(self, monkeypatch, wide):
         # Each strategy's delta matrix is a copy: the stack of trained rows

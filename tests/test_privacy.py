@@ -70,6 +70,11 @@ class TestAdaptBound:
         with pytest.raises(ValueError):
             adapt_bound(DpState(), [])
 
+    def test_overflow_gives_inf_without_a_warning(self):
+        # exp(5000 * 0.5) overflows; pytest turns a leaked warning into an error.
+        state = DpState(clip_bound=1e-6, target_quantile=0.5, adapt_rate=5000.0)
+        assert adapt_bound(state, [True] * 4) == math.inf
+
 
 class TestAddNoise:
     def test_zero_multiplier_is_identity(self):
@@ -164,6 +169,15 @@ class TestPipeline:
         assert apply_pre_transforms(transforms, deltas, state, seeds, 0) == reference
         assert deltas.tobytes() == np.stack(rows).tobytes()
         assert state == DpState(clip_bound=1.0, noise_multiplier=0.3)
+
+    @pytest.mark.parametrize("bound, shown", [(0.0, "0"), (math.inf, "inf"), (math.nan, "nan")])
+    def test_bound_not_positive_and_finite_refused(self, bound, shown, monkeypatch):
+        monkeypatch.setattr(privacy, "adapt_bound", lambda state, flags: bound)
+        state = DpState(clip_bound=1.0, adapt_rate=0.2)
+        with pytest.raises(ConfigurationError) as refused:
+            apply_pre_transforms(("norm_bound",), self.round_deltas(), state, [1, 2, 3, 4], 3)
+        assert str(refused.value) == (
+            f"dp: the clip bound adapted in round 3 reached {shown} (from 1.0 at adapt_rate 0.2)")
 
     def test_no_transforms_return_the_deltas_as_given(self):
         deltas = self.round_deltas()
