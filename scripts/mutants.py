@@ -25,7 +25,10 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-TIER1 = ["-m", "pytest", "-q", "-x", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
+# tests/test_mutants.py checks that every mutant's `old` text is in the
+# source, which an applied mutant removes, so it would kill every mutant.
+TIER1 = ["-m", "pytest", "-q", "-x", "--continue-on-collection-errors", "-p", "no:cacheprovider",
+         "--ignore=tests/test_mutants.py"]
 
 
 class Mutant(NamedTuple):
@@ -40,10 +43,10 @@ class Mutant(NamedTuple):
 _ROUND_ROWS = (
     "        rows = {s: _client_rows(setup, s, c, selected, seeds)"
     " for s, c in dict(group).items()}\n"
-    "        trained = iter(model.train_rows(spec, [r for rs in rows.values() for r in rs],"
-    " batch_size))\n"
-    "        own = {s: [next(trained) for _ in state_rows] for s, state_rows in rows.items()}\n"
-    "        matrices = [_client_deltas(setup, s, c, selected, iter(own[s])) for s, c in group]\n"
+    "        flat = [row for ts in rows.values() for t in ts for row in t]\n"
+    "        trained = iter(model.train_rows(spec, flat, batch_size))\n"
+    "        own = {s: [tuple(next(trained) for _ in t) for t in ts] for s, ts in rows.items()}\n"
+    "        matrices = [_client_deltas(s, c, own[s]) for s, c in group]\n"
 )
 
 MUTANTS = [
@@ -95,8 +98,8 @@ MUTANTS = [
            'with np.errstate(over="ignore", invalid="ignore"):', "with np.errstate():"),
     # The round's delta matrix: its zero rows and the DP write-backs.
     Mutant("zero_scale_row", "src/fedsim/orchestrator.py",
-           "deltas = np.zeros((len(selected), len(g)))",
-           "deltas = np.ones((len(selected), len(g)))"),
+           "deltas = np.zeros((len(trained), len(g)))",
+           "deltas = np.ones((len(trained), len(g)))"),
     Mutant("dp_clip_write_back", "src/fedsim/privacy.py",
            "row[:], clipped = clip(row, dp.clip_bound)",
            "_, clipped = clip(row, dp.clip_bound)"),
@@ -164,7 +167,7 @@ MUTANTS = [
     # The one refusal site of a diverged local update, and the engine's
     # proximal term.
     Mutant("pga_benign_refusal", "src/fedsim/orchestrator.py",
-           "benign = model.check_trained(next(trained))", "benign = next(trained)"),
+           "model.check_trained(benign),", "benign,"),
     Mutant("prox_sign", "src/fedsim/model.py",
            "g += mu * (p - anchor)", "g -= mu * (p - anchor)"),
     # The stacked SGD step: the ReLU mask read from the activation, the
@@ -176,15 +179,22 @@ MUTANTS = [
            "[np.arange(0, g * n * k, k) + y.reshape(-1)]", "[np.arange(g * n) + y.reshape(-1)]"),
     Mutant("update_sign", "src/fedsim/model.py", "            p -= g\n", "            p += g\n"),
     # The round's rows: each distinct state's rows train once, and each
-    # strategy reads its own state's rows through its own iterator.
+    # strategy reads its own state's per-client tuples by their length.
     Mutant("round_rows_of_first_state", "src/fedsim/orchestrator.py",
-           "iter(own[s])) for s, c in group]", "iter(own[group[0][0]])) for s, c in group]"),
+           "own[s]) for s, c in group]", "own[group[0][0]]) for s, c in group]"),
     Mutant("round_rows_keyed_by_config", "src/fedsim/orchestrator.py", _ROUND_ROWS,
            _ROUND_ROWS.replace("{s: _client_rows", "{c: _client_rows")
-           .replace("dict(group).items()}", "group}").replace("iter(own[s])", "iter(own[c])")),
-    Mutant("round_rows_one_shared_iterator", "src/fedsim/orchestrator.py",
-           "own = {s: [next(trained) for _ in state_rows] for s, state_rows in rows.items()}",
-           "own = dict.fromkeys(rows, trained)"),
+           .replace("dict(group).items()}", "group}").replace("{s: [tuple", "{c: [tuple")
+           .replace("for s, ts in", "for c, ts in").replace("own[s]", "own[c]")),
+    Mutant("client_tuple_of_two_as_one", "src/fedsim/orchestrator.py",
+           "if len(client_rows) == 1:", "if len(client_rows) >= 1:"),
+    Mutant("client_tuple_of_two_as_none", "src/fedsim/orchestrator.py",
+           "elif client_rows:", "elif len(client_rows) > 2:"),
+    Mutant("pga_rows_swapped", "src/fedsim/orchestrator.py",
+           "ascended, benign = client_rows", "benign, ascended = client_rows"),
+    Mutant("unpack_stack_check", "src/fedsim/model.py",
+           "if params.shape[-1:] != (spec.param_count,):",
+           "if params.ndim == 1 and params.shape != (spec.param_count,):"),
     # An inf label ratio in fedval.score, and an adapted clip bound that overflows.
     Mutant("score_inf_ratio", "src/fedsim/fedval.py",
            '@np.errstate(divide="ignore", invalid="ignore")', '@np.errstate(invalid="ignore")'),

@@ -123,17 +123,13 @@ def init_params(spec: MlpSpec) -> np.ndarray:
 
 
 def unpack(params: np.ndarray, spec: MlpSpec) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Views of (weight matrix, bias) per layer; no copies."""
-    if params.shape != (spec.param_count,):
+    """Views of (weight matrix, bias) per layer; no copies. `params` is a
+    parameter vector or an (R, P) stack of them, whose layers are (R, nin,
+    nout) weights and (R, nout) biases; its last axis must be the spec's."""
+    if params.shape[-1:] != (spec.param_count,):
         raise ConfigurationError(
             f"parameter vector has length {params.shape}, spec needs {spec.param_count}"
         )
-    return _layer_views(params, spec)
-
-
-def _layer_views(params: np.ndarray, spec: MlpSpec) -> list[tuple[np.ndarray, np.ndarray]]:
-    """`unpack` for a parameter vector or an (R, P) stack of them, whose
-    layers are (R, nin, nout) weights and (R, nout) biases."""
     lead = params.shape[:-1]
     layers = []
     offset = 0
@@ -455,7 +451,7 @@ def _run_epochs(
     for first, last, start, n in groups:
         p, g = params[first:last], grad[: last - first]
         prox = (mus[first:last], None if anchors is None else anchors[first:last])
-        plan.append((_layer_views(p, spec), _layer_views(g, spec),
+        plan.append((unpack(p, spec), unpack(g, spec),
                      (keys[first:last], slice(start, start + n)), p, g, steps[first:last], prox))
 
     for _ in range(epochs):

@@ -11,7 +11,6 @@ into either.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field, fields, replace as dc_replace
 
 import numpy as np
@@ -264,59 +263,51 @@ def initial_state(config: ExperimentConfig) -> RoundState:
     return RoundState(model.init_params(config.model), config.score_params.s2, config.dp)
 
 
-def _pga_attackers(setup: Setup, config: ExperimentConfig) -> frozenset[int]:
-    return setup.malicious if config.attack.kind == "pga" else frozenset()
-
-
 def _client_rows(
     setup: Setup,
     state: RoundState,
     config: ExperimentConfig,
     selected: list[int],
     seeds: list[int],
-) -> list[model.SgdRow]:
-    """The `train_rows` rows of every selected client, from the state's global
-    model and on the client's training seed in `seeds`: one per benign
-    client, an ascent and a benign-reference row per PGA attacker (none when
-    scale_factor is 0)."""
-    g = state.global_params
-    attackers = _pga_attackers(setup, config)
+) -> list[tuple[model.SgdRow, ...]]:
+    """The `train_rows` rows of each selected client, from the state's global
+    model and on the client's seed in `seeds`, one tuple per client in
+    selection order: `(local_row,)` if benign, `pga_rows` for a PGA attacker
+    and `()` for one whose scale_factor is 0. No other round code decides
+    which clients attack."""
+    g, attack = state.global_params, config.attack
     rows = []
     for client, seed in zip(selected, seeds):
-        shard = setup.shards[client]
-        train = dc_replace(config.train, seed=seed)
-        if client not in attackers:
-            rows.append(model.local_row(g, shard, train))
-        elif config.attack.scale_factor != 0.0:
-            rows.extend(adversary.pga_rows(g, shard, train, config.attack.ascent_epochs))
+        shard, train = setup.shards[client], dc_replace(config.train, seed=seed)
+        if attack.kind != "pga" or client not in setup.malicious:
+            rows.append((model.local_row(g, shard, train),))
+        elif attack.scale_factor != 0.0:
+            rows.append(adversary.pga_rows(g, shard, train, attack.ascent_epochs))
+        else:
+            rows.append(())
     return rows
 
 
 def _client_deltas(
-    setup: Setup,
-    state: RoundState,
-    config: ExperimentConfig,
-    selected: list[int],
-    trained: Iterator[np.ndarray],
+    state: RoundState, config: ExperimentConfig, trained: list[tuple[np.ndarray, ...]]
 ) -> np.ndarray:
     """The round's (n, P) delta matrix: each selected client's model minus
-    the global model, one row per client in selection order, taking its
-    trained rows from `trained`, this strategy's own iterator over the rows
-    that `_client_rows` gave for `state`, in their order. A zero-scale
-    attacker sends the global model back, so its row stays zero.
-    Each trained row is refused here if it diverged, as it is taken: the
-    first diverged client in selection order, ascent row first, is named."""
+    the global model, from its tuple of `_client_rows`, trained. One row is
+    a benign model; two are a PGA attacker's ascent and benign reference,
+    which `pga_combine` joins; none is a zero-scale attacker, whose row
+    stays zero. Each trained row is refused here if it diverged, as it is
+    taken: the first diverged client in selection order, ascent row first,
+    is named."""
     g = state.global_params
-    attack = config.attack
-    attackers = _pga_attackers(setup, config)
-    deltas = np.zeros((len(selected), len(g)))
-    for row, client in zip(deltas, selected):
-        if client not in attackers:
-            np.subtract(model.check_trained(next(trained)), g, out=row)
-        elif attack.scale_factor != 0.0:
-            ascended = model.check_trained(next(trained), ascent=True)
-            benign = model.check_trained(next(trained))
-            malicious = adversary.pga_combine(g, ascended, benign, attack.scale_factor)
+    deltas = np.zeros((len(trained), len(g)))
+    for row, client_rows in zip(deltas, trained):
+        if len(client_rows) == 1:
+            np.subtract(model.check_trained(client_rows[0]), g, out=row)
+        elif client_rows:
+            ascended, benign = client_rows
+            malicious = adversary.pga_combine(g, model.check_trained(ascended, ascent=True),
+                                              model.check_trained(benign),
+                                              config.attack.scale_factor)
             np.subtract(malicious, g, out=row)
     return deltas
 
@@ -387,11 +378,12 @@ def _lockstep_round(
     steps and hold every strategy's trained cohort at once, so each strategy
     trains in turn. The configs differ only in `strategy`, which
     `_client_rows` never reads, so a group trains each distinct state's rows
-    once and every strategy reads its state's rows through its own iterator:
-    in round 0, where every strategy holds the initial state, a joint call
-    trains one strategy's rows. Either way each strategy's delta matrix is
-    built and the trained rows are freed before any strategy aggregates, and
-    the strategies are finished in list order.
+    once, flattened in client order, and regroups the trained rows into the
+    same per-client tuples, from which every strategy of that state builds
+    its delta matrix: in round 0, where every strategy holds the initial
+    state, a joint call trains one strategy's rows. Either way each
+    strategy's delta matrix is built and the trained rows are freed before
+    any strategy aggregates, and the strategies are finished in list order.
     """
     first = configs[0]
     round_index = states[0].round_index
@@ -408,9 +400,10 @@ def _lockstep_round(
     finished = []
     for group in [pairs] if together else [[pair] for pair in pairs]:
         rows = {s: _client_rows(setup, s, c, selected, seeds) for s, c in dict(group).items()}
-        trained = iter(model.train_rows(spec, [r for rs in rows.values() for r in rs], batch_size))
-        own = {s: [next(trained) for _ in state_rows] for s, state_rows in rows.items()}
-        matrices = [_client_deltas(setup, s, c, selected, iter(own[s])) for s, c in group]
+        flat = [row for ts in rows.values() for t in ts for row in t]
+        trained = iter(model.train_rows(spec, flat, batch_size))
+        own = {s: [tuple(next(trained) for _ in t) for t in ts] for s, ts in rows.items()}
+        matrices = [_client_deltas(s, c, own[s]) for s, c in group]
         # The trained stack is garbage once the matrices are built.
         del trained, own
         finished += [_finish_round(setup, s, c, selected, d)

@@ -52,6 +52,14 @@ class TestInitParams:
             MlpSpec((3, 0, 2))
 
 
+class TestUnpack:
+    # MlpSpec((2, 3, 2)) has 17 parameters; a vector or an (R, 17) stack unpacks.
+    @pytest.mark.parametrize("shape", [(18,), (16,), (), (2, 18)])
+    def test_refuses_a_wrong_last_axis(self, shape):
+        with pytest.raises(ConfigurationError, match="parameter vector has length"):
+            model.unpack(np.zeros(shape), MlpSpec((2, 3, 2)))
+
+
 def probabilities(params, spec, x):
     """The softmax output for one feature vector: `_softmax(_logits(...))`
     on a one-row batch."""
@@ -300,7 +308,7 @@ class TestStackedStepMatchesReference:
         # and unit 1 zero weights and a -0.0 bias: their pre-activations are
         # exactly zero, where the ReLU mask is 0. (The zero matmul column is
         # +0.0, so both sums are +0.0; the mask test below takes -0.0.)
-        w, b = model._layer_views(params, spec)[0]
+        w, b = model.unpack(params, spec)[0]
         w[:, :, :2] = 0.0
         b[:, 0], b[:, 1] = 0.0, -0.0
         x = rng.normal(size=(rows, n, spec.input_dim))
@@ -314,8 +322,8 @@ class TestStackedStepMatchesReference:
         spec = MlpSpec(sizes, activation=activation, seed=2)
         params, x, y = self.stack(spec, 4, 13, seed=len(sizes))
         grad = np.empty_like(params)
-        probs = model._backprop(model._layer_views(params, spec),
-                                model._layer_views(grad, spec), x, y, activation)
+        probs = model._backprop(model.unpack(params, spec),
+                                model.unpack(grad, spec), x, y, activation)
         for row in range(len(params)):
             want_grad, want_probs = reference_step(params[row], spec, x[row], y[row])
             assert grad[row].tobytes() == want_grad.tobytes()
