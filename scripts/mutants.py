@@ -195,6 +195,13 @@ MUTANTS = [
     Mutant("unpack_stack_check", "src/fedsim/model.py",
            "if params.shape[-1:] != (spec.param_count,):",
            "if params.ndim == 1 and params.shape != (spec.param_count,):"),
+    # A parameter stack where one model is expected: each refusal lets it through.
+    Mutant("eval_cohort_stack_check", "src/fedsim/model.py",
+           "out=summed)\n        if params.shape != (spec.param_count,):",
+           "out=summed)\n        if params.shape[-1:] != (spec.param_count,):"),
+    Mutant("loss_and_grad_stack_check", "src/fedsim/model.py",
+           "_check_labels(y, spec)\n    if params.shape != (spec.param_count,):",
+           "_check_labels(y, spec)\n    if params.shape[-1:] != (spec.param_count,):"),
     # An inf label ratio in fedval.score, and an adapted clip bound that overflows.
     Mutant("score_inf_ratio", "src/fedsim/fedval.py",
            '@np.errstate(divide="ignore", invalid="ignore")', '@np.errstate(invalid="ignore")'),

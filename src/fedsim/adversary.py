@@ -55,10 +55,6 @@ def poison_dataset(data: Dataset, source_label: int, target_label: int) -> Datas
     return Dataset(data.features, labels, data.num_classes, data.group_ids)
 
 
-def _ascent_row(start: np.ndarray, data, train: TrainSpec, epochs: int) -> SgdRow:
-    return SgdRow(start, data, train.seed, epochs, -train.learning_rate)
-
-
 def gradient_ascent(
     global_params: np.ndarray,
     spec: MlpSpec,
@@ -66,11 +62,10 @@ def gradient_ascent(
     train: TrainSpec,
     epochs: int,
 ) -> np.ndarray:
-    """Mini-batch gradient ascent from the global model: the SGD of
-    `local_train` with a negative step and no proximal term."""
-    (params,) = model.train_rows(
-        spec, [_ascent_row(global_params, data, train, epochs)], train.batch_size
-    )
+    """Mini-batch gradient ascent from the global model: `pga_rows`' ascent
+    row, the SGD of `local_train` with a negative step and no proximal term."""
+    ascent, _ = pga_rows(global_params, data, train, epochs)
+    (params,) = model.train_rows(spec, [ascent], train.batch_size)
     return model.check_trained(params, ascent=True)
 
 
@@ -82,7 +77,7 @@ def pga_rows(
     (plain training without the proximal term), both on `train.seed`, so
     the engine gives them one shared permutation per epoch."""
     return (
-        _ascent_row(start, data, train, ascent_epochs),
+        SgdRow(start, data, train.seed, ascent_epochs, -train.learning_rate),
         SgdRow(start, data, train.seed, train.epochs, train.learning_rate),
     )
 

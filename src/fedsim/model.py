@@ -23,15 +23,15 @@ activation, `a > 0`, which is `z > 0` bit for bit.
 
 Evaluation (`eval_cohort`, and `eval_losses`, its one-model case) runs each
 model in turn over all of the rows at once, never in chunks: OpenBLAS
-rounds a matmul over fewer rows differently. Each layer writes its matmul
-result into a buffer that the whole cohort reuses and applies the bias and
-the activation to it in place, which gives the same bits as the
-out-of-place formula. The softmax tail then runs on one class-major copy of
-the logits, (K, n), so that every reduction over the classes is a handful
-of length-n vector operations instead of n tiny length-K ones: the max is
-exact in any order, and `class_sums` adds each column in numpy's own order
-for a length-K row. Argmax predictions are computed only for the callers
-that read them.
+rounds a matmul over fewer rows differently. Its forward pass is every SGD
+step's, `_forward`, whose layers apply the bias and the activation to the
+matmul result in place (here in buffers that the whole cohort reuses): the
+bits of the out-of-place formula. The softmax tail then runs on one
+class-major copy of the logits, (K, n), so that every reduction over the
+classes is a handful of length-n vector operations instead of n tiny
+length-K ones: the max is exact in any order, and `class_sums` adds each
+column in numpy's own order for a length-K row. Argmax predictions are
+computed only for the callers that read them.
 
 Everything runs on the calling thread; the library starts no thread and
 never sets OpenBLAS's thread count, which belongs to the process that
@@ -122,14 +122,17 @@ def init_params(spec: MlpSpec) -> np.ndarray:
     return np.concatenate(chunks)
 
 
+def _length_error(params: np.ndarray, spec: MlpSpec) -> ConfigurationError:
+    return ConfigurationError(f"parameter vector has length {params.shape}, "
+                              f"spec needs {spec.param_count}")
+
+
 def unpack(params: np.ndarray, spec: MlpSpec) -> list[tuple[np.ndarray, np.ndarray]]:
     """Views of (weight matrix, bias) per layer; no copies. `params` is a
     parameter vector or an (R, P) stack of them, whose layers are (R, nin,
     nout) weights and (R, nout) biases; its last axis must be the spec's."""
     if params.shape[-1:] != (spec.param_count,):
-        raise ConfigurationError(
-            f"parameter vector has length {params.shape}, spec needs {spec.param_count}"
-        )
+        raise _length_error(params, spec)
     lead = params.shape[:-1]
     layers = []
     offset = 0
@@ -174,31 +177,6 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return logits
 
 
-def _logits(
-    params: np.ndarray, spec: MlpSpec, x: np.ndarray, out: list[np.ndarray] | None = None
-) -> np.ndarray:
-    """Logits for a batch, shape (n, K).
-
-    Each layer's matmul result goes into `out[layer]` (n, width), or a new
-    array without `out`; the bias and the activation are then applied to it
-    in place. These are the same operations in the same order as
-    `z = a @ w + b; a = act(z)`, so the logits are bit for bit those of the
-    out-of-place formula.
-    """
-    if x.ndim != 2 or x.shape[1] != spec.input_dim:
-        raise ConfigurationError(
-            f"features have shape {x.shape}, spec input dim is {spec.input_dim}"
-        )
-    a = x
-    layers = unpack(params, spec)
-    for i, (w, b) in enumerate(layers):
-        a = np.matmul(a, w, out=None if out is None else out[i])
-        a += b
-        if i < len(layers) - 1:
-            _activate(a, spec.activation, out=a)
-    return a
-
-
 def class_sums(t: np.ndarray) -> np.ndarray:
     """Column sums of a class-major (K, n) array with the bits of numpy's
     row sums `t.T.sum(axis=-1)`.
@@ -229,6 +207,30 @@ def class_sums(t: np.ndarray) -> np.ndarray:
     return class_sums(t[:half]) + class_sums(t[half:])
 
 
+def _forward(
+    layers: list[tuple[np.ndarray, np.ndarray]],
+    x: np.ndarray,
+    activation: str,
+    out: list[np.ndarray] | None = None,
+) -> list[np.ndarray]:
+    """The input and every layer's output, the logits last, of `unpack`'s
+    views of one model on an (n, d) batch or of a stack on (G, n, d) batches.
+
+    Each layer's matmul result, in `out[layer]` when given, takes the bias
+    (`b[..., None, :]`) and the activation in place: the same operations in
+    the same order as `z = a @ w + b; a = act(z)`, so the bits of that
+    out-of-place formula. Every SGD step and every evaluation runs this loop.
+    """
+    acts = [x]
+    for i, (w, b) in enumerate(layers):
+        a = np.matmul(acts[-1], w, out=None if out is None else out[i])
+        a += b[..., None, :]
+        if i < len(layers) - 1:
+            _activate(a, activation, out=a)
+        acts.append(a)
+    return acts
+
+
 def _backprop(
     layers: list[tuple[np.ndarray, np.ndarray]],
     grads: list[tuple[np.ndarray, np.ndarray]],
@@ -236,7 +238,7 @@ def _backprop(
     y: np.ndarray,
     activation: str,
 ) -> np.ndarray:
-    """Stacked forward and backward pass of the mean cross-entropy.
+    """Stacked forward (`_forward`) and backward pass of the mean cross-entropy.
 
     Row g of the stack is one model, (weights (G, nin, nout), biases (G, nout))
     per layer, on its own batch x[g] (n, d) with labels y[g] (n,); every row's
@@ -245,16 +247,8 @@ def _backprop(
     Labels must already be known to lie in [0, K).
     """
     g, n = y.shape
-    acts = [x]  # input and post-activation outputs
-    a = x
-    for i, (w, b) in enumerate(layers):
-        a = np.matmul(a, w)
-        a += b[:, None, :]
-        if i < len(layers) - 1:
-            _activate(a, activation, out=a)
-        acts.append(a)
-
-    probs = _softmax(a)
+    acts = _forward(layers, x, activation)
+    probs = _softmax(acts[-1])
 
     # Backward pass; dZ for the softmax+CE head is (p - onehot) / n, the
     # one-hot subtracted at each sample's flat index.
@@ -299,12 +293,13 @@ def loss_and_grad(
     if n == 0:
         raise ValueError("empty batch")
     _check_labels(y, spec)
+    if params.shape != (spec.param_count,):
+        raise _length_error(params, spec)
 
     grad = np.empty(spec.param_count)
     # The one-row case of the stacked kernel.
-    layers = [(w[None], b[None]) for w, b in unpack(params, spec)]
-    grads = [(gw[None], gb[None]) for gw, gb in unpack(grad, spec)]
-    probs = _backprop(layers, grads, x[None], y[None], spec.activation)[0]
+    probs = _backprop(unpack(params[None], spec), unpack(grad[None], spec), x[None], y[None],
+                      spec.activation)[0]
     loss = float(-np.mean(np.log(np.maximum(probs[np.arange(n), y], PROB_FLOOR))))
 
     if prox_mu > 0.0:
@@ -521,13 +516,17 @@ def eval_cohort(
     and division per element as the row-wise `_softmax`, and column sums in
     numpy's row order, so losses and predictions are bit for bit the
     row-wise ones. Only the picked probabilities are divided unless the
-    predictions need them all. Every model is evaluated in turn into one set
-    of buffers.
+    predictions need them all. Every model runs in turn through `_forward`
+    into one set of buffers; the features are checked once per cohort.
     """
     n = len(data.labels)
     if n == 0:
         raise ValueError("empty dataset")
     x = np.asarray(data.features, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != spec.input_dim:
+        raise ConfigurationError(
+            f"features have shape {x.shape}, spec input dim is {spec.input_dim}"
+        )
     # Each sample's own-label entry in the flat class-major logits.
     picks = np.asarray(data.labels, dtype=np.int64) * n + np.arange(n)
     losses = np.empty((len(models), n))
@@ -538,7 +537,9 @@ def eval_cohort(
     for i, (params, row) in enumerate(zip(models, losses)):
         if isinstance(params, tuple):
             params = np.add(*params, out=summed)
-        np.copyto(t, _logits(params, spec, x, layers).T)
+        if params.shape != (spec.param_count,):
+            raise _length_error(params, spec)
+        np.copyto(t, _forward(unpack(params, spec), x, spec.activation, layers)[-1].T)
         t -= np.max(t, axis=0, out=top)
         np.exp(t, out=t)
         sums = class_sums(t)

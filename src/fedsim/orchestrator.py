@@ -340,8 +340,7 @@ def _finish_round(
         new_global = aggregators.fedavg(g, deltas, counts)
     elif strategy.kind == "multi_krum":
         chosen = aggregators.multi_krum(deltas, strategy.remove_fraction)
-        uniform = np.full(len(chosen), 1.0 / len(chosen))
-        new_global = fedval.aggregate(g, deltas[chosen], uniform)
+        new_global = aggregators.fedavg(g, deltas[chosen], np.ones(len(chosen)))
     elif strategy.kind == "lfr":
         new_global = aggregators.lfr(g, deltas, counts, report.overall_loss,
                                      strategy.remove_fraction)

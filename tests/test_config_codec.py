@@ -9,7 +9,6 @@ changes the identity of existing runs.
 import hashlib
 import json
 import math
-import sys
 from pathlib import Path
 
 import pytest
@@ -18,24 +17,10 @@ from hypothesis import strategies as st
 
 from fedsim import cli, fedval
 from fedsim.errors import ConfigurationError
+from test_golden_outputs import load_output_digests
 
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def _import_workloads():
-    """`bench/workloads.py`, imported without writing bytecode into bench/."""
-    sys.path.insert(0, str(ROOT / "bench"))
-    before = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True
-    try:
-        import workloads
-    finally:
-        sys.dont_write_bytecode = before
-        sys.path.remove(str(ROOT / "bench"))
-    return workloads
-
-
-workloads = _import_workloads()
+workloads = load_output_digests().workloads
 
 
 def digests(config) -> tuple[str, str]:

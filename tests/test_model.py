@@ -1,6 +1,7 @@
 import ctypes
 import itertools
 import math
+import re
 import sys
 import threading
 from dataclasses import replace as dc_replace
@@ -60,11 +61,34 @@ class TestUnpack:
             model.unpack(np.zeros(shape), MlpSpec((2, 3, 2)))
 
 
+class TestOneModelExpected:
+    """A parameter stack passed where one model is expected is refused by
+    name, not by a numpy broadcast error."""
+
+    spec = MlpSpec((4, 8, 3))
+    message = re.escape(f"parameter vector has length (2, {spec.param_count}), "
+                        f"spec needs {spec.param_count}")
+
+    def stack(self):
+        return np.stack([model.init_params(self.spec)] * 2)
+
+    def test_evaluation_refuses_a_stack(self):
+        data = gen_synthetic(3, 4, 30, 4.0, seed=0)
+        with pytest.raises(ConfigurationError, match=self.message):
+            model.eval_losses(self.stack(), self.spec, data)
+
+    def test_loss_and_grad_refuses_a_stack(self):
+        batch = (np.zeros((5, 4)), np.arange(5) % 3)
+        with pytest.raises(ConfigurationError, match=self.message):
+            model.loss_and_grad(self.stack(), self.spec, batch)
+
+
 def probabilities(params, spec, x):
-    """The softmax output for one feature vector: `_softmax(_logits(...))`
-    on a one-row batch."""
+    """The softmax output for one feature vector: `_softmax` of `_forward`'s
+    logits on a one-row batch."""
     batch = np.asarray(x, dtype=np.float64)[None, :]
-    return model._softmax(model._logits(params, spec, batch))[0]
+    logits = model._forward(model.unpack(params, spec), batch, spec.activation)[-1]
+    return model._softmax(logits)[0]
 
 
 class TestForward:
@@ -92,8 +116,9 @@ class TestForward:
 
     def test_dimension_mismatch(self):
         spec = MlpSpec((3, 2))
+        data = Dataset(np.array([[1.0, 2.0]]), np.array([0]), 2)
         with pytest.raises(ConfigurationError):
-            probabilities(np.zeros(spec.param_count), spec, np.array([1.0, 2.0]))
+            model.eval_losses(np.zeros(spec.param_count), spec, data)
 
 
 class TestLossAndGrad:
@@ -687,16 +712,16 @@ def set_blas_thread_count(count: int) -> None:
 
 
 def eval_threads(monkeypatch):
-    """Record the thread of every model evaluation: `_logits` runs once per
-    evaluated model."""
+    """Record the thread of every `_forward` call, which `eval_cohort` makes
+    once per evaluated model."""
     threads = []
-    honest = model._logits
+    honest = model._forward
 
     def spy(*args):
         threads.append(threading.get_ident())
         return honest(*args)
 
-    monkeypatch.setattr(model, "_logits", spy)
+    monkeypatch.setattr(model, "_forward", spy)
     return threads
 
 
